@@ -42,7 +42,7 @@ func run(ctx context.Context) int {
 		figure       = flag.String("figure", "", "experiment id to regenerate (figure1..figure7, space)")
 		all          = flag.Bool("all", false, "regenerate every table")
 		scale        = flag.String("scale", "small", "workload scale: tiny, small, medium, paper")
-		workers      = flag.Int("workers", 0, "parallel measurement runs (0 = NumCPU)")
+		workers      = flag.Int("workers", 0, "parallel measurement runs (0 = GOMAXPROCS)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile   = flag.String("memprofile", "", "write a heap profile at exit to this file")
 		mutexprofile = flag.String("mutexprofile", "", "write a mutex-contention profile at exit to this file")
@@ -79,8 +79,8 @@ func run(ctx context.Context) int {
 	}
 
 	// Mutex and block profiles cover the concurrency layers the CPU
-	// profile cannot see — engine-pool contention and the segment fan-out
-	// of parallel interval runs (DESIGN.md §17) show up here.
+	// profile cannot see — engine-pool contention and the measurement
+	// fan-out's worker pool show up here.
 	if *mutexprofile != "" {
 		runtime.SetMutexProfileFraction(1)
 		defer writeProfile("mutex", *mutexprofile)

@@ -119,7 +119,6 @@ func (t *Tuner) observePhases(ctx context.Context, b *progs.Benchmark, cfg confi
 	opts := platform.Options{
 		SampleInstructions:   t.SampleInstructions,
 		IntervalInstructions: interval,
-		IntraRunWorkers:      t.IntraRunWorkers,
 	}
 	rep, err := t.provider().Measure(ctx, prog, cfg, opts)
 	if err != nil {
@@ -229,7 +228,7 @@ func (t *Tuner) buildPhaseModels(ctx context.Context, b *progs.Benchmark, interv
 // Deprecated: build a Session once and call Tune with Request.Phases
 // set — repeated runs then share one model build through the session's
 // model layer.
-func (t *Tuner) TunePhases(ctx context.Context, b *progs.Benchmark, w Weights, opts PhaseOptions) (*PhaseReport, error) {
+func (t *Tuner) TunePhases(ctx context.Context, b *progs.Benchmark, w Weights, opts PhaseOptions) (*Report, error) {
 	s := NewSession(SessionOptions{
 		Provider:      t.provider(),
 		Workers:       t.Workers,

@@ -251,23 +251,12 @@ type OnlineBlock struct {
 	Unclassified int `json:"unclassified"`
 }
 
-// TuneReport is the pre-unification name of the plain-run document.
-//
-// Deprecated: use Report. The serialization is unchanged.
-type TuneReport = Report
-
-// PhaseReport is the pre-unification name of the phase-run document;
-// the phase data now lives under Report.Phases.
-//
-// Deprecated: use Report.
-type PhaseReport = Report
-
 // NewTuneReport assembles the shared document from a tuning run's pieces.
 // val may be nil (validation skipped); includeModel controls whether the
 // full perturbation model is embedded.
 //
 // Deprecated: Session.Tune returns the assembled *Report directly.
-func NewTuneReport(m *Model, rec *Recommendation, val *Validation, includeModel bool) *TuneReport {
+func NewTuneReport(m *Model, rec *Recommendation, val *Validation, includeModel bool) *Report {
 	r := &Report{
 		App:            m.App,
 		Scale:          m.Scale.String(),

@@ -18,7 +18,10 @@ type Request struct {
 	// App names the benchmark to tune (progs registry: blastn, drr,
 	// frag, arith, mix).
 	App string
-	// Scale selects the workload size (default Small — the zero value).
+	// Scale selects the workload size. The zero value is workload.Tiny,
+	// so callers that want the paper-sized runs set workload.Small
+	// explicitly. The daemon differs: its JobRequest.Scale defaults to
+	// "small" when omitted.
 	Scale workload.Scale
 	// Space is the decision-variable space; nil means the full
 	// 52-variable paper space.

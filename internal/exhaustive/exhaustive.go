@@ -32,7 +32,7 @@ func (r Result) Seconds() float64 { return float64(r.Cycles) / 25e6 }
 // Sweep builds and runs every configuration in the list (skipping ones
 // that do not fit the device) through the shared measurement provider and
 // returns results in input order. Cancelling ctx aborts the sweep
-// promptly. workers <= 0 uses NumCPU.
+// promptly. workers <= 0 uses GOMAXPROCS.
 func Sweep(ctx context.Context, b *progs.Benchmark, scale workload.Scale, cfgs []config.Config, workers int) ([]Result, error) {
 	return SweepWith(ctx, measure.Default(), b, scale, cfgs, workers)
 }

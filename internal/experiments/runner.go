@@ -15,7 +15,7 @@ type Options struct {
 	// Scale selects the workload size (default Small; the paper's
 	// percentages are scale-stable by design).
 	Scale workload.Scale
-	// Workers bounds parallel measurement runs (default NumCPU).
+	// Workers bounds parallel measurement runs (default GOMAXPROCS).
 	Workers int
 }
 

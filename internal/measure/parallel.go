@@ -9,7 +9,8 @@ import (
 // ForEach runs fn(i) for every i in [0, n) on at most workers concurrent
 // goroutines, stopping the dispatch of new work at the first error or
 // context cancellation and returning the first error observed (in-flight
-// work drains before it returns). workers <= 0 uses NumCPU.
+// work drains before it returns). workers <= 0 uses runtime.GOMAXPROCS(0):
+// one run per processor the Go scheduler will actually run at once.
 //
 // This is the one worker pool shared by every measurement fan-out — the
 // model builder's ~52 single-change jobs, the exhaustive sweeps, the
@@ -17,7 +18,7 @@ import (
 // sem/WaitGroup copies.
 func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

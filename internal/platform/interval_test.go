@@ -98,23 +98,58 @@ func TestIntervalsStepEquivalence(t *testing.T) {
 	}
 }
 
-// TestIntervalsDeterministic: two runs produce byte-identical interval
-// slices (serialization included — this is what golden phase traces rest
-// on).
+// TestIntervalsDeterministic: rerunning an interval-profiled run on a
+// pooled engine, sampled or not, produces a report byte-identical to a
+// fresh engine's (serialization included — this is what golden phase
+// traces and the measurement caches rest on).
 func TestIntervalsDeterministic(t *testing.T) {
-	a := intervalRun(t, "blastn", platform.Options{IntervalInstructions: 7_500})
-	b := intervalRun(t, "blastn", platform.Options{IntervalInstructions: 7_500})
-	ja, err := json.Marshal(a.Intervals)
+	for _, tc := range []struct {
+		name string
+		opts platform.Options
+	}{
+		{"whole", platform.Options{IntervalInstructions: 7_500}},
+		{"sampled", platform.Options{IntervalInstructions: 2_000, SampleInstructions: 20_000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, _ := progs.ByName("blastn")
+			prog, err := b.Assemble(workload.Tiny)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := platform.NewEngine(prog, config.Default(), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.opts.SampleInstructions > 0 && !fresh.Sampled {
+				t.Fatal("sample limit did not truncate the run; pick a smaller limit")
+			}
+			want := marshalReport(t, fresh)
+			// The second RunWith reruns the engine the first released to
+			// the pool, so it starts from a restored snapshot and reset core.
+			for i := 0; i < 2; i++ {
+				rep, err := platform.RunWith(prog, config.Default(), tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := marshalReport(t, rep); got != want {
+					t.Fatalf("run %d diverged from a fresh engine:\ngot  %s\nwant %s", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+func marshalReport(t *testing.T, rep *platform.RunReport) string {
+	t.Helper()
+	j, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := json.Marshal(b.Intervals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ja) != string(jb) {
-		t.Error("interval profiles are not reproducible")
-	}
+	return string(j)
 }
 
 // TestIntervalsRespectInstructionLimit: an oversized (even overflowing)

@@ -66,13 +66,6 @@ type Options struct {
 	// byte-identical either way — so package measure excludes it from
 	// result cache keys.
 	SuperblockThreshold int
-	// IntraRunWorkers bounds the goroutines an interval-profiled run may
-	// fan checkpointed interval segments across when the same run repeats
-	// (DESIGN.md §17): 0 inherits the process default, 1 or a negative
-	// value forces serial execution. Like SuperblockThreshold it cannot
-	// change any reported result, only wall-clock speed, and is excluded
-	// from measurement cache keys.
-	IntraRunWorkers int
 }
 
 // Normalized fills in the option defaults. Callers that derive cache keys
@@ -85,20 +78,14 @@ func (o Options) Normalized() Options {
 	if o.MaxInstructions == 0 {
 		o.MaxInstructions = DefaultMaxInstructions
 	}
-	// Resolve the tuning sentinels to concrete values (0 = process
-	// default, negative = off/serial) so pool keys built from normalized
-	// options attribute engines to the execution mode they actually run.
+	// Resolve the tuning sentinel to a concrete value (0 = process
+	// default, negative = off) so pool keys built from normalized options
+	// attribute engines to the execution mode they actually run.
 	switch {
 	case o.SuperblockThreshold == 0:
 		o.SuperblockThreshold = int(defaultSBThreshold.Load())
 	case o.SuperblockThreshold < 0:
 		o.SuperblockThreshold = 0
-	}
-	switch {
-	case o.IntraRunWorkers == 0:
-		o.IntraRunWorkers = int(defaultWorkers.Load())
-	case o.IntraRunWorkers < 1:
-		o.IntraRunWorkers = 1
 	}
 	return o
 }
@@ -179,15 +166,6 @@ type Engine struct {
 	// lastSB is the core's superblock-counter watermark at the end of the
 	// previous run; Run folds the delta into the process-wide counters.
 	lastSB cpu.SuperblockStats
-	// cks holds the interval checkpoints captured by this engine's first
-	// interval-profiled run (parallel.go); ckDone marks the set complete,
-	// arming the parallel path for identical re-runs. nIntervals is that
-	// run's interval count (the segment-balancing denominator) and clones
-	// are the cached per-worker core+memory pairs.
-	cks        []checkpoint
-	ckDone     bool
-	nIntervals int
-	clones     []*segEngine
 }
 
 // NewEngine builds an engine for repeated runs of prog on cfg.
@@ -236,11 +214,7 @@ func (e *Engine) Run() (*RunReport, error) {
 	switch {
 	case e.opts.IntervalInstructions > 0:
 		var err error
-		if e.canRunParallel() {
-			intervals, sampled, err = e.runIntervalsParallel()
-		} else {
-			intervals, sampled, err = e.runIntervals()
-		}
+		intervals, sampled, err = e.runIntervals()
 		if err != nil {
 			return nil, err
 		}
@@ -281,10 +255,6 @@ func (e *Engine) runIntervals() (intervals []Interval, sampled bool, err error) 
 	core.EnableBlockVector(SignatureBuckets, signatureShift)
 	every := e.opts.IntervalInstructions
 	sample := e.opts.SampleInstructions
-	// When this engine is tuned for intra-run parallelism, the first
-	// serial run checkpoints the engine state at interval boundaries so
-	// identical re-runs can fan segments across workers (parallel.go).
-	capture := e.startCapture()
 	var prev profiler.Stats
 	var prevIC, prevDC cache.Stats
 	for {
@@ -302,7 +272,6 @@ func (e *Engine) runIntervals() (intervals []Interval, sampled bool, err error) 
 		}
 		halted, err := core.RunFor(step)
 		if err != nil {
-			e.discardCapture(capture)
 			return nil, false, fmt.Errorf("platform: %w", err)
 		}
 		st, ic, dc := core.Stats(), core.ICacheStats(), core.DCacheStats()
@@ -318,20 +287,14 @@ func (e *Engine) runIntervals() (intervals []Interval, sampled bool, err error) 
 		}
 		prev, prevIC, prevDC = st, ic, dc
 		if halted {
-			e.finishCapture(capture, len(intervals))
 			return intervals, false, nil
 		}
 		if sample > 0 && st.Instructions >= sample {
-			e.finishCapture(capture, len(intervals))
 			return intervals, true, nil
 		}
 		if st.Instructions >= e.opts.MaxInstructions {
-			e.discardCapture(capture)
 			return nil, false, fmt.Errorf("platform: instruction limit %d reached at pc %#08x",
 				e.opts.MaxInstructions, core.PC())
-		}
-		if capture != nil {
-			capture.note(e, len(intervals))
 		}
 	}
 }
@@ -349,12 +312,11 @@ type engineKey struct {
 	maxI     uint64
 	sample   uint64
 	interval uint64
-	// sb and workers are the resolved tuning knobs. They cannot change
-	// results, but a pooled engine carries compiled superblocks and
-	// interval checkpoints, so mixing modes under one key would misattribute
-	// the wall-clock cost each mode is being measured against.
-	sb      int
-	workers int
+	// sb is the resolved superblock threshold. It cannot change results,
+	// but a pooled engine carries compiled superblocks, so mixing modes
+	// under one key would misattribute the wall-clock cost each mode is
+	// being measured against.
+	sb int
 }
 
 type memKey struct {
@@ -452,7 +414,7 @@ func PoolSnapshot() PoolStats {
 func acquireEngine(prog *asm.Program, cfg config.Config, opts Options) (*Engine, error) {
 	ek := engineKey{prog: prog, cfg: cfg, ram: opts.RAMBytes, maxI: opts.MaxInstructions,
 		sample: opts.SampleInstructions, interval: opts.IntervalInstructions,
-		sb: opts.SuperblockThreshold, workers: opts.IntraRunWorkers}
+		sb: opts.SuperblockThreshold}
 	mk := memKey{prog: prog, ram: opts.RAMBytes}
 	pool.Lock()
 	if es := pool.engines[ek]; len(es) > 0 {
@@ -479,7 +441,7 @@ func acquireEngine(prog *asm.Program, cfg config.Config, opts Options) (*Engine,
 func releaseEngine(e *Engine) {
 	ek := engineKey{prog: e.prog, cfg: e.cfg, ram: e.opts.RAMBytes, maxI: e.opts.MaxInstructions,
 		sample: e.opts.SampleInstructions, interval: e.opts.IntervalInstructions,
-		sb: e.opts.SuperblockThreshold, workers: e.opts.IntraRunWorkers}
+		sb: e.opts.SuperblockThreshold}
 	pool.Lock()
 	defer pool.Unlock()
 	if pool.nEng < pool.maxEngines {

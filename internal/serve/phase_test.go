@@ -16,7 +16,7 @@ import (
 )
 
 // TestPhaseJobMatchesCLI is the phase-mode acceptance test: a phase job
-// served over HTTP must produce byte-for-byte the core.PhaseReport the
+// served over HTTP must produce byte-for-byte the core.Report the
 // in-process tuner (and therefore `autoarch -phases -json`) produces.
 func TestPhaseJobMatchesCLI(t *testing.T) {
 	t.Parallel()
@@ -31,7 +31,7 @@ func TestPhaseJobMatchesCLI(t *testing.T) {
 		t.Fatalf("job state = %s, error = %s", st.State, st.Error)
 	}
 	if st.Result != nil {
-		t.Error("phase job should not carry a plain TuneReport")
+		t.Error("phase job should not carry a plain result")
 	}
 	if st.PhaseResult == nil {
 		t.Fatal("done phase job has no phase result")

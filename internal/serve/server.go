@@ -69,7 +69,6 @@ import (
 
 	"liquidarch/internal/config"
 	"liquidarch/internal/core"
-	"liquidarch/internal/cpu"
 	"liquidarch/internal/fabric"
 	"liquidarch/internal/measure"
 	"liquidarch/internal/obs"
@@ -118,13 +117,11 @@ type Options struct {
 	// ModelCacheEntries bounds the session's shared model layer
 	// (<= 0 means core.DefaultModelCacheEntries).
 	ModelCacheEntries int
-	// SuperblockThreshold and IntraRunWorkers retune the process-wide
-	// execution defaults (platform.SetDefaultTuning) when nonzero:
-	// superblock compilation heat (negative disables) and the worker
-	// bound for checkpointed parallel interval re-runs. Neither changes
-	// any measured result — only how fast the daemon produces it.
+	// SuperblockThreshold retunes the process-wide superblock default
+	// (platform.SetDefaultTuning) when nonzero: the compilation heat, or
+	// a negative value to disable. It never changes any measured result
+	// — only how fast the daemon produces it.
 	SuperblockThreshold int
-	IntraRunWorkers     int
 	// ModelStore, when set, is the durable model tier: completed model
 	// sets spill there and model-cache misses try it before rebuilding,
 	// so a restarted (or sibling) replica serves a previously modeled
@@ -132,11 +129,6 @@ type Options struct {
 	// Store is also set, each spill records its measurement set in the
 	// store so the store's GC evicts the set cohesively.
 	ModelStore *core.ModelStore
-	// AutoWorkers makes jobs that do not pin a worker count split the
-	// host's measured effective parallelism between sweep-level
-	// concurrency and intra-run interval replay (measure.AutoPlan)
-	// instead of using the static defaults.
-	AutoWorkers bool
 	// SlowJobThreshold, when positive, logs a warning for every flight
 	// whose wall-clock execution exceeds it, with the top stages of its
 	// trace — so a degraded deployment names the stage that degraded
@@ -186,7 +178,7 @@ type JobRequest struct {
 	W3 *float64 `json:"w3,omitempty"`
 	// SampleInstructions optionally truncates each measurement run.
 	SampleInstructions uint64 `json:"sample_instructions,omitempty"`
-	// Workers bounds this job's measurement parallelism (0 = NumCPU).
+	// Workers bounds this job's measurement parallelism (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// IncludeModel embeds the full perturbation model in the result.
 	IncludeModel bool `json:"include_model,omitempty"`
@@ -249,9 +241,9 @@ type JobStatus struct {
 	// Result is a plain job's outcome; PhaseResult a phase job's;
 	// Results a batch job's — one report per expanded item, in item
 	// order.
-	Result      *core.TuneReport   `json:"result,omitempty"`
-	PhaseResult *core.PhaseReport  `json:"phase_result,omitempty"`
-	Results     []*core.TuneReport `json:"results,omitempty"`
+	Result      *core.Report   `json:"result,omitempty"`
+	PhaseResult *core.Report   `json:"phase_result,omitempty"`
+	Results     []*core.Report `json:"results,omitempty"`
 	// Progress tracks the running flight's completed measurements.
 	Progress *MeasureProgress `json:"progress,omitempty"`
 	Created  time.Time        `json:"created"`
@@ -381,12 +373,8 @@ func New(opts Options) *Server {
 	if opts.BulkQueueDepth <= 0 {
 		opts.BulkQueueDepth = opts.QueueDepth
 	}
-	if opts.SuperblockThreshold != 0 || opts.IntraRunWorkers != 0 {
-		sb := opts.SuperblockThreshold
-		if sb == 0 {
-			sb = cpu.DefaultSuperblockThreshold
-		}
-		platform.SetDefaultTuning(sb, opts.IntraRunWorkers)
+	if opts.SuperblockThreshold != 0 {
+		platform.SetDefaultTuning(opts.SuperblockThreshold)
 	}
 	provider := opts.Provider
 	var cache *measure.Cache
@@ -412,7 +400,6 @@ func New(opts Options) *Server {
 			ModelCacheEntries: opts.ModelCacheEntries,
 			ModelStore:        opts.ModelStore,
 			MeasureStore:      opts.Store,
-			AutoWorkers:       opts.AutoWorkers,
 		}),
 		baseCtx: ctx,
 		stop:    stop,
@@ -539,7 +526,7 @@ func normalizeClass(c string) (string, error) {
 
 // dedupKey canonicalizes the result-determining fields of a resolved
 // request: two requests with equal keys are guaranteed the same
-// TuneReport (the simulator and solver are deterministic), which is what
+// report (the simulator and solver are deterministic), which is what
 // licenses coalescing them onto one flight. Workers is deliberately
 // excluded — it only tunes the flight's internal parallelism (the first
 // submitter's value wins); everything else participates.
@@ -1055,19 +1042,15 @@ type FabricMetrics struct {
 // previously modeled application shows disk_hits growing while builds
 // stays frozen at zero.
 type Metrics struct {
-	Cache  *measure.CacheStats   `json:"cache,omitempty"`
-	Store  *measure.StoreStats   `json:"store,omitempty"`
-	Models *core.ModelCacheStats `json:"models,omitempty"`
-	// Planner reports the auto parallelism planner (present only when
-	// Options.AutoWorkers is on).
-	Planner   *measure.PlannerStats `json:"planner,omitempty"`
+	Cache     *measure.CacheStats   `json:"cache,omitempty"`
+	Store     *measure.StoreStats   `json:"store,omitempty"`
+	Models    *core.ModelCacheStats `json:"models,omitempty"`
 	Pool      platform.PoolStats    `json:"pool"`
 	Jobs      map[string]int        `json:"jobs"`
 	Scheduler SchedulerStats        `json:"scheduler"`
 	// Tuning aggregates the execution-tuning activity: superblock
-	// compiles/hits/deopts across every simulated run, and how many
-	// interval-profiled runs replayed as parallel segments (with the
-	// concurrency the fan-outs actually achieved).
+	// compiles/hits/deopts across every simulated run and the schedule
+	// replay and online-adaptation counts.
 	Tuning platform.TuningCounters `json:"tuning"`
 	// Stages is the per-stage latency aggregation over every traced
 	// flight: count, total and p50/p95/p99 per pipeline stage name
@@ -1096,10 +1079,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 	if s.opts.Store != nil {
 		st := s.opts.Store.Stats()
 		m.Store = &st
-	}
-	if s.opts.AutoWorkers {
-		st := measure.PlannerSnapshot()
-		m.Planner = &st
 	}
 	if s.opts.Fabric != nil || s.opts.Worker != nil {
 		fm := &FabricMetrics{}
