@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+
+	"liquidarch/internal/core"
 )
 
 // MaxBatchItems caps one batch's expanded item count: a batch is one
@@ -85,16 +87,17 @@ func (s *Server) SubmitBatch(req BatchRequest) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, &apiError{http.StatusBadRequest, err.Error()}
 	}
+	creqs := make([]core.Request, len(items))
 	keys := make([]string, len(items))
 	for i, item := range items {
-		b, sc, _, w, err := resolve(item)
+		creq, err := resolve(item)
 		if err != nil {
 			return JobStatus{}, &apiError{http.StatusBadRequest,
 				fmt.Sprintf("batch item %d: %v", i, err)}
 		}
-		keys[i] = dedupKey(item, b.Name, sc, w)
+		creqs[i], keys[i] = creq, dedupKey(item, creq)
 	}
 	class, _ := normalizeClass(req.Class)
 	key := fmt.Sprintf("batch class=%s [%s]", class, strings.Join(keys, " | "))
-	return s.submit(req.JobRequest, key, items)
+	return s.submit(req.JobRequest, key, core.Request{}, creqs)
 }

@@ -233,11 +233,13 @@ func TestFabricAllWorkersDownFallsBackLocal(t *testing.T) {
 
 // TestWorkerEndpointRegistersAndExpires drives the registration
 // endpoint directly: a worker registered with a short TTL is live until
-// it stops heartbeating, then the sweep drops it.
+// it stops heartbeating, then the sweep drops it. The TTL is long enough
+// for the liveness check's loopback GET on a loaded host; the expiry is
+// then awaited by polling, not by a fixed sleep.
 func TestWorkerEndpointRegistersAndExpires(t *testing.T) {
 	t.Parallel()
 	_, _, coord := newCoordinator(t, fabric.RemoteOptions{})
-	registerWorker(t, coord, fabric.Registration{ID: "w-brief", URL: "http://127.0.0.1:1", TTLSeconds: 0.05})
+	registerWorker(t, coord, fabric.Registration{ID: "w-brief", URL: "http://127.0.0.1:1", TTLSeconds: 2})
 
 	resp, err := http.Get(coord.URL + "/v1/workers")
 	if err != nil {
@@ -252,10 +254,16 @@ func TestWorkerEndpointRegistersAndExpires(t *testing.T) {
 		t.Fatalf("worker table %+v, want one live worker", workers)
 	}
 
-	time.Sleep(100 * time.Millisecond)
-	r := metricsOf(t, coord).Fabric.Remote
-	if r.LiveWorkers != 0 || r.Expired == 0 {
-		t.Fatalf("live %d expired %d after TTL, want 0 live and an expiry", r.LiveWorkers, r.Expired)
+	deadline := time.Now().Add(time.Minute)
+	for {
+		r := metricsOf(t, coord).Fabric.Remote
+		if r.LiveWorkers == 0 && r.Expired != 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("live %d expired %d after TTL, want 0 live and an expiry", r.LiveWorkers, r.Expired)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 

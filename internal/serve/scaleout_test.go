@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -311,7 +314,19 @@ func TestRetentionDropsOldTerminalJobs(t *testing.T) {
 // every sweep while terminal churn around it is dropped, then complete.
 func TestRetentionNeverDropsLiveJobs(t *testing.T) {
 	t.Parallel()
-	gate := &firstProgGate{inner: measure.Simulator{}, gate: make(chan struct{})}
+	// Each churn job samples its own run length, so it misses the
+	// measurement cache and its hold keeps it live until its status
+	// stream is open: a janitor sweep can then drop it only after the
+	// wait holds its record.
+	const churn = 3
+	holds := map[uint64]chan struct{}{}
+	for i := range churn {
+		holds[churnSample(i)] = make(chan struct{})
+	}
+	gate := &firstProgGate{
+		inner: &scriptedProvider{inner: measure.Simulator{}, holds: holds},
+		gate:  make(chan struct{}),
+	}
 	s := serve.New(serve.Options{
 		Workers:    2,
 		Provider:   measure.NewCache(gate, 256),
@@ -337,10 +352,12 @@ func TestRetentionNeverDropsLiveJobs(t *testing.T) {
 	}
 
 	// Churn terminal jobs past the pinned one.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < churn; i++ {
 		w2 := float64(i + 1)
-		st := postJob(t, ts, serve.JobRequest{App: "arith", Scale: "tiny", Space: "dcache", W2: &w2})
-		waitDone(t, ts, st.ID)
+		st := postJob(t, ts, serve.JobRequest{App: "arith", Scale: "tiny", Space: "dcache", W2: &w2, SampleInstructions: churnSample(i)})
+		wait := follow(t, ts, st.ID)
+		close(holds[churnSample(i)])
+		wait()
 		time.Sleep(5 * time.Millisecond) // let the TTL lapse between churns
 	}
 	s.Jobs() // force a sweep with the TTL long expired
@@ -352,10 +369,218 @@ func TestRetentionNeverDropsLiveJobs(t *testing.T) {
 	if st.State != serve.StateRunning {
 		t.Fatalf("pinned job state %s, want running (error %q)", st.State, st.Error)
 	}
+	wait := follow(t, ts, slow.ID)
 	close(gate.gate)
-	if got := waitDone(t, ts, slow.ID); got.State != serve.StateDone {
+	if got := wait(); got.State != serve.StateDone {
 		t.Fatalf("pinned job: %s %q", got.State, got.Error)
 	}
+}
+
+// churnSample is the run length of TestRetentionNeverDropsLiveJobs's
+// i-th churn job.
+func churnSample(i int) uint64 { return 20_000 + 1_000*uint64(i) }
+
+// scriptedProvider scripts measurement outcomes by the request's sample
+// length, so one server can drive every terminal path: a nonzero fail
+// always errors, and each sample in holds blocks until its channel
+// closes (or the measurement's context dies). Other samples pass
+// through.
+type scriptedProvider struct {
+	inner measure.Provider
+	fail  uint64
+	holds map[uint64]chan struct{}
+}
+
+func (p *scriptedProvider) Measure(ctx context.Context, prog *asm.Program, cfg config.Config, opts platform.Options) (*platform.RunReport, error) {
+	if p.fail != 0 && opts.SampleInstructions == p.fail {
+		return nil, errors.New("scripted measurement failure")
+	}
+	if gate, ok := p.holds[opts.SampleInstructions]; ok {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return p.inner.Measure(ctx, prog, cfg, opts)
+}
+
+// waitLeftQueue spins until the job has left the queued state.
+func waitLeftQueue(t *testing.T, s *serve.Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		st, ok := s.Job(id)
+		if !ok {
+			t.Fatalf("job %s vanished while live", id)
+		}
+		if st.State != serve.StateQueued {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started", id)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestRetentionQueueContract pins what the finish-ordered retention
+// queue must keep: the count bound drops the earliest-finished job (not
+// the earliest-submitted), and every way a job can end enters it
+// exactly once, so the table never outgrows the bound and the dropped
+// counter is exact.
+func TestRetentionQueueContract(t *testing.T) {
+	t.Parallel()
+
+	t.Run("out-of-order finish", func(t *testing.T) {
+		t.Parallel()
+		gate := &firstProgGate{inner: measure.Simulator{}, gate: make(chan struct{})}
+		s := serve.New(serve.Options{Workers: 2, Provider: measure.NewCache(gate, 256), RetainJobs: 2})
+		ts := httptest.NewServer(s.Handler())
+		defer func() {
+			ts.Close()
+			s.Close()
+		}()
+
+		// The first submission is pinned running while two later ones
+		// finish, so it finishes last.
+		first := postJob(t, ts, serve.JobRequest{App: "arith", Scale: "tiny", Space: "dcache"})
+		deadline := time.Now().Add(30 * time.Second)
+		for gate.prog.Load() == nil {
+			if time.Now().After(deadline) {
+				t.Fatal("pinned job never reached the provider")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		var later []string
+		for i := 0; i < 2; i++ {
+			st := postJob(t, ts, serve.JobRequest{App: "drr", Scale: "tiny", Space: "dcache", W2: fptr(float64(i + 1))})
+			if got := waitDone(t, ts, st.ID); got.State != serve.StateDone {
+				t.Fatalf("job %s: %s %q", st.ID, got.State, got.Error)
+			}
+			later = append(later, st.ID)
+		}
+		close(gate.gate)
+		if got := waitDone(t, ts, first.ID); got.State != serve.StateDone {
+			t.Fatalf("pinned job: %s %q", got.State, got.Error)
+		}
+
+		// Finish order is later[0], later[1], first: the sweep must drop
+		// later[0] and keep the earliest-submitted job.
+		var kept []string
+		for _, j := range s.Jobs() {
+			kept = append(kept, j.ID)
+		}
+		if want := []string{first.ID, later[1]}; !slices.Equal(kept, want) {
+			t.Fatalf("retained %v, want %v (the earliest-finished %s dropped)", kept, want, later[0])
+		}
+		if d := s.MetricsSnapshot().Scheduler.Dropped; d != 1 {
+			t.Errorf("dropped = %d, want 1", d)
+		}
+	})
+
+	t.Run("every terminal path retires once", func(t *testing.T) {
+		t.Parallel()
+		const (
+			failSample = 30_000
+			pairSample = 40_000
+			holdSample = 50_000
+			retain     = 1
+		)
+		prov := &scriptedProvider{
+			inner: measure.Simulator{},
+			fail:  failSample,
+			holds: map[uint64]chan struct{}{pairSample: make(chan struct{}), holdSample: make(chan struct{})},
+		}
+		s := serve.New(serve.Options{
+			Workers:    1,
+			QueueDepth: 1,
+			Provider:   measure.NewCache(prov, 1024),
+			RetainJobs: retain,
+		})
+		ts := httptest.NewServer(s.Handler())
+		defer func() {
+			ts.Close()
+			s.Close()
+		}()
+		req := func(w2 float64, sample uint64) serve.JobRequest {
+			return serve.JobRequest{App: "arith", Scale: "tiny", Space: "dcache", W2: fptr(w2), SampleInstructions: sample}
+		}
+		expect := func(st serve.JobStatus, state string) {
+			t.Helper()
+			if st.State != state {
+				t.Fatalf("job %s: %s %q, want %s", st.ID, st.State, st.Error, state)
+			}
+		}
+
+		// Done, failed, and a batch.
+		expect(waitDone(t, ts, postJob(t, ts, req(1, 0)).ID), serve.StateDone)
+		expect(waitDone(t, ts, postJob(t, ts, req(1, failSample)).ID), serve.StateFailed)
+		batch := postBatch(t, ts, serve.BatchRequest{
+			JobRequest: req(1, 0),
+			Weightings: []serve.Weighting{{W1: 100, W2: 1}, {W1: 1, W2: 100}},
+		})
+		expect(waitDone(t, ts, batch.ID), serve.StateDone)
+
+		// Two passengers of one flight, both done by one broadcast.
+		p1 := postJob(t, ts, req(1, pairSample))
+		waitLeftQueue(t, s, p1.ID)
+		p2 := postJob(t, ts, req(1, pairSample))
+		close(prov.holds[pairSample])
+		expect(waitDone(t, ts, p1.ID), serve.StateDone)
+		expect(waitDone(t, ts, p2.ID), serve.StateDone)
+
+		// Cancels racing the final broadcast of a warm (sub-millisecond)
+		// flight, after yielding to the worker 0–4 times: either may
+		// win, the job must end once.
+		outcomes := map[string]int{}
+		for i := 0; i < 20; i++ {
+			st, err := s.Submit(req(float64(10+i), 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitLeftQueue(t, s, st.ID)
+			for range i % 5 {
+				runtime.Gosched()
+			}
+			end, err := s.Cancel(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !end.Terminal() {
+				t.Fatalf("job %s %s after cancel", st.ID, end.State)
+			}
+			outcomes[end.State]++
+		}
+		t.Logf("cancel/broadcast race outcomes: %v", outcomes)
+
+		// Cancelled while running, cancelled while queued, and a
+		// queue-full rejection behind them.
+		running := postJob(t, ts, req(2, holdSample))
+		waitLeftQueue(t, s, running.ID)
+		queued := postJob(t, ts, req(3, 0))
+		if code := postJobStatus(t, ts, req(4, 0)); code != http.StatusServiceUnavailable {
+			t.Fatalf("submission past the queue: status %d, want 503", code)
+		}
+		expect(cancelJob(t, ts, queued.ID), serve.StateCancelled)
+		expect(cancelJob(t, ts, running.ID), serve.StateCancelled)
+
+		jobs := s.Jobs()
+		live := 0
+		for _, j := range jobs {
+			if !j.Terminal() {
+				live++
+			}
+		}
+		if len(jobs) > retain+live {
+			t.Errorf("table holds %d jobs (%d live), bound %d + live", len(jobs), live, retain)
+		}
+		sched := s.MetricsSnapshot().Scheduler
+		if want := sched.Submitted - uint64(len(jobs)-live); sched.Dropped != want {
+			t.Errorf("dropped = %d, want %d (%d submitted, %d retained)",
+				sched.Dropped, want, sched.Submitted, len(jobs)-live)
+		}
+	})
 }
 
 // TestTwoReplicasShareOneStore is the scale-out acceptance test: two

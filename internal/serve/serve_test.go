@@ -55,6 +55,9 @@ func getJob(t *testing.T, ts *httptest.Server, id string) serve.JobStatus {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/jobs/%s: status %d", id, resp.StatusCode)
+	}
 	var st serve.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
@@ -62,18 +65,44 @@ func getJob(t *testing.T, ts *httptest.Server, id string) serve.JobStatus {
 	return st
 }
 
+// waitClient bounds a whole wait, stream included, at two minutes.
+var waitClient = &http.Client{Timeout: 2 * time.Minute}
+
+// follow opens the job's ndjson status stream and returns a function
+// that reads it to the terminal snapshot. The stream holds the job
+// record, so once it is open a retention sweep dropping the finished
+// job cannot strand the wait: open it while the job is still live.
+func follow(t *testing.T, ts *httptest.Server, id string) func() serve.JobStatus {
+	t.Helper()
+	resp, err := waitClient.Get(ts.URL + "/v1/jobs/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("GET /v1/jobs/%s/stream: status %d", id, resp.StatusCode)
+	}
+	return func() serve.JobStatus {
+		t.Helper()
+		defer resp.Body.Close()
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var st serve.JobStatus
+			if err := dec.Decode(&st); err != nil {
+				t.Fatalf("job %s did not finish: %v", id, err)
+			}
+			if st.Terminal() {
+				return st
+			}
+		}
+	}
+}
+
+// waitDone follows a job that is still in the table to its terminal
+// snapshot.
 func waitDone(t *testing.T, ts *httptest.Server, id string) serve.JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		st := getJob(t, ts, id)
-		if st.Terminal() {
-			return st
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("job %s did not finish", id)
-	return serve.JobStatus{}
+	return follow(t, ts, id)()
 }
 
 // TestTuneOverHTTPMatchesCLI is the end-to-end acceptance test: a job

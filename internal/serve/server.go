@@ -63,7 +63,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -285,10 +284,15 @@ func (j *job) snapshot() JobStatus {
 // mutate applies fn under the job lock and wakes every status watcher.
 func (j *job) mutate(fn func(*JobStatus)) {
 	j.mu.Lock()
+	j.mutateLocked(fn)
+	j.mu.Unlock()
+}
+
+// mutateLocked is mutate for a caller already holding j.mu.
+func (j *job) mutateLocked(fn func(*JobStatus)) {
 	fn(&j.status)
 	close(j.updated)
 	j.updated = make(chan struct{})
-	j.mu.Unlock()
 }
 
 // watch returns the channel that is closed at the next status change.
@@ -306,16 +310,18 @@ func (j *job) watch() <-chan struct{} {
 // status tracks the flight. Cancelling a job only detaches it — the
 // execution itself is cancelled when its last job detaches.
 type flight struct {
-	key    string
-	req    JobRequest
+	key string
+	// req is the request the flight executes, resolved once at
+	// submission.
+	req    core.Request
 	ctx    context.Context
 	cancel context.CancelFunc
 	tracer *obs.Tracer
-	// batch, when non-nil, makes this a batch flight: the expanded
-	// items, executed sequentially through one session TuneBatch so
-	// items differing only in weights share one model build. req is
-	// then the batch template (its class schedules the flight).
-	batch []JobRequest
+	// batch, when non-nil, makes this a batch flight: the resolved
+	// expanded items, executed sequentially through one session
+	// TuneBatch so items differing only in weights share one model
+	// build. req is then unused.
+	batch []core.Request
 
 	// Guarded by Server.mu.
 	jobs      []*job // attached (not individually cancelled) jobs
@@ -350,9 +356,18 @@ type Server struct {
 	queue   *flightQueue
 	wg      sync.WaitGroup
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	order     []string // submission order, pruned by retention
+	mu   sync.Mutex
+	jobs map[string]*job
+	// order lists the job ids in submission order, for the listing.
+	// Retention deletes from jobs only; stale counts the dropped ids
+	// still in order, which are compacted out once they are more than
+	// half of it.
+	order []string
+	stale int
+	// finished holds the terminal jobs still in the table, in Finished
+	// order: every terminal transition appends under mu (finishLocked),
+	// so retention pops its victims off the front.
+	finished  []retired
 	flights   map[string]*flight
 	seq       int
 	submitted uint64
@@ -475,11 +490,14 @@ func (s *Server) worker() {
 	}
 }
 
-// resolve validates a request into its tuning inputs.
-func resolve(req JobRequest) (*progs.Benchmark, workload.Scale, *config.Space, core.Weights, error) {
+// resolve validates a request and maps it onto the unified
+// core.Request — the only translation between the daemon's v1 format
+// and the library. It runs once per submission; the flight carries the
+// result.
+func resolve(req JobRequest) (core.Request, error) {
 	b, ok := progs.ByName(req.App)
 	if !ok {
-		return nil, 0, nil, core.Weights{}, fmt.Errorf("unknown app %q", req.App)
+		return core.Request{}, fmt.Errorf("unknown app %q", req.App)
 	}
 	scaleName := req.Scale
 	if scaleName == "" {
@@ -487,11 +505,11 @@ func resolve(req JobRequest) (*progs.Benchmark, workload.Scale, *config.Space, c
 	}
 	sc, ok := workload.ParseScale(scaleName)
 	if !ok {
-		return nil, 0, nil, core.Weights{}, fmt.Errorf("unknown scale %q", req.Scale)
+		return core.Request{}, fmt.Errorf("unknown scale %q", req.Scale)
 	}
 	space, err := config.SpaceByName(req.Space)
 	if err != nil {
-		return nil, 0, nil, core.Weights{}, fmt.Errorf("unknown space %q", req.Space)
+		return core.Request{}, fmt.Errorf("unknown space %q", req.Space)
 	}
 	w := core.Weights{W1: 100, W2: 1}
 	if req.W1 != nil {
@@ -504,12 +522,30 @@ func resolve(req JobRequest) (*progs.Benchmark, workload.Scale, *config.Space, c
 		w.W3 = *req.W3
 	}
 	if (req.Replay || req.Online) && !req.Phases {
-		return nil, 0, nil, core.Weights{}, fmt.Errorf("replay and online require phases")
+		return core.Request{}, fmt.Errorf("replay and online require phases")
 	}
 	if _, err := normalizeClass(req.Class); err != nil {
-		return nil, 0, nil, core.Weights{}, err
+		return core.Request{}, err
 	}
-	return b, sc, space, w, nil
+	creq := core.Request{
+		App:                b.Name,
+		Scale:              sc,
+		Space:              space,
+		Weights:            w,
+		SampleInstructions: req.SampleInstructions,
+		Workers:            req.Workers,
+		IncludeModel:       req.IncludeModel,
+	}
+	if req.Phases {
+		creq.Phases = &core.PhaseOptions{
+			IntervalInstructions: req.IntervalInstructions,
+			SwitchPenaltyCycles:  req.SwitchPenaltyCycles,
+			Threshold:            req.PhaseThreshold,
+		}
+		creq.Replay = req.Replay
+		creq.Online = req.Online
+	}
+	return creq, nil
 }
 
 // normalizeClass resolves a request's scheduling class ("" means
@@ -530,13 +566,14 @@ func normalizeClass(c string) (string, error) {
 // licenses coalescing them onto one flight. Workers is deliberately
 // excluded — it only tunes the flight's internal parallelism (the first
 // submitter's value wins); everything else participates.
-func dedupKey(req JobRequest, app string, sc workload.Scale, w core.Weights) string {
+func dedupKey(req JobRequest, creq core.Request) string {
 	space := req.Space
 	if space == "" {
 		space = "full"
 	}
+	w := creq.Weights
 	key := fmt.Sprintf("app=%s scale=%s space=%s w1=%g w2=%g w3=%g sample=%d model=%t",
-		app, sc, space, w.W1, w.W2, w.W3, req.SampleInstructions, req.IncludeModel)
+		creq.App, creq.Scale, space, w.W1, w.W2, w.W3, req.SampleInstructions, req.IncludeModel)
 	if req.Phases {
 		// Phase jobs answer a different question, with their own knobs —
 		// normalized first, so a request spelling a default explicitly
@@ -617,13 +654,16 @@ func (s *Server) runFlight(f *flight) {
 		}
 	})
 
+	ctx := obs.WithTracer(f.ctx, f.tracer)
 	var report *core.Report
 	var results []*core.Report
 	var err error
 	if f.batch != nil {
-		results, err = s.tuneBatch(obs.WithTracer(f.ctx, f.tracer), f.batch, observer)
+		results, err = s.tuneBatch(ctx, f.batch, observer)
 	} else {
-		report, err = s.tune(obs.WithTracer(f.ctx, f.tracer), f.req, observer)
+		req := f.req
+		req.Observer = observer
+		report, err = s.session.Tune(ctx, req)
 	}
 	f.tracer.Finish()
 	if elapsed := time.Since(now); s.opts.SlowJobThreshold > 0 && elapsed > s.opts.SlowJobThreshold {
@@ -631,34 +671,24 @@ func (s *Server) runFlight(f *flight) {
 	}
 
 	// Delete-then-broadcast under the table lock: once the flight is out
-	// of the map no new submission can attach, so the snapshot below is
-	// the complete passenger list. The delete is conditional — a
-	// cancel-all may have unmapped this flight already and a fresh
-	// flight may own the key now.
+	// of the map no new submission can attach, so f.jobs is the complete
+	// passenger list. The delete is conditional — a cancel-all may have
+	// unmapped this flight already and a fresh flight may own the key
+	// now.
 	s.mu.Lock()
 	if s.flights[f.key] == f {
 		delete(s.flights, f.key)
 	}
-	attached := append([]*job(nil), f.jobs...)
-	s.mu.Unlock()
-	f.cancel()
-
-	for _, j := range attached {
-		j.mutate(func(st *JobStatus) {
-			if st.Terminal() {
-				// A cancellation raced the broadcast; the client already
-				// saw the job end — leave it be.
-				return
-			}
-			now := time.Now()
-			st.Finished = &now
+	ended := time.Now()
+	for _, j := range f.jobs {
+		s.finishLocked(j, ended, func(st *JobStatus) {
 			switch {
 			case err == nil:
 				st.State = StateDone
 				switch {
 				case f.batch != nil:
 					st.Results = results
-				case f.req.Phases:
+				case f.req.Phases != nil:
 					st.PhaseResult = report
 				default:
 					st.Result = report
@@ -672,46 +702,34 @@ func (s *Server) runFlight(f *flight) {
 			}
 		})
 	}
+	s.mu.Unlock()
+	f.cancel()
 }
 
-// coreRequest maps the wire JobRequest onto the unified core.Request —
-// the only translation between the daemon's v1 format and the library.
-func coreRequest(req JobRequest) (core.Request, error) {
-	b, sc, space, w, err := resolve(req)
-	if err != nil {
-		return core.Request{}, err
+// finishLocked moves j to its terminal state — fn sets it, Finished is
+// stamped with now — and appends j to the retention queue. A job that
+// is already terminal is left as it is: a cancellation racing the
+// flight's broadcast ends the job once, whichever comes first. Every
+// terminal transition goes through here under s.mu, so each job enters
+// s.finished exactly once and in Finished order. Caller holds s.mu.
+func (s *Server) finishLocked(j *job, now time.Time, fn func(*JobStatus)) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.status.Terminal() {
+		return
 	}
-	creq := core.Request{
-		App:                b.Name,
-		Scale:              sc,
-		Space:              space,
-		Weights:            w,
-		SampleInstructions: req.SampleInstructions,
-		Workers:            req.Workers,
-		IncludeModel:       req.IncludeModel,
-	}
-	if req.Phases {
-		creq.Phases = &core.PhaseOptions{
-			IntervalInstructions: req.IntervalInstructions,
-			SwitchPenaltyCycles:  req.SwitchPenaltyCycles,
-			Threshold:            req.PhaseThreshold,
-		}
-		creq.Replay = req.Replay
-		creq.Online = req.Online
-	}
-	return creq, nil
+	j.mutateLocked(func(st *JobStatus) {
+		fn(st)
+		st.Finished = &now
+	})
+	s.finished = append(s.finished, retired{id: j.status.ID, at: now})
 }
 
-// tune executes one job through the shared session: the same
-// Request→Report pipeline the autoarch CLI and the library consumers
-// run, with the flight's observer attached for progress streaming.
-func (s *Server) tune(ctx context.Context, req JobRequest, observer core.Observer) (*core.Report, error) {
-	creq, err := coreRequest(req)
-	if err != nil {
-		return nil, err
-	}
-	creq.Observer = observer
-	return s.session.Tune(ctx, creq)
+// retired is one entry of the retention queue: a terminal job and its
+// Finished time.
+type retired struct {
+	id string
+	at time.Time
 }
 
 // tuneBatch executes a batch flight's expanded items through one
@@ -721,15 +739,8 @@ func (s *Server) tune(ctx context.Context, req JobRequest, observer core.Observe
 // completed measurements (model-layer hits jump an item's share at
 // once); the total grows as items start, since an item's measurement
 // count is known only when it runs.
-func (s *Server) tuneBatch(ctx context.Context, items []JobRequest, observer core.Observer) ([]*core.Report, error) {
-	creqs := make([]core.Request, len(items))
-	for i, item := range items {
-		creq, err := coreRequest(item)
-		if err != nil {
-			return nil, fmt.Errorf("batch item %d: %w", i, err)
-		}
-		creqs[i] = creq
-	}
+func (s *Server) tuneBatch(ctx context.Context, items []core.Request, observer core.Observer) ([]*core.Report, error) {
+	creqs := append([]core.Request(nil), items...)
 	var mu sync.Mutex
 	done := make([]int, len(items))
 	total := make([]int, len(items))
@@ -755,8 +766,12 @@ func (s *Server) tuneBatch(ctx context.Context, items []JobRequest, observer cor
 // the top stages of its trace by total duration, so the log line alone
 // says where the time went.
 func (s *Server) logSlowFlight(f *flight, elapsed time.Duration) {
+	req := f.req
+	if f.batch != nil {
+		req = f.batch[0]
+	}
 	line := fmt.Sprintf("slow job: app=%s phases=%t took %s (threshold %s)",
-		f.req.App, f.req.Phases, elapsed.Round(time.Millisecond), s.opts.SlowJobThreshold)
+		req.App, req.Phases != nil, elapsed.Round(time.Millisecond), s.opts.SlowJobThreshold)
 	totals := f.tracer.Snapshot().StageTotals()
 	for i, t := range totals {
 		if i == 3 {
@@ -772,17 +787,17 @@ func (s *Server) logSlowFlight(f *flight, elapsed time.Duration) {
 // existing flight instead of queueing a second execution, so both
 // clients observe the same progress and receive the same result.
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
-	b, sc, _, w, err := resolve(req)
+	creq, err := resolve(req)
 	if err != nil {
 		return JobStatus{}, &apiError{http.StatusBadRequest, err.Error()}
 	}
-	return s.submit(req, dedupKey(req, b.Name, sc, w), nil)
+	return s.submit(req, dedupKey(req, creq), creq, nil)
 }
 
 // submit creates the job record and either attaches it to the key's
-// in-flight execution or admits a new flight (carrying batch items when
-// batch is non-nil) to the priority queue.
-func (s *Server) submit(req JobRequest, key string, batch []JobRequest) (JobStatus, error) {
+// in-flight execution or admits a new flight — executing creq, or the
+// batch items when batch is non-nil — to the priority queue.
+func (s *Server) submit(req JobRequest, key string, creq core.Request, batch []core.Request) (JobStatus, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -824,7 +839,7 @@ func (s *Server) submit(req JobRequest, key string, batch []JobRequest) (JobStat
 
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	f := &flight{
-		key: key, req: req, ctx: ctx, cancel: cancel, jobs: []*job{j}, batch: batch,
+		key: key, req: creq, ctx: ctx, cancel: cancel, jobs: []*job{j}, batch: batch,
 		// Every flight is traced: the spans feed the process-wide stage
 		// histograms either way, and the per-flight cost (a few dozen
 		// spans per job) is noise next to a single simulated run.
@@ -836,27 +851,17 @@ func (s *Server) submit(req JobRequest, key string, batch []JobRequest) (JobStat
 	// The admission happens under s.mu so it cannot race Close's
 	// queue.close(): Close flips s.closed under the same lock first.
 	class, _ := normalizeClass(req.Class)
-	full := !s.queue.push(f, class)
-	if full {
+	if !s.queue.push(f, class) {
 		delete(s.flights, key)
-	}
-	s.mu.Unlock()
-
-	if full {
-		cancel()
-		j.mutate(func(st *JobStatus) {
-			if st.Terminal() {
-				// The job was already listed and cancelled in the window
-				// since s.mu was released; don't overwrite that.
-				return
-			}
-			now := time.Now()
+		s.finishLocked(j, time.Now(), func(st *JobStatus) {
 			st.State = StateFailed
 			st.Error = "queue full"
-			st.Finished = &now
 		})
+		s.mu.Unlock()
+		cancel()
 		return j.snapshot(), &apiError{http.StatusServiceUnavailable, "queue full"}
 	}
+	s.mu.Unlock()
 	return j.snapshot(), nil
 }
 
@@ -871,9 +876,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		return JobStatus{}, &apiError{http.StatusNotFound, "no such job"}
 	}
 	var emptied *flight
-	j.mu.Lock()
-	switch j.status.State {
-	case StateQueued, StateRunning:
+	if st := j.snapshot(); !st.Terminal() {
 		if f := j.flight; f != nil && f.detachLocked(j) {
 			emptied = f
 			// Unmap eagerly: a dying flight must not pick up fresh
@@ -883,13 +886,8 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 				delete(s.flights, f.key)
 			}
 		}
-		now := time.Now()
-		j.status.State = StateCancelled
-		j.status.Finished = &now
-		close(j.updated)
-		j.updated = make(chan struct{})
+		s.finishLocked(j, time.Now(), func(st *JobStatus) { st.State = StateCancelled })
 	}
-	j.mu.Unlock()
 	s.mu.Unlock()
 	if emptied != nil {
 		// Last passenger gone: stop the execution (a queued flight is
@@ -902,75 +900,33 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 // sweepJobsLocked enforces retention: terminal jobs beyond the age bound
 // (JobTTL) or count bound (RetainJobs, oldest-finished first) are
 // dropped from the table. Queued and running jobs are never dropped —
-// retention can not cancel work, only forget finished work. Caller
-// holds s.mu.
+// retention can not cancel work, only forget finished work. The victims
+// are always at the front of the Finished-ordered s.finished, so a sweep
+// costs O(1) amortized per job ever finished, whatever the table size.
+// Caller holds s.mu.
 func (s *Server) sweepJobsLocked(now time.Time) {
-	retain := s.opts.retain()
-	ttl := s.opts.JobTTL
-	// Fast path: with no age bound and the whole table under the count
-	// bound, nothing can be over either limit — don't walk ~retain jobs
-	// (each a mutex + status copy) under s.mu on every submit/scrape.
-	if ttl <= 0 && (retain < 0 || len(s.order) <= retain) {
-		return
-	}
-
-	type terminal struct {
-		id       string
-		finished time.Time
-	}
-	var terminals []terminal
-	for _, id := range s.order {
-		j := s.jobs[id]
-		st := j.snapshot()
-		if !st.Terminal() {
-			continue
+	retain, ttl := s.opts.retain(), s.opts.JobTTL
+	for len(s.finished) > 0 {
+		head := s.finished[0]
+		over := retain >= 0 && len(s.finished) > retain
+		if !over && (ttl <= 0 || now.Sub(head.at) <= ttl) {
+			break
 		}
-		fin := st.Created
-		if st.Finished != nil {
-			fin = *st.Finished
-		}
-		terminals = append(terminals, terminal{id, fin})
+		s.finished = s.finished[1:]
+		delete(s.jobs, head.id)
+		s.dropped++
+		s.stale++
 	}
-
-	drop := make(map[string]bool)
-	if ttl > 0 {
-		for _, t := range terminals {
-			if now.Sub(t.finished) > ttl {
-				drop[t.id] = true
+	if s.stale > len(s.order)/2 {
+		order := s.order[:0]
+		for _, id := range s.order {
+			if _, ok := s.jobs[id]; ok {
+				order = append(order, id)
 			}
 		}
+		clear(s.order[len(order):])
+		s.order, s.stale = order, 0
 	}
-	if retain >= 0 {
-		kept := len(terminals) - len(drop)
-		if kept > retain {
-			// Oldest-finished first among the not-yet-dropped.
-			sort.Slice(terminals, func(a, b int) bool {
-				return terminals[a].finished.Before(terminals[b].finished)
-			})
-			for _, t := range terminals {
-				if kept <= retain {
-					break
-				}
-				if !drop[t.id] {
-					drop[t.id] = true
-					kept--
-				}
-			}
-		}
-	}
-	if len(drop) == 0 {
-		return
-	}
-	order := s.order[:0]
-	for _, id := range s.order {
-		if drop[id] {
-			delete(s.jobs, id)
-			s.dropped++
-			continue
-		}
-		order = append(order, id)
-	}
-	s.order = order
 }
 
 // Job returns one job's status.
@@ -990,9 +946,11 @@ func (s *Server) Jobs() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sweepJobsLocked(time.Now())
-	out := make([]JobStatus, 0, len(s.order))
+	out := make([]JobStatus, 0, len(s.order)-s.stale)
 	for _, id := range s.order {
-		out = append(out, s.jobs[id].snapshot())
+		if j, ok := s.jobs[id]; ok {
+			out = append(out, j.snapshot())
+		}
 	}
 	return out
 }
