@@ -8,6 +8,7 @@ package liquidarch_test
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"slices"
 	"testing"
@@ -248,7 +249,8 @@ func BenchmarkAssembleBLASTN(b *testing.B) {
 
 // BenchmarkSolverFullSpace times the BINLP solve alone on a prebuilt
 // 52-variable model (the step the paper reports Tomlab solving "in
-// seconds").
+// seconds"), once per objective weighting w1:w2:w3 of the perfbench
+// request grid, so each weighting's search is trended on its own.
 func BenchmarkSolverFullSpace(b *testing.B) {
 	bench, _ := progs.ByName("blastn")
 	tuner := core.NewTuner(workload.Tiny)
@@ -256,16 +258,23 @@ func BenchmarkSolverFullSpace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	problem := model.Formulate(core.RuntimeWeights())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sol, err := binlp.Solve(problem, binlp.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !sol.Proven {
-			b.Fatal("not proven")
-		}
+	for _, w := range []core.Weights{
+		{W1: 100, W2: 1}, {W1: 1, W2: 100}, {W1: 100, W2: 100}, {W1: 50, W2: 1},
+		{W1: 10, W2: 1}, {W1: 1, W2: 10}, {W1: 100, W2: 1, W3: 10}, {W1: 1, W2: 1, W3: 100},
+	} {
+		problem := model.Formulate(w)
+		b.Run(fmt.Sprintf("w%g_%g_%g", w.W1, w.W2, w.W3), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sol, err := binlp.Solve(problem, binlp.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !sol.Proven {
+					b.Fatal("not proven")
+				}
+			}
+		})
 	}
 }
 

@@ -8,12 +8,43 @@
 // bounds the objective with per-group minima, and prunes infeasible
 // subtrees with interval lower bounds on every constraint. It replaces the
 // commercial Tomlab/MINLP solver the paper used; on the paper's 52-variable
-// instances it proves optimality in well under a millisecond.
+// instances it proves optimality in tens of microseconds.
+//
+// # Incremental bounds
+//
+// Groups are branched in one fixed order, so at a node of depth gi the
+// decided variables are exactly those of groups 0..gi-1: the
+// prefix-decided invariant. A form's interval over every completion of
+// the node is therefore the sum of two parts, neither of which needs a
+// scan of the form's terms:
+//
+//   - the undecided part depends on the depth alone. Before the search,
+//     suffix tables record for every depth and form Const + Σ min(c,0)
+//     and Const + Σ max(c,0) over the terms of groups gi..end;
+//   - the decided part is the sum of the selected variables'
+//     coefficients. One row of these sums per depth is carried down the
+//     search: a child copies its parent's row and adds the chosen
+//     variable's occurrences. Nothing is ever subtracted, so nothing
+//     drifts.
+//
+// A node thus bounds every constraint in O(constraints + products), not
+// O(terms). It re-checks only the constraints with terms in the group its
+// parent just decided: every other constraint's suffix entries and row
+// sums equal the parent's bit for bit, and the parent's bound passed. The sums run in another order than a term-by-term scan
+// would. For the problems core.Model.Formulate builds that changes no
+// bit: every constraint coefficient and constant is an integer (resource
+// deltas, the sets weights 1/2/3, the ±1 couplings, integer headroom), and
+// integer sums of that size are exact in float64. So every prune
+// decision, and with it the node count, the objective bits and the
+// assignment, is that of a term-by-term scan. TestSolveMatchesRecordedSearch
+// pins the search on the 40 problems of the perfbench request grid.
 package binlp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -29,10 +60,11 @@ type term struct {
 	c float64
 }
 
-// terms returns the coefficients in ascending variable order. Every
-// summation in the package runs over this order, so identical problems
+// terms returns the coefficients in ascending variable order. Eval and
+// BruteForce sum over this order; the solver's bounds sum in branch
+// order. Neither depends on map iteration order, so identical problems
 // produce bit-identical floating-point sums — and therefore identical
-// prunes, node counts and solutions — regardless of map iteration order.
+// prunes, node counts and solutions.
 func (f LinearForm) terms() []term {
 	ts := make([]term, 0, len(f.Coeffs))
 	for i, c := range f.Coeffs {
@@ -84,27 +116,6 @@ func (f compiledForm) eval(x []bool) float64 {
 	return v
 }
 
-// interval returns the attainable [lo, hi] of the form given a partial
-// assignment: decided variables contribute their value, undecided ones
-// contribute their sign-appropriate extremes.
-func (f compiledForm) interval(x, decided []bool) (lo, hi float64) {
-	lo, hi = f.konst, f.konst
-	for _, t := range f.terms {
-		switch {
-		case decided[t.i] && x[t.i]:
-			lo += t.c
-			hi += t.c
-		case decided[t.i]:
-			// contributes nothing
-		case t.c < 0:
-			lo += t.c
-		default:
-			hi += t.c
-		}
-	}
-	return lo, hi
-}
-
 // ProductTerm is the nonlinear building block A(x) * B(x).
 type ProductTerm struct {
 	A, B LinearForm
@@ -130,7 +141,6 @@ func (c *Constraint) Satisfied(x []bool) bool {
 
 // compiledConstraint is a Constraint with every form compiled.
 type compiledConstraint struct {
-	name     string
 	linear   compiledForm
 	products []struct{ a, b compiledForm }
 	bound    float64
@@ -138,7 +148,6 @@ type compiledConstraint struct {
 
 func compileConstraint(c *Constraint) *compiledConstraint {
 	cc := &compiledConstraint{
-		name:   c.Name,
 		linear: compileForm(c.Linear),
 		bound:  c.Bound,
 	}
@@ -159,20 +168,6 @@ func (c *compiledConstraint) eval(x []bool) float64 {
 
 func (c *compiledConstraint) satisfied(x []bool) bool {
 	return c.eval(x) <= c.bound+1e-9
-}
-
-// lowerBound computes a valid lower bound of the left-hand side over all
-// completions of the partial assignment, using interval arithmetic on each
-// product term.
-func (c *compiledConstraint) lowerBound(x, decided []bool) float64 {
-	lo, _ := c.linear.interval(x, decided)
-	v := lo
-	for _, p := range c.products {
-		alo, ahi := p.a.interval(x, decided)
-		blo, bhi := p.b.interval(x, decided)
-		v += math.Min(math.Min(alo*blo, alo*bhi), math.Min(ahi*blo, ahi*bhi))
-	}
-	return v
 }
 
 // Problem is a complete BINLP instance.
@@ -209,6 +204,23 @@ func (p *Problem) Validate() error {
 			seen[i] = true
 		}
 	}
+	outside := func(f LinearForm) bool {
+		for i := range f.Coeffs {
+			if i < 0 || i >= p.N {
+				return true
+			}
+		}
+		return false
+	}
+	for _, c := range p.Constraints {
+		bad := outside(c.Linear)
+		for _, pt := range c.Products {
+			bad = bad || outside(pt.A) || outside(pt.B)
+		}
+		if bad {
+			return fmt.Errorf("binlp: constraint %q has a variable out of range", c.Name)
+		}
+	}
 	return nil
 }
 
@@ -231,21 +243,42 @@ type Options struct {
 	MaxNodes int
 }
 
+// solver is the branch-and-bound state: the normalised groups in branch
+// order, and the suffix tables and per-depth rows of the incremental
+// bounds (see the package comment).
 type solver struct {
-	p        *Problem
-	cons     []*compiledConstraint
-	groups   [][]int // normalised: every variable in exactly one group
-	minCost  []float64
-	suffix   []float64 // suffix[k]: lower bound of groups k..end
-	x        []bool
-	decided  []bool
-	nsel     int
-	best     []bool
-	bestObj  float64
-	bestSel  int
-	nodes    int
-	maxNodes int
-	complete bool
+	p          *Problem
+	members    []int // every variable once, grouped; cheapest first within a group
+	groupStart []int // group gi is members[groupStart[gi]:groupStart[gi+1]]
+	formStart  []int // constraint ci owns forms formStart[ci]..formStart[ci+1]-1
+	occStart   []int // variable i occurs as occ[occStart[i]:occStart[i+1]]
+	checks     []int // depth gi re-checks constraints checks[checkStart[gi]:checkStart[gi+1]]
+	checkStart []int
+	occ        []occurrence
+	suffix     []float64  // suffix[gi]: objective lower bound of groups gi..end
+	ext        []interval // ext[gi*nforms+f]: form f's undecided extremes at depth gi
+	rows       []float64  // rows[gi*nforms+f]: selected-coefficient sum of form f
+	nforms     int
+	ngroups    int
+	x          []bool
+	nsel       int
+	best       []bool
+	bestObj    float64
+	bestSel    int
+	nodes      int
+	maxNodes   int
+	complete   bool
+}
+
+// interval is a closed range [lo, hi].
+type interval struct{ lo, hi float64 }
+
+// occurrence is one coefficient of a variable in one form. Forms are
+// numbered constraint by constraint: the linear part first, then each
+// product's A and B.
+type occurrence struct {
+	form int
+	c    float64
 }
 
 // Solve finds a minimum-cost feasible assignment. The all-zero assignment
@@ -255,63 +288,17 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := &solver{
-		p:        p,
-		x:        make([]bool, p.N),
-		decided:  make([]bool, p.N),
-		maxNodes: opts.MaxNodes,
-		complete: true,
-	}
-	if s.maxNodes == 0 {
-		s.maxNodes = 10_000_000
-	}
-	for _, c := range p.Constraints {
-		s.cons = append(s.cons, compileConstraint(c))
-	}
+	s := newSolver(p, opts)
 
-	// Normalise groups: ungrouped variables become singleton groups.
-	inGroup := make([]bool, p.N)
-	for _, g := range p.Groups {
-		s.groups = append(s.groups, g)
-		for _, i := range g {
-			inGroup[i] = true
+	// Incumbent: the all-zero assignment, where best, bestObj and bestSel
+	// start. At the last depth nothing is undecided and the still-zero
+	// row selects nothing, so the bound is the exact value at x = 0.
+	ext, row := s.depth(s.ngroups)
+	for ci, c := range p.Constraints {
+		if s.lowerBound(ci, ext, row) > c.Bound+1e-9 {
+			return nil, fmt.Errorf("binlp: base assignment violates constraint %q", c.Name)
 		}
 	}
-	for i := 0; i < p.N; i++ {
-		if !inGroup[i] {
-			s.groups = append(s.groups, []int{i})
-		}
-	}
-
-	// Per-group objective lower bound: selecting nothing costs 0, so the
-	// group bound is min(0, min cost).
-	s.minCost = make([]float64, len(s.groups))
-	for gi, g := range s.groups {
-		m := 0.0
-		for _, i := range g {
-			if p.Cost[i] < m {
-				m = p.Cost[i]
-			}
-		}
-		s.minCost[gi] = m
-	}
-	// Branch on promising groups first: most negative potential.
-	orderGroups(s.groups, s.minCost)
-	s.suffix = make([]float64, len(s.groups)+1)
-	for k := len(s.groups) - 1; k >= 0; k-- {
-		s.suffix[k] = s.suffix[k+1] + s.minCost[k]
-	}
-
-	// Incumbent: the all-zero assignment.
-	zero := make([]bool, p.N)
-	for _, c := range s.cons {
-		if !c.satisfied(zero) {
-			return nil, fmt.Errorf("binlp: base assignment violates constraint %q", c.name)
-		}
-	}
-	s.best = zero
-	s.bestObj = 0
-	s.bestSel = 0
 
 	s.branch(0, 0)
 
@@ -323,18 +310,208 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	}, nil
 }
 
-// orderGroups sorts groups (and their bounds) by ascending bound, i.e.
-// most promising first. Stable insertion keeps determinism.
-func orderGroups(groups [][]int, minCost []float64) {
-	for i := 1; i < len(groups); i++ {
-		g, m := groups[i], minCost[i]
-		j := i - 1
-		for j >= 0 && minCost[j] > m {
-			groups[j+1], minCost[j+1] = groups[j], minCost[j]
-			j--
-		}
-		groups[j+1], minCost[j+1] = g, m
+// newSolver lays out the search tables of a validated problem: the
+// normalised, ordered groups, the occurrence lists, the per-depth check
+// lists, the suffix tables and the per-depth rows, each in one backing
+// slice sized from the problem.
+func newSolver(p *Problem, opts Options) *solver {
+	s := &solver{p: p, maxNodes: opts.MaxNodes, complete: true}
+	if s.maxNodes == 0 {
+		s.maxNodes = 10_000_000
 	}
+	n := p.N
+	flags := make([]bool, 2*n)
+	s.best, s.x = flags[:n:n], flags[n:]
+
+	// Normalise groups (ungrouped variables become singletons), each with
+	// its objective lower bound: selecting nothing costs 0, so the bound
+	// is min(0, min cost).
+	type span struct {
+		g       []int // nil for the singleton {i}
+		i       int
+		minCost float64
+	}
+	singletons := n
+	for _, g := range p.Groups {
+		singletons -= len(g)
+	}
+	spans := make([]span, 0, len(p.Groups)+singletons)
+	inGroup := make([]bool, n)
+	for _, g := range p.Groups {
+		sp := span{g: g}
+		for _, i := range g {
+			if p.Cost[i] < sp.minCost {
+				sp.minCost = p.Cost[i]
+			}
+			inGroup[i] = true
+		}
+		spans = append(spans, sp)
+	}
+	for i := 0; i < n; i++ {
+		if !inGroup[i] {
+			sp := span{i: i}
+			if p.Cost[i] < 0 {
+				sp.minCost = p.Cost[i]
+			}
+			spans = append(spans, sp)
+		}
+	}
+	// Branch on promising groups first: most negative potential. The
+	// sort is stable, so the order is a function of the problem alone.
+	slices.SortStableFunc(spans, func(a, b span) int { return cmp.Compare(a.minCost, b.minCost) })
+	s.ngroups = len(spans)
+
+	nc := len(p.Constraints)
+	ints := make([]int, n+(s.ngroups+1)+(nc+1)+(n+1)+(s.ngroups+2))
+	s.members, ints = ints[:n:n], ints[n:]
+	s.groupStart, ints = ints[:s.ngroups+1:s.ngroups+1], ints[s.ngroups+1:]
+	s.formStart, ints = ints[:nc+1:nc+1], ints[nc+1:]
+	s.occStart, s.checkStart = ints[:n+1:n+1], ints[n+1:]
+
+	// Members, cheapest first within each group (stable, so equal costs
+	// keep the problem's order): the order children are tried in.
+	k := 0
+	for gi, sp := range spans {
+		s.groupStart[gi] = k
+		if sp.g == nil {
+			s.members[k] = sp.i
+			k++
+			continue
+		}
+		grp := s.members[k : k+len(sp.g)]
+		copy(grp, sp.g)
+		slices.SortStableFunc(grp, func(a, b int) int { return cmp.Compare(p.Cost[a], p.Cost[b]) })
+		k += len(grp)
+	}
+	s.groupStart[s.ngroups] = k
+
+	// Number the forms and count every variable's occurrences.
+	nf := 0
+	for ci, c := range p.Constraints {
+		s.formStart[ci] = nf
+		nf += 1 + 2*len(c.Products)
+	}
+	s.formStart[nc] = nf
+	s.nforms = nf
+	s.eachForm(func(_ int, lf *LinearForm) {
+		for i := range lf.Coeffs {
+			s.occStart[i+1]++
+		}
+	})
+	for i := 0; i < n; i++ {
+		s.occStart[i+1] += s.occStart[i]
+	}
+	// Fill the lists form by form, so each variable's list is in form
+	// order whatever the coefficient maps' iteration order. occStart[i]
+	// serves as variable i's fill cursor and ends at i+1's start, so one
+	// shift restores the starts.
+	s.occ = make([]occurrence, s.occStart[n])
+	s.eachForm(func(f int, lf *LinearForm) {
+		for i, c := range lf.Coeffs {
+			s.occ[s.occStart[i]] = occurrence{form: f, c: c}
+			s.occStart[i]++
+		}
+	})
+	copy(s.occStart[1:], s.occStart[:n])
+	s.occStart[0] = 0
+
+	// The constraints each depth re-checks. The root checks them all. A
+	// child at depth gi+1 differs from its parent only in the forms with
+	// terms of group gi: every other form keeps its parent's suffix entry
+	// and row sum bit for bit, so a constraint without such forms keeps
+	// the bound that already passed at the parent.
+	s.checks = make([]int, 0, nc+len(s.occ))
+	for ci := range nc {
+		s.checks = append(s.checks, ci)
+	}
+	s.checkStart[1] = nc
+	for gi := range s.ngroups {
+		from := len(s.checks)
+		for _, i := range s.members[s.groupStart[gi]:s.groupStart[gi+1]] {
+			for _, o := range s.occ[s.occStart[i]:s.occStart[i+1]] {
+				ci := s.constraintOf(o.form)
+				if !slices.Contains(s.checks[from:], ci) {
+					s.checks = append(s.checks, ci)
+				}
+			}
+		}
+		s.checkStart[gi+2] = len(s.checks)
+	}
+
+	// The suffix tables, and one float arena for the objective suffix and
+	// the per-depth rows (all zero: the root selects nothing).
+	depths := s.ngroups + 1
+	s.ext = make([]interval, depths*nf)
+	floats := make([]float64, depths+depths*nf)
+	s.suffix, s.rows = floats[:depths:depths], floats[depths:]
+	last := s.ext[s.ngroups*nf:]
+	s.eachForm(func(f int, lf *LinearForm) {
+		last[f] = interval{lf.Const, lf.Const}
+	})
+	for gi := s.ngroups - 1; gi >= 0; gi-- {
+		s.suffix[gi] = s.suffix[gi+1] + spans[gi].minCost
+		ext := s.ext[gi*nf : (gi+1)*nf]
+		copy(ext, s.ext[(gi+1)*nf:(gi+2)*nf])
+		for _, i := range s.members[s.groupStart[gi]:s.groupStart[gi+1]] {
+			for _, o := range s.occ[s.occStart[i]:s.occStart[i+1]] {
+				if o.c < 0 {
+					ext[o.form].lo += o.c
+				} else {
+					ext[o.form].hi += o.c
+				}
+			}
+		}
+	}
+	return s
+}
+
+// eachForm visits every form of every constraint with its number.
+func (s *solver) eachForm(visit func(f int, lf *LinearForm)) {
+	for ci, c := range s.p.Constraints {
+		f := s.formStart[ci]
+		visit(f, &c.Linear)
+		for k := range c.Products {
+			visit(f+1+2*k, &c.Products[k].A)
+			visit(f+2+2*k, &c.Products[k].B)
+		}
+	}
+}
+
+// constraintOf returns the constraint that owns form f.
+func (s *solver) constraintOf(f int) int {
+	ci, _ := slices.BinarySearch(s.formStart, f+1)
+	return ci - 1
+}
+
+// depth returns the suffix-table slice and the selected-sum row of
+// depth gi.
+func (s *solver) depth(gi int) ([]interval, []float64) {
+	return s.ext[gi*s.nforms : (gi+1)*s.nforms], s.rows[gi*s.nforms : (gi+1)*s.nforms]
+}
+
+// lowerBound is a valid lower bound of constraint ci's left-hand side
+// over every completion of a node, given its depth's suffix-table slice
+// and selected-sum row: interval arithmetic on the linear part and on
+// each product term.
+func (s *solver) lowerBound(ci int, ext []interval, row []float64) float64 {
+	f, end := s.formStart[ci], s.formStart[ci+1]
+	v := ext[f].lo + row[f]
+	for f++; f < end; f += 2 {
+		alo, ahi := ext[f].lo+row[f], ext[f].hi+row[f]
+		blo, bhi := ext[f+1].lo+row[f+1], ext[f+1].hi+row[f+1]
+		m := alo * blo
+		if t := alo * bhi; t < m {
+			m = t
+		}
+		if t := ahi * blo; t < m {
+			m = t
+		}
+		if t := ahi * bhi; t < m {
+			m = t
+		}
+		v += m
+	}
+	return v
 }
 
 func (s *solver) branch(gi int, partial float64) {
@@ -350,12 +527,13 @@ func (s *solver) branch(gi int, partial float64) {
 		return
 	}
 	// Feasibility bounds.
-	for _, c := range s.cons {
-		if c.lowerBound(s.x, s.decided) > c.bound+1e-9 {
+	ext, row := s.depth(gi)
+	for _, ci := range s.checks[s.checkStart[gi]:s.checkStart[gi+1]] {
+		if s.lowerBound(ci, ext, row) > s.p.Constraints[ci].Bound+1e-9 {
 			return
 		}
 	}
-	if gi == len(s.groups) {
+	if gi == s.ngroups {
 		// Complete assignment; constraints were bounded above with all
 		// variables decided, so it is feasible. Ties prefer fewer
 		// selections (stay closer to the base configuration).
@@ -369,23 +547,13 @@ func (s *solver) branch(gi int, partial float64) {
 		return
 	}
 
-	group := s.groups[gi]
-	for _, i := range group {
-		s.decided[i] = true
-	}
+	_, next := s.depth(gi + 1)
 	// Try each member, cheapest first for better incumbents.
-	order := make([]int, len(group))
-	copy(order, group)
-	for a := 1; a < len(order); a++ {
-		v := order[a]
-		b := a - 1
-		for b >= 0 && s.p.Cost[order[b]] > s.p.Cost[v] {
-			order[b+1] = order[b]
-			b--
+	for _, i := range s.members[s.groupStart[gi]:s.groupStart[gi+1]] {
+		copy(next, row)
+		for _, o := range s.occ[s.occStart[i]:s.occStart[i+1]] {
+			next[o.form] += o.c
 		}
-		order[b+1] = v
-	}
-	for _, i := range order {
 		s.x[i] = true
 		s.nsel++
 		s.branch(gi+1, partial+s.p.Cost[i])
@@ -393,10 +561,8 @@ func (s *solver) branch(gi int, partial float64) {
 		s.x[i] = false
 	}
 	// The "select nothing" branch.
+	copy(next, row)
 	s.branch(gi+1, partial)
-	for _, i := range group {
-		s.decided[i] = false
-	}
 }
 
 // BruteForce enumerates every feasible assignment (for testing the solver
