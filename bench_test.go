@@ -144,6 +144,51 @@ func BenchmarkSimulatorFRAG(b *testing.B)   { benchmarkSimulator(b, "frag") }
 func BenchmarkSimulatorArith(b *testing.B)  { benchmarkSimulator(b, "arith") }
 func BenchmarkSimulatorMix(b *testing.B)    { benchmarkSimulator(b, "mix") }
 
+// BenchmarkTraceTime prices record-once, time-many (DESIGN.md §22) per
+// program: one recording run on the base configuration (untimed,
+// reported as record-ms), then every other configuration a full-space
+// model build measures timed from the trace. ns/config is the cost that
+// replaced one full simulation per configuration; trace-KB is the
+// recording's footprint.
+func BenchmarkTraceTime(b *testing.B) {
+	for _, app := range progs.Names() {
+		b.Run(app, func(b *testing.B) {
+			bench, _ := progs.ByName(app)
+			prog, err := bench.Assemble(benchScale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The configurations are the ones a model build asks for.
+			keys := measure.NewKeyRecorder(measure.Simulator{})
+			ctx := measure.WithTraceScope(context.Background())
+			if _, err := (&core.Tuner{Scale: benchScale, Provider: keys}).BuildModel(ctx, bench); err != nil {
+				b.Fatal(err)
+			}
+			var cfgs []config.Config
+			for _, k := range keys.Keys()[1:] { // [0] is the base
+				cfgs = append(cfgs, k.Cfg)
+			}
+			t0 := time.Now()
+			tr, _, err := platform.Record(prog, config.Default(), platform.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			record := time.Since(t0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, cfg := range cfgs {
+					if _, ok := tr.Time(cfg); !ok {
+						b.Fatalf("%v declined", cfg)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cfgs)), "ns/config")
+			b.ReportMetric(float64(record.Nanoseconds())/1e6, "record-ms")
+			b.ReportMetric(float64(tr.Bytes())/1024, "trace-KB")
+		})
+	}
+}
+
 // BenchmarkSimulatorIntervalOverhead prices interval profiling on the
 // fast path: alternating BLASTN runs with and without 100k-instruction
 // interval profiling. Each back-to-back pair yields one overhead delta
@@ -285,7 +330,8 @@ func BenchmarkSolverFullSpace(b *testing.B) {
 // measurement simulates), warm-store (a populated store replays the ~21
 // measurements from disk, the model still rebuilds), and warm-artifact
 // (the durable model tier answers the whole model set in one read — the
-// restarted-replica fast path, required to be >= 5x the cold latency).
+// restarted-replica fast path, required to be >= 5x the cold latency;
+// with cold builds recording once and timing the rest it measures ~8x).
 func benchmarkSessionTune(b *testing.B, warmStore, warmArtifact bool) {
 	ctx := context.Background()
 	req := core.Request{App: "arith", Scale: workload.Tiny, Space: config.DcacheGeometrySpace()}

@@ -153,10 +153,19 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 		SampleInstructions: req.SampleInstructions,
 	}
 
+	// One trace scope covers the request's model build and, when this
+	// request built the model, its validation: the leaf simulator
+	// executes the program once and times every other configuration
+	// from that recording (DESIGN.md §22). A validation on a model built
+	// elsewhere is a single run, which the fast path does cheaper than a
+	// recording.
+	scoped := measure.WithTraceScope(ctx)
+	ownBuild := false
+
 	// The "model" stage span covers obtaining the model set however it
 	// is answered; its "source" attribute says which tier did (pre-built
 	// | shared | disk | build).
-	mctx, modelSpan := obs.Start(ctx, "model")
+	mctx, modelSpan := obs.Start(scoped, "model")
 	var set *modelSet
 	if req.Model != nil {
 		set = &modelSet{models: []*Model{req.Model}, baseRes: req.Model.BaseResources}
@@ -246,6 +255,8 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 			// incarnation whose artifact we loaded): account them to this
 			// request's progress in one step.
 			prog.jump(1 + space.Len())
+		} else {
+			ownBuild = true
 		}
 	}
 
@@ -294,7 +305,11 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 	}
 	var val *Validation
 	if !req.SkipValidation {
-		vctx, valSpan := obs.Start(ctx, "validate")
+		vctx := ctx
+		if ownBuild {
+			vctx = scoped
+		}
+		vctx, valSpan := obs.Start(vctx, "validate")
 		val, err = tuner.Validate(vctx, b, model, rec)
 		valSpan.End()
 		if err != nil {

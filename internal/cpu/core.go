@@ -6,7 +6,10 @@
 //
 // The timing semantics are documented in DESIGN.md §6. Every cycle the
 // model charges is attributed to a profiler category, and the profile
-// balances exactly (profiler.Stats.ConsistencyError).
+// balances exactly (profiler.Stats.ConsistencyError). A recording core
+// (StartRecording) logs a Trace of its run, from which Trace.Time derives
+// the exact profile of the same program on any other configuration
+// (DESIGN.md §22).
 package cpu
 
 import (
@@ -106,6 +109,10 @@ type Core struct {
 
 	traceW     io.Writer
 	traceLimit uint64
+
+	// rec, when non-nil, records every run step into a Trace on the
+	// reference Step path (trace.go).
+	rec *recorder
 }
 
 // Latency tables for the multiplier and divider options (cycles per
@@ -144,6 +151,7 @@ func New(cfg config.Config, memory *mem.Memory) (*Core, error) {
 		return nil, fmt.Errorf("cpu: dcache: %w", err)
 	}
 	timing := mem.DefaultTiming()
+	l := latenciesOf(cfg)
 	c := &Core{
 		cfg:           cfg,
 		memory:        memory,
@@ -154,11 +162,13 @@ func New(cfg config.Config, memory *mem.Memory) (*Core, error) {
 		nwin:          cfg.IU.RegWindows * 16,
 		resid:         1,
 		loadHazardReg: noHazard,
-		mulExtra:      mulLatency[cfg.IU.Multiplier] - 1,
-		divExtra:      divLatency[cfg.IU.Divider] - 1,
-		imissPenalty:  uint64(timing.BurstReadCycles(cfg.ICache.LineWords)),
-		dmissPenalty:  uint64(timing.BurstReadCycles(cfg.DCache.LineWords)),
-		loadInterlock: uint64(cfg.IU.LoadDelay),
+		mulExtra:      l.mulExtra,
+		divExtra:      l.divExtra,
+		imissPenalty:  l.imiss,
+		dmissPenalty:  l.dmiss,
+		jumpExtra:     l.jumpExtra,
+		decodeExtra:   l.decodeExtra,
+		loadInterlock: l.loadDelay,
 		iccHold:       cfg.IU.ICCHold,
 		icLineShift:   ic.LineShift(),
 		dcLineShift:   dc.LineShift(),
@@ -167,12 +177,6 @@ func New(cfg config.Config, memory *mem.Memory) (*Core, error) {
 		// the way, so interleaved writes to the set could change later
 		// victim choices. 1-way caches have no replacement state at all.
 		dcLineSkip: cfg.DCache.Sets == 1 || cfg.DCache.Replacement != config.LRU,
-	}
-	if !cfg.IU.FastJump {
-		c.jumpExtra = 1
-	}
-	if !cfg.IU.FastDecode {
-		c.decodeExtra = 1
 	}
 	c.rebuildViews()
 	return c, nil

@@ -528,6 +528,9 @@ func (b *fastBatch) flush(c *Core) {
 // count reaches target. Tracing runs take the reference Step loop so the
 // disassembly hook stays out of the fast path entirely.
 func (c *Core) runTo(target uint64) error {
+	if c.rec != nil {
+		return c.recordTo(target)
+	}
 	if c.traceW != nil {
 		for !c.halted && c.stats.Instructions < target {
 			if err := c.Step(); err != nil {

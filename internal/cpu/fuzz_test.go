@@ -54,14 +54,15 @@ func fuzzGadget(b0, b1, b2, b3 byte) []isa.Instr {
 		default:
 			return pad(isa.Instr{Op: isa.OpLdSB, Rd: rd, Rs1: 6, UseImm: true, Imm: imm})
 		}
-	case 4: // store
+	case 4: // store, then a back-to-back word store (write-buffer stall)
+		second := isa.Instr{Op: isa.OpSt, Rd: rd, Rs1: 6, UseImm: true, Imm: (imm + 64) &^ 3}
 		switch b2 % 3 {
 		case 0:
-			return pad(isa.Instr{Op: isa.OpSt, Rd: rd, Rs1: 6, UseImm: true, Imm: imm &^ 3})
+			return pad(isa.Instr{Op: isa.OpSt, Rd: rd, Rs1: 6, UseImm: true, Imm: imm &^ 3}, second)
 		case 1:
-			return pad(isa.Instr{Op: isa.OpStH, Rd: rd, Rs1: 6, UseImm: true, Imm: imm &^ 1})
+			return pad(isa.Instr{Op: isa.OpStH, Rd: rd, Rs1: 6, UseImm: true, Imm: imm &^ 1}, second)
 		default:
-			return pad(isa.Instr{Op: isa.OpStB, Rd: rd, Rs1: 6, UseImm: true, Imm: imm})
+			return pad(isa.Instr{Op: isa.OpStB, Rd: rd, Rs1: 6, UseImm: true, Imm: imm}, second)
 		}
 	case 5: // load then immediately use the result (load interlock)
 		return pad(

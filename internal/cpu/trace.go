@@ -1,0 +1,809 @@
+package cpu
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"unsafe"
+
+	"liquidarch/internal/cache"
+	"liquidarch/internal/config"
+	"liquidarch/internal/isa"
+	"liquidarch/internal/mem"
+	"liquidarch/internal/profiler"
+)
+
+// Record once, time many (DESIGN.md §22). No configuration parameter
+// changes which instructions a program retires, only what each costs: the
+// caches, the write buffer, the interlocks, the mul/div latencies and the
+// window count are timing. A recording run executes the program once on
+// the reference Step path and writes a Trace of the stream; Trace.Time then
+// derives the exact profile of any other configuration from the trace
+// alone, replaying only the stateful timing structures (icache, dcache,
+// write buffer, window occupancy) and charging every static cost from
+// per-run tables.
+//
+// Window traps are the one place where timing and function meet: a spill
+// writes a frame's registers to its save area and a fill reads them back,
+// so a program that itself reads or writes a save area, or rewrites %fp
+// (the caller's %sp, which names the save area), could observe how many
+// windows the configuration has. The recorder flags such a trace
+// window-sensitive, and Time then declines every configuration whose
+// window count differs from the recording one.
+
+// Per-instruction trace flags.
+const (
+	flagInterlock uint8 = 1 << iota // load-use interlock before this instruction
+	flagICC                         // Bicc right after a CC-setting instruction
+	flagTaken                       // Bicc taken
+)
+
+// saveArea is the size of a frame's register save area: 8 locals and 8
+// ins, the words a window spill writes at the frame's %sp.
+const saveArea = 64
+
+// Trace is the compact record of one functional run: which straight-line
+// runs of text executed in which order, the data addresses they touched,
+// and the configuration-independent counts at every cut. It holds no
+// register or memory values. A Trace is immutable once its recording core
+// stops, and Time may then be called concurrently.
+type Trace struct {
+	text     []isa.Instr
+	textBase uint32
+	ramBytes uint32
+	windows  int // RegWindows of the recording configuration
+
+	// runs is the table of distinct runs; flags holds every run's
+	// per-instruction flags back to back.
+	runs  []traceRun
+	flags []uint8
+	// seq is the dynamic sequence of run ids.
+	seq []int32
+	// addrs is the address stream in program order: the effective address
+	// of every load and store, %sp at every SAVE and %fp at every RESTORE.
+	addrs []uint32
+	// cuts marks the end of every recording step (Run, RunFor).
+	cuts []traceCut
+	// fetched lists the distinct instruction-fetch addresses, ascending.
+	fetched []uint32
+
+	windowSensitive bool
+	unusable        bool
+}
+
+// traceRun is one straight-line run: n instructions at consecutive text
+// indices from start, optionally ended by an annulled delay slot fetched
+// at annul.
+type traceRun struct {
+	start, n uint32
+	flagOff  uint32
+	annul    uint32
+	hasAnnul bool
+}
+
+// traceCut is the state at the end of one recording step: positions in
+// the run sequence and address stream, and the cumulative counts that do
+// not depend on the configuration.
+type traceCut struct {
+	seq, addrs int
+	stats      profiler.Stats
+	interlocks uint64 // load-use interlock events
+	iccHolds   uint64 // Bicc directly after a CC-setting instruction
+}
+
+// Snapshot is the cumulative profile and cache counters of a run at one
+// cut.
+type Snapshot struct {
+	Stats          profiler.Stats
+	ICache, DCache cache.Stats
+}
+
+// WindowSensitive reports whether the program may observe the window
+// count through its save areas or %fp, so that Time serves only
+// configurations with the recording window count.
+func (t *Trace) WindowSensitive() bool { return t.windowSensitive }
+
+// Bytes returns the trace's heap footprint: its tables and streams.
+func (t *Trace) Bytes() int {
+	return len(t.runs)*int(unsafe.Sizeof(traceRun{})) + len(t.flags) +
+		4*(len(t.seq)+len(t.addrs)+len(t.fetched)) +
+		len(t.cuts)*int(unsafe.Sizeof(traceCut{}))
+}
+
+// recorder is the per-core recording state behind StartRecording.
+type recorder struct {
+	t *Trace
+
+	// class holds each text word's recording class (recLoad, recStore,
+	// recSave, recRestore, plus recWritesFP), decoded once.
+	class []uint8
+
+	// The open run.
+	open     bool
+	start, n uint32
+	cur      []uint8
+
+	last  int32   // id of the last closed run, -1 before the first
+	succ  []int32 // id that followed each run last time, -1 if none yet
+	index map[string]int32
+	key   []byte
+
+	interlocks, iccHolds uint64
+
+	// Window stack: frames[k] is the %sp that the frame at call depth k
+	// had when it executed its SAVE. areas are the distinct save-area
+	// bases ever recorded (sorted); lo and hi bound them.
+	depth  int
+	frames []uint32
+	areas  []uint32
+	lo, hi uint32
+}
+
+// Recording classes of a text word.
+const (
+	recLoad uint8 = 1 + iota
+	recStore
+	recSave
+	recRestore
+	recKind     = 7      // mask of the kind above
+	recWritesFP = 1 << 3 // the instruction writes %fp
+)
+
+func recClass(in *isa.Instr) uint8 {
+	var c uint8
+	switch op := in.Op; {
+	case op.IsLoad():
+		c = recLoad
+	case op.IsStore():
+		c = recStore
+	case op == isa.OpSave:
+		c = recSave
+	case op == isa.OpRestore:
+		c = recRestore
+	}
+	if in.Rd == isa.RegFP && writesRd(in.Op) {
+		c |= recWritesFP
+	}
+	return c
+}
+
+// StartRecording makes every following run step of c execute on the
+// reference Step path and record into a new Trace, which is complete once
+// StopRecording returns. Call it after LoadText; recording covers every
+// instruction retired until StopRecording.
+func (c *Core) StartRecording() *Trace {
+	t := &Trace{
+		text:     c.text,
+		textBase: c.textBase,
+		ramBytes: uint32(c.memory.Size()),
+		windows:  c.cfg.IU.RegWindows,
+	}
+	class := make([]uint8, len(c.text))
+	for i := range c.text {
+		class[i] = recClass(&c.text[i])
+	}
+	c.rec = &recorder{t: t, class: class, last: -1, index: make(map[string]int32), lo: ^uint32(0)}
+	return t
+}
+
+// StopRecording detaches the recorder and seals its trace.
+func (c *Core) StopRecording() {
+	r := c.rec
+	if r == nil {
+		return
+	}
+	c.rec = nil
+	r.closeRun(0, false)
+	r.t.fetched = fetchAddresses(r.t)
+}
+
+// recordTo is runTo for a recording core: it single-steps the reference
+// path, noting each instruction's run, flags and data address, and marks a
+// cut when it stops.
+func (c *Core) recordTo(target uint64) error {
+	r := c.rec
+	t := r.t
+	for !c.halted && c.stats.Instructions < target {
+		pc := c.pc
+		idx := (pc - c.textBase) >> 2
+		if pc&3 != 0 || uint64(idx) >= uint64(len(c.text)) {
+			return c.Step() // reports the fault
+		}
+		in := &c.text[idx]
+		class := r.class[idx]
+		var fl uint8
+		if c.loadHazardReg != noHazard && c.readsReg(in, c.loadHazardReg) {
+			fl |= flagInterlock
+			r.interlocks++
+		}
+		if c.iccJustSet && in.Op == isa.OpBicc {
+			fl |= flagICC
+			r.iccHolds++
+		}
+		var addr uint32
+		switch class & recKind {
+		case recLoad, recStore:
+			addr = c.getReg(in.Rs1) + c.operand2(in)
+		case recSave:
+			addr = c.getReg(isa.RegSP)
+		case recRestore:
+			addr = c.getReg(isa.RegFP)
+		}
+		taken, annulled, npc := c.stats.TakenBranches, c.stats.AnnulledSlots, c.npc
+		if err := c.Step(); err != nil {
+			return err
+		}
+		if c.stats.TakenBranches != taken {
+			fl |= flagTaken
+		}
+		if r.open && idx == r.start+r.n {
+			r.cur = append(r.cur, fl)
+			r.n++
+		} else {
+			r.step(idx, fl)
+		}
+		if class != 0 {
+			switch class & recKind {
+			case recLoad, recStore:
+				t.addrs = append(t.addrs, addr)
+				if n := accessBytes(in.Op); addr+n > r.lo && addr < r.hi {
+					r.guard(addr, n)
+				}
+			case recSave:
+				t.addrs = append(t.addrs, addr)
+				r.save(addr)
+			case recRestore:
+				t.addrs = append(t.addrs, addr)
+				if r.depth == 0 {
+					// Returning past the initial frame fills a window nobody
+					// spilled: what it loads depends on the window count.
+					t.unusable = true
+				} else {
+					r.depth--
+				}
+			}
+			if class&recWritesFP != 0 {
+				t.windowSensitive = true
+			}
+		}
+		if c.stats.AnnulledSlots != annulled {
+			r.closeRun(npc, true)
+		}
+	}
+	r.cut(c)
+	return nil
+}
+
+// writesRd reports whether op writes its rd register.
+func writesRd(op isa.Opcode) bool {
+	switch op {
+	case isa.OpBicc, isa.OpCall, isa.OpTicc, isa.OpWrY, isa.OpSt, isa.OpStB, isa.OpStH:
+		return false
+	}
+	return true
+}
+
+// accessBytes is the data width of a load or store.
+func accessBytes(op isa.Opcode) uint32 {
+	switch op {
+	case isa.OpLdUB, isa.OpLdSB, isa.OpStB:
+		return 1
+	case isa.OpLdUH, isa.OpLdSH, isa.OpStH:
+		return 2
+	}
+	return 4
+}
+
+// step appends instruction idx to the open run, or closes it and opens a
+// new one when idx does not follow it.
+func (r *recorder) step(idx uint32, fl uint8) {
+	if r.open && idx == r.start+r.n {
+		r.cur = append(r.cur, fl)
+		r.n++
+		return
+	}
+	r.closeRun(0, false)
+	r.open, r.start, r.n = true, idx, 1
+	r.cur = append(r.cur[:0], fl)
+}
+
+// closeRun ends the open run, interning it in the run table, and appends
+// its id to the sequence.
+func (r *recorder) closeRun(annul uint32, hasAnnul bool) {
+	if !r.open {
+		return
+	}
+	r.open = false
+	t := r.t
+	// Loops repeat: the run that followed the previous one last time is
+	// the likeliest match, and checking it avoids the map.
+	if r.last >= 0 {
+		if id := r.succ[r.last]; id >= 0 && r.matches(&t.runs[id], annul, hasAnnul) {
+			t.seq = append(t.seq, id)
+			r.last = id
+			return
+		}
+	}
+	r.key = binary.LittleEndian.AppendUint32(r.key[:0], r.start)
+	r.key = binary.LittleEndian.AppendUint32(r.key, r.n)
+	if hasAnnul {
+		r.key = append(r.key, 1)
+		r.key = binary.LittleEndian.AppendUint32(r.key, annul)
+	} else {
+		r.key = append(r.key, 0)
+	}
+	r.key = append(r.key, r.cur...)
+	id, ok := r.index[string(r.key)]
+	if !ok {
+		id = int32(len(t.runs))
+		t.runs = append(t.runs, traceRun{start: r.start, n: r.n, flagOff: uint32(len(t.flags)), annul: annul, hasAnnul: hasAnnul})
+		t.flags = append(t.flags, r.cur...)
+		r.succ = append(r.succ, -1)
+		r.index[string(r.key)] = id
+	}
+	if r.last >= 0 {
+		r.succ[r.last] = id
+	}
+	t.seq = append(t.seq, id)
+	r.last = id
+}
+
+func (r *recorder) matches(run *traceRun, annul uint32, hasAnnul bool) bool {
+	return run.start == r.start && run.n == r.n && run.hasAnnul == hasAnnul &&
+		(!hasAnnul || run.annul == annul) &&
+		bytes.Equal(r.t.flags[run.flagOff:run.flagOff+run.n], r.cur)
+}
+
+// cut closes the open run and marks the end of a recording step.
+func (r *recorder) cut(c *Core) {
+	r.closeRun(0, false)
+	r.t.cuts = append(r.t.cuts, traceCut{
+		seq:        len(r.t.seq),
+		addrs:      len(r.t.addrs),
+		stats:      c.stats,
+		interlocks: r.interlocks,
+		iccHolds:   r.iccHolds,
+	})
+}
+
+// save notes a SAVE executed with %sp == sp: the frame at the current
+// depth may from now on be spilled to the save area at sp.
+func (r *recorder) save(sp uint32) {
+	if r.depth < len(r.frames) {
+		r.frames[r.depth] = sp
+	} else {
+		r.frames = append(r.frames, sp)
+	}
+	r.depth++
+	if i, found := slices.BinarySearch(r.areas, sp); !found {
+		r.areas = slices.Insert(r.areas, i, sp)
+	}
+	r.lo = min(r.lo, sp)
+	r.hi = max(r.hi, sp+saveArea)
+}
+
+// guard flags the trace window-sensitive when a program access of n bytes
+// at addr overlaps a save area some window spill may have written: what
+// such an access reads, or what a later fill reads back after it, can
+// depend on the window count. Every area ever recorded counts, live or
+// not, because a spill's words outlive the frame they belonged to.
+func (r *recorder) guard(addr, n uint32) {
+	// An area [b, b+saveArea) overlaps [addr, addr+n) iff
+	// addr-saveArea < b < addr+n.
+	var from uint32
+	if addr >= saveArea {
+		from = addr - saveArea + 1
+	}
+	if i, _ := slices.BinarySearch(r.areas, from); i < len(r.areas) && r.areas[i] < addr+n {
+		r.t.windowSensitive = true
+	}
+}
+
+// fetchAddresses lists the distinct addresses the trace fetches from,
+// ascending: every instruction of every run and every annulled slot.
+func fetchAddresses(t *Trace) []uint32 {
+	var out []uint32
+	for _, run := range t.runs {
+		for i := uint32(0); i < run.n; i++ {
+			out = append(out, t.textBase+(run.start+i)*4)
+		}
+		if run.hasAnnul {
+			out = append(out, run.annul)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// Timing-pass ops. A configuration compiles every run into a short list
+// of ops; each op carries the static cycles charged before its event.
+const (
+	opEnd uint8 = iota
+	opFetch
+	opLoad
+	opStore
+	opSave
+	opRestore
+)
+
+// timeOp is one event of a compiled run. addr is the fetch address of an
+// opFetch, and on the opEnd of a warm list the number of fetches the
+// list skipped, which are credited as icache hits.
+type timeOp struct {
+	pre  uint32
+	kind uint8
+	addr uint32
+}
+
+// latencies are the per-configuration charges of §6, shared by New and
+// the timing pass.
+type latencies struct {
+	mulExtra, divExtra     uint64
+	imiss, dmiss           uint64
+	jumpExtra, decodeExtra uint64
+	loadDelay              uint64
+	iccHold                bool
+	windows                int
+}
+
+func latenciesOf(cfg config.Config) latencies {
+	timing := mem.DefaultTiming()
+	l := latencies{
+		mulExtra:  mulLatency[cfg.IU.Multiplier] - 1,
+		divExtra:  divLatency[cfg.IU.Divider] - 1,
+		imiss:     uint64(timing.BurstReadCycles(cfg.ICache.LineWords)),
+		dmiss:     uint64(timing.BurstReadCycles(cfg.DCache.LineWords)),
+		loadDelay: uint64(cfg.IU.LoadDelay),
+		iccHold:   cfg.IU.ICCHold,
+		windows:   cfg.IU.RegWindows,
+	}
+	if !cfg.IU.FastJump {
+		l.jumpExtra = 1
+	}
+	if !cfg.IU.FastDecode {
+		l.decodeExtra = 1
+	}
+	return l
+}
+
+// compile builds every run's op lists for one configuration and returns
+// the ops with each run's cold list (probes every fetch) and warm list
+// (skips the fetch probes, for runs the icache provably holds).
+func (t *Trace) compile(l latencies) (ops []timeOp, cold, warm []uint32) {
+	ops = make([]timeOp, 0, len(t.runs)*4)
+	cold = make([]uint32, len(t.runs))
+	warm = make([]uint32, len(t.runs))
+	for id := range t.runs {
+		run := &t.runs[id]
+		cold[id] = uint32(len(ops))
+		ops = t.compileRun(ops, run, l, false)
+		warm[id] = uint32(len(ops))
+		ops = t.compileRun(ops, run, l, true)
+	}
+	return ops, cold, warm
+}
+
+// compileRun appends one run's op list, charging each instruction as
+// Step does (§6). A warm list leaves out the fetch probes and counts
+// them on its opEnd.
+func (t *Trace) compileRun(ops []timeOp, run *traceRun, l latencies, warm bool) []timeOp {
+	var static uint32
+	emit := func(kind uint8, addr uint32) {
+		ops = append(ops, timeOp{pre: static, kind: kind, addr: addr})
+		static = 0
+	}
+	var skipped uint32
+	fetch := func(addr uint32) {
+		if warm {
+			skipped++
+		} else {
+			emit(opFetch, addr)
+		}
+	}
+	for i := uint32(0); i < run.n; i++ {
+		idx := run.start + i
+		in := &t.text[idx]
+		fl := t.flags[run.flagOff+i]
+		fetch(t.textBase + idx*4)
+		static++
+		if fl&flagInterlock != 0 {
+			static += uint32(l.loadDelay)
+		}
+		switch op := in.Op; {
+		case op.IsLoad():
+			static++
+			emit(opLoad, 0)
+		case op.IsStore():
+			static += 2
+			emit(opStore, 0)
+		case op.IsMul():
+			static += uint32(l.mulExtra)
+		case op.IsDiv():
+			static += uint32(l.divExtra)
+		case op == isa.OpBicc:
+			if fl&flagICC != 0 && l.iccHold {
+				static++
+			}
+			if fl&flagTaken != 0 {
+				static += 1 + uint32(l.decodeExtra)
+			}
+		case op == isa.OpCall:
+			static += 1 + uint32(l.decodeExtra)
+		case op == isa.OpJmpl:
+			static += 1 + uint32(l.decodeExtra) + uint32(l.jumpExtra)
+		case op == isa.OpSave:
+			emit(opSave, 0)
+		case op == isa.OpRestore:
+			emit(opRestore, 0)
+		}
+	}
+	if run.hasAnnul {
+		fetch(run.annul)
+		static++
+	}
+	emit(opEnd, skipped)
+	return ops
+}
+
+// icacheHoldsText reports whether every line the trace fetches fits its
+// set without exceeding the associativity: then no fetch ever evicts, a
+// line once filled always hits, and a run's second and later executions
+// can skip their probes. A set never full never consults the replacement
+// policy, so the skipped probes change no later decision either.
+func (t *Trace) icacheHoldsText(cfg config.CacheConfig) bool {
+	lineBytes := uint32(cfg.LineWords * 4)
+	numLines := uint32(cfg.SetSizeKB) * 1024 / lineBytes
+	perSet := make(map[uint32]int)
+	last := ^uint32(0)
+	for _, a := range t.fetched { // ascending, so equal lines are adjacent
+		line := a / lineBytes
+		if line == last {
+			continue
+		}
+		last = line
+		set := line & (numLines - 1)
+		perSet[set]++
+		if perSet[set] > cfg.Sets {
+			return false
+		}
+	}
+	return true
+}
+
+// timer is one configuration's timing state.
+type timer struct {
+	l      latencies
+	ic, dc *cache.Cache
+	wb     *mem.WriteBuffer
+
+	cyc, icHits                         uint64
+	icStall, dcStall, wbStall, winStall uint64
+	overflows, underflows               uint64
+	ai                                  int // next address-stream position
+	depth, resid                        int
+	frames                              []uint32
+	ramLo, ramHi                        uint32
+}
+
+// Time derives the run's cumulative profile at every cut on cfg, exactly
+// as a fresh run of the program on cfg would report it. ok is false when
+// the trace cannot stand in for such a run: cfg is invalid, the trace is
+// window-sensitive and cfg has another window count, the recorded program
+// returned past its initial frame, or cfg would spill or fill a window
+// outside RAM where the recording run did not.
+func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, ok bool) {
+	if cfg.Validate() != nil || t.unusable ||
+		(t.windowSensitive && cfg.IU.RegWindows != t.windows) {
+		return nil, false
+	}
+	ic, err := cache.New(cfg.ICache)
+	if err != nil {
+		return nil, false
+	}
+	dc, err := cache.New(cfg.DCache)
+	if err != nil {
+		return nil, false
+	}
+	l := latenciesOf(cfg)
+	ops, start, warm := t.compile(l)
+	if !t.icacheHoldsText(cfg.ICache) {
+		warm = start // every execution probes every fetch
+	}
+	tm := &timer{
+		l: l, ic: ic, dc: dc, wb: mem.NewWriteBuffer(mem.DefaultTiming()),
+		resid: 1,
+		ramLo: mem.RAMBase, ramHi: mem.RAMBase + t.ramBytes,
+	}
+	snaps = make([]Snapshot, len(t.cuts))
+	from := 0
+	for k := range t.cuts {
+		cut := &t.cuts[k]
+		if !tm.walk(ops, start, warm, t.seq[from:cut.seq], t.addrs) {
+			return nil, false
+		}
+		from = cut.seq
+		if tm.ai != cut.addrs {
+			panic(fmt.Sprintf("cpu: trace address stream out of step at cut %d: %d != %d", k, tm.ai, cut.addrs))
+		}
+		snaps[k] = tm.snapshot(cut)
+	}
+	return snaps, true
+}
+
+// walk times the runs of seq in order. start[id] is the op list the
+// next execution of run id takes; after it the run switches to warm[id].
+// The hot state lives in locals; a direct-mapped dcache (the LEON
+// default) is probed inline through its tag store, with its counters
+// credited in bulk when the walk ends.
+func (tm *timer) walk(ops []timeOp, start, warm []uint32, seq []int32, addrs []uint32) bool {
+	l := &tm.l
+	ic, dc, wb := tm.ic, tm.dc, tm.wb
+	tags, lineShift, tagShift, mask, direct := dc.Direct()
+	var rdHits, rdMisses, wrHits, wrMisses uint64
+	cyc, ai, icHits := tm.cyc, tm.ai, tm.icHits
+	icStall, dcStall, wbStall := tm.icStall, tm.dcStall, tm.wbStall
+	for _, id := range seq {
+		i := start[id]
+		start[id] = warm[id]
+	run:
+		for ; ; i++ {
+			op := ops[i]
+			cyc += uint64(op.pre)
+			switch op.kind {
+			case opEnd:
+				icHits += uint64(op.addr)
+				break run
+			case opFetch:
+				if !ic.Read(op.addr) {
+					cyc += l.imiss
+					icStall += l.imiss
+				}
+			case opLoad:
+				a := addrs[ai]
+				ai++
+				if a >= deviceBase {
+					continue
+				}
+				if direct {
+					j := a >> lineShift & mask
+					if tags[j] == a>>tagShift {
+						rdHits++
+						continue
+					}
+					tags[j] = a >> tagShift
+					rdMisses++
+				} else if dc.Read(a) {
+					continue
+				}
+				cyc += l.dmiss
+				dcStall += l.dmiss
+			case opStore:
+				a := addrs[ai]
+				ai++
+				if a >= deviceBase {
+					continue
+				}
+				if !direct {
+					dc.Write(a)
+				} else if tags[a>>lineShift&mask] == a>>tagShift {
+					wrHits++
+				} else {
+					wrMisses++
+				}
+				s := wb.Store(cyc)
+				cyc += s
+				wbStall += s
+			case opSave, opRestore:
+				tm.cyc = cyc
+				ok := false
+				if op.kind == opSave {
+					ok = tm.save(addrs[ai])
+				} else {
+					ok = tm.restore(addrs[ai])
+				}
+				if !ok {
+					return false
+				}
+				ai++
+				cyc = tm.cyc
+			}
+		}
+	}
+	dc.AddReadHits(rdHits)
+	dc.AddDirectReadMisses(rdMisses)
+	dc.AddWriteHits(wrHits)
+	dc.AddDirectWriteMisses(wrMisses)
+	tm.cyc, tm.ai, tm.icHits = cyc, ai, icHits
+	tm.icStall, tm.dcStall, tm.wbStall = icStall, dcStall, wbStall
+	return true
+}
+
+// frameOK reports whether a window trap at sp stays inside RAM and word
+// aligned, as every trap of the recording run did.
+func (tm *timer) frameOK(sp uint32) bool {
+	return sp&3 == 0 && sp >= tm.ramLo && sp <= tm.ramHi-saveArea
+}
+
+// save replays a SAVE executed with %sp == sp: a window overflow spills
+// the oldest resident frame's 16 words through the dcache and the write
+// buffer (execSave, trapStore).
+func (tm *timer) save(sp uint32) bool {
+	if tm.depth < len(tm.frames) {
+		tm.frames[tm.depth] = sp
+	} else {
+		tm.frames = append(tm.frames, sp)
+	}
+	if tm.resid == tm.l.windows-1 {
+		tm.overflows++
+		tm.winStall += windowTrapOverhead
+		tm.cyc += windowTrapOverhead
+		base := tm.frames[tm.depth-(tm.resid-1)]
+		if !tm.frameOK(base) {
+			return false
+		}
+		for j := uint32(0); j < 16; j++ {
+			tm.dc.Write(base + j*4)
+			cycles := 1 + tm.wb.Store(tm.cyc+1)
+			tm.winStall += cycles
+			tm.cyc += cycles
+		}
+	} else {
+		tm.resid++
+	}
+	tm.depth++
+	return true
+}
+
+// restore replays a RESTORE executed with %fp == fp: a window underflow
+// fills the caller's 16 words from its save area at fp through the dcache
+// (execRestore, trapLoad).
+func (tm *timer) restore(fp uint32) bool {
+	if tm.resid == 1 {
+		tm.underflows++
+		tm.winStall += windowTrapOverhead
+		tm.cyc += windowTrapOverhead
+		if !tm.frameOK(fp) {
+			return false
+		}
+		for j := uint32(0); j < 16; j++ {
+			cycles := uint64(1)
+			if !tm.dc.Read(fp + j*4) {
+				cycles += tm.l.dmiss
+			}
+			tm.winStall += cycles
+			tm.cyc += cycles
+		}
+	} else {
+		tm.resid--
+	}
+	tm.depth--
+	return true
+}
+
+// snapshot assembles the cumulative profile at a cut: the recorded
+// configuration-independent counts, the stalls that are a count times a
+// latency in closed form, and the replayed ones.
+func (tm *timer) snapshot(cut *traceCut) Snapshot {
+	l := tm.l
+	st := cut.stats
+	st.Cycles = tm.cyc
+	st.ICacheStall = tm.icStall
+	st.DCacheStall = tm.dcStall
+	st.WriteBufStall = tm.wbStall
+	st.WindowTrapStall = tm.winStall
+	st.WindowOverflows = tm.overflows
+	st.WindowUnderflows = tm.underflows
+	st.LoadInterlock = cut.interlocks * l.loadDelay
+	st.ICCHoldStall = 0
+	if l.iccHold {
+		st.ICCHoldStall = cut.iccHolds
+	}
+	st.MulStall = st.Mults * l.mulExtra
+	st.DivStall = st.Divs * l.divExtra
+	st.JumpPenalty = st.Jumps * l.jumpExtra
+	st.DecodeStall = st.BranchPenalty * l.decodeExtra
+	ics := tm.ic.Stats()
+	ics.ReadAccesses += tm.icHits
+	return Snapshot{Stats: st, ICache: ics, DCache: tm.dc.Stats()}
+}

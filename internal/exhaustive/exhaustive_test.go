@@ -157,3 +157,21 @@ func TestSweepSharesProviderMemoization(t *testing.T) {
 		t.Fatalf("cache stats = %+v, want 2 misses and 2 hits", stats)
 	}
 }
+
+// TestDcacheGeometrySweepRecordsOnce: a sweep runs under one trace scope,
+// so its 19 configurations cost one recording run and 18 timings.
+func TestDcacheGeometrySweepRecordsOnce(t *testing.T) {
+	b, _ := progs.ByName("blastn")
+	cfgs := DcacheGeometryConfigs()
+	before := platform.Counters()
+	if _, err := SweepWith(context.Background(), measure.NewCache(measure.Simulator{}, 64), b, workload.Tiny, cfgs, 2); err != nil {
+		t.Fatal(err)
+	}
+	after := platform.Counters()
+	if d := after.TraceRecords - before.TraceRecords; d != 1 {
+		t.Errorf("trace records = %d, want 1", d)
+	}
+	if d := after.TraceTimed - before.TraceTimed; d != uint64(len(cfgs)-1) {
+		t.Errorf("timed %d configurations, want %d", d, len(cfgs)-1)
+	}
+}

@@ -43,7 +43,9 @@ type Provider interface {
 }
 
 // Simulator is the leaf provider: it runs the program on the simulated
-// platform directly, drawing engines from the platform's pool.
+// platform directly, drawing engines from the platform's pool. Under a
+// trace scope (WithTraceScope) it records each (program, options) once
+// and times the other configurations from the recording.
 type Simulator struct{}
 
 // Measure executes the run. The context is checked up front — a single
@@ -52,6 +54,9 @@ type Simulator struct{}
 func (Simulator) Measure(ctx context.Context, prog *asm.Program, cfg config.Config, opts platform.Options) (*platform.RunReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if s, ok := ctx.Value(traceScopeKey{}).(*traceScope); ok && opts.TraceWriter == nil {
+		return s.measure(ctx, prog, cfg, opts)
 	}
 	return platform.RunWith(prog, cfg, opts)
 }

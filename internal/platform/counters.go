@@ -10,8 +10,8 @@ import (
 // the default when SuperblockThreshold is zero, so one SetDefaultTuning
 // call (a CLI flag, a daemon option) retunes every subsequent run without
 // threading the knob through each call site. The counters aggregate
-// superblock and replay activity across all engines for the daemon's
-// /v1/metrics endpoint; none of them feed any report.
+// superblock, replay and trace activity across all engines for the
+// daemon's /v1/metrics endpoint; none of them feed any report.
 var (
 	defaultSBThreshold atomic.Int64
 
@@ -23,6 +23,12 @@ var (
 	ctrReplaySwitches atomic.Uint64
 	ctrOnlineRuns     atomic.Uint64
 	ctrOnlineSwitches atomic.Uint64
+
+	ctrTraceRecords  atomic.Uint64
+	ctrTraceTimed    atomic.Uint64
+	ctrTraceDeclined atomic.Uint64
+	ctrTraceRecordNs atomic.Uint64
+	ctrTraceTimeNs   atomic.Uint64
 )
 
 func init() {
@@ -64,6 +70,16 @@ type TuningCounters struct {
 	ReplaySwitches uint64 `json:"replay_switches"`
 	OnlineRuns     uint64 `json:"online_runs"`
 	OnlineSwitches uint64 `json:"online_switches"`
+	// TraceRecords counts recording runs (Record), TraceTimed the reports
+	// derived from a trace (Trace.Time) and TraceDeclined the
+	// configurations a trace declined, which then ran in full
+	// (DESIGN.md §22). TraceRecordNs and TraceTimeNs are the wall time
+	// spent recording and timing.
+	TraceRecords  uint64 `json:"trace_records"`
+	TraceTimed    uint64 `json:"trace_timed"`
+	TraceDeclined uint64 `json:"trace_declined"`
+	TraceRecordNs uint64 `json:"trace_record_ns"`
+	TraceTimeNs   uint64 `json:"trace_time_ns"`
 }
 
 // Counters returns the current tuning-counter snapshot.
@@ -76,6 +92,11 @@ func Counters() TuningCounters {
 		ReplaySwitches:     ctrReplaySwitches.Load(),
 		OnlineRuns:         ctrOnlineRuns.Load(),
 		OnlineSwitches:     ctrOnlineSwitches.Load(),
+		TraceRecords:       ctrTraceRecords.Load(),
+		TraceTimed:         ctrTraceTimed.Load(),
+		TraceDeclined:      ctrTraceDeclined.Load(),
+		TraceRecordNs:      ctrTraceRecordNs.Load(),
+		TraceTimeNs:        ctrTraceTimeNs.Load(),
 	}
 	if total := c.SuperblockHits + c.SuperblockDeopts; total > 0 {
 		c.SuperblockHitRatePct = 100 * float64(c.SuperblockHits) / float64(total)

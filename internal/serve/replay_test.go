@@ -80,6 +80,12 @@ func TestReplayJobEndToEnd(t *testing.T) {
 	if m.Tuning.ReplaySwitches == 0 {
 		t.Error("metrics report zero replay switches after a switching replay")
 	}
+	// The job's model build ran on a fresh cache: it recorded its
+	// program once and timed the other configurations from the trace.
+	if m.Tuning.TraceRecords == 0 || m.Tuning.TraceTimed == 0 {
+		t.Errorf("metrics report %d trace recordings and %d timed runs after a model build",
+			m.Tuning.TraceRecords, m.Tuning.TraceTimed)
+	}
 }
 
 // TestReplayJobDedupDistinct: a replay job answers a different question
