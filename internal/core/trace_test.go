@@ -2,24 +2,47 @@ package core_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 
+	"liquidarch/internal/asm"
+	"liquidarch/internal/config"
 	"liquidarch/internal/core"
+	"liquidarch/internal/cpu"
+	"liquidarch/internal/measure"
 	"liquidarch/internal/platform"
 	"liquidarch/internal/workload"
 )
 
+// leafLog records the configurations a session's leaf measures, and the
+// program and options they were measured with.
+type leafLog struct {
+	mu   sync.Mutex
+	prog *asm.Program
+	opts platform.Options
+	cfgs []config.Config
+}
+
+func (l *leafLog) Measure(ctx context.Context, prog *asm.Program, cfg config.Config, opts platform.Options) (*platform.RunReport, error) {
+	l.mu.Lock()
+	l.prog, l.opts, l.cfgs = prog, opts, append(l.cfgs, cfg)
+	l.mu.Unlock()
+	return measure.Simulator{}.Measure(ctx, prog, cfg, opts)
+}
+
 // TestColdTuneRecordsOnce: a cold full-space tune executes its program
 // once. The model build's first measurement records the run, and every
 // other configuration, the validation included, is timed from that
-// recording without a single decline. A phase tune, whose measurements
-// all carry interval profiling, records once too.
+// recording without a single decline, walking the trace once per timing
+// class other than the recording configuration's. A phase tune, whose
+// measurements all carry interval profiling, records once too.
 func TestColdTuneRecordsOnce(t *testing.T) {
 	for _, req := range []core.Request{
 		{App: "arith", Scale: workload.Tiny},
 		{App: "mix", Scale: workload.Tiny, Phases: &core.PhaseOptions{IntervalInstructions: 20_000}},
 	} {
-		sess, sim := newCountedSession(t)
+		leaf := &leafLog{}
+		sess := core.NewSession(core.SessionOptions{Provider: measure.NewCache(leaf, 512)})
 		before := platform.Counters()
 		if _, err := sess.Tune(context.Background(), req); err != nil {
 			t.Fatal(err)
@@ -32,8 +55,23 @@ func TestColdTuneRecordsOnce(t *testing.T) {
 			t.Errorf("%s: trace declines = %d, want 0", req.App, d)
 		}
 		// Every leaf measurement but the recording one was timed.
-		if timed, sims := after.TraceTimed-before.TraceTimed, sim.calls.Load(); timed != uint64(sims-1) {
+		timed, sims := after.TraceTimed-before.TraceTimed, len(leaf.cfgs)
+		if timed != uint64(sims-1) {
 			t.Errorf("%s: timed %d of %d leaf measurements, want all but the recording", req.App, timed, sims)
+		}
+		// The recording run seeds its own class; every other class is
+		// walked once and serves the rest of its members.
+		tr, _, err := platform.Record(leaf.prog, config.Default(), leaf.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes := map[cpu.TimingClass]bool{}
+		for _, cfg := range leaf.cfgs {
+			k, _ := tr.Class(cfg)
+			classes[k] = true
+		}
+		if walks := timed - (after.TraceShared - before.TraceShared); walks != uint64(len(classes)-1) {
+			t.Errorf("%s: %d walks for %d configurations in %d classes, want one per class but the recording's", req.App, walks, sims, len(classes))
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"liquidarch/internal/cache"
@@ -31,6 +33,11 @@ import (
 // windows the configuration has. The recorder flags such a trace
 // window-sensitive, and Time then declines every configuration whose
 // window count differs from the recording one.
+//
+// Most configurations of a model build change a latency the trace never
+// charges or a structure it never stresses, so Time walks once per timing
+// class (TimingClass) and answers every other member of the class from
+// that walk's snapshots.
 
 // Per-instruction trace flags.
 const (
@@ -47,12 +54,14 @@ const saveArea = 64
 // runs of text executed in which order, the data addresses they touched,
 // and the configuration-independent counts at every cut. It holds no
 // register or memory values. A Trace is immutable once its recording core
-// stops, and Time may then be called concurrently.
+// stops, apart from its memo of timed classes, and Time may then be called
+// concurrently.
 type Trace struct {
 	text     []isa.Instr
 	textBase uint32
 	ramBytes uint32
 	windows  int // RegWindows of the recording configuration
+	maxDepth int // the deepest call depth any SAVE reached
 
 	// runs is the table of distinct runs; flags holds every run's
 	// per-instruction flags back to back.
@@ -70,6 +79,20 @@ type Trace struct {
 
 	windowSensitive bool
 	unusable        bool
+
+	// memo holds one walk per timing class, seeded with the recording
+	// run's own snapshots; walks counts the walks Time made.
+	mu    sync.Mutex
+	memo  map[TimingClass]*classWalk
+	walks atomic.Int64
+}
+
+// classWalk is the outcome of timing one class: done closes once snaps
+// and ok are set.
+type classWalk struct {
+	done  chan struct{}
+	snaps []Snapshot
+	ok    bool
 }
 
 // traceRun is one straight-line run: n instructions at consecutive text
@@ -83,11 +106,12 @@ type traceRun struct {
 }
 
 // traceCut is the state at the end of one recording step: positions in
-// the run sequence and address stream, and the cumulative counts that do
-// not depend on the configuration.
+// the run sequence and address stream, the recording run's cumulative
+// profile and cache counters (whose configuration-independent counts
+// every timed profile copies), and the hazard event counts.
 type traceCut struct {
 	seq, addrs int
-	stats      profiler.Stats
+	rec        Snapshot
 	interlocks uint64 // load-use interlock events
 	iccHolds   uint64 // Bicc directly after a CC-setting instruction
 }
@@ -178,6 +202,7 @@ func (c *Core) StartRecording() *Trace {
 		textBase: c.textBase,
 		ramBytes: uint32(c.memory.Size()),
 		windows:  c.cfg.IU.RegWindows,
+		memo:     make(map[TimingClass]*classWalk),
 	}
 	class := make([]uint8, len(c.text))
 	for i := range c.text {
@@ -195,7 +220,19 @@ func (c *Core) StopRecording() {
 	}
 	c.rec = nil
 	r.closeRun(0, false)
-	r.t.fetched = fetchAddresses(r.t)
+	t := r.t
+	t.fetched = fetchAddresses(t)
+	if t.unusable {
+		return
+	}
+	// The recording run is its own configuration's walk.
+	seed := &classWalk{done: make(chan struct{}), snaps: make([]Snapshot, len(t.cuts)), ok: true}
+	for k := range t.cuts {
+		seed.snaps[k] = t.cuts[k].rec
+	}
+	close(seed.done)
+	k, _ := t.class(c.cfg)
+	t.memo[k] = seed
 }
 
 // recordTo is runTo for a recording core: it single-steps the reference
@@ -361,7 +398,7 @@ func (r *recorder) cut(c *Core) {
 	r.t.cuts = append(r.t.cuts, traceCut{
 		seq:        len(r.t.seq),
 		addrs:      len(r.t.addrs),
-		stats:      c.stats,
+		rec:        Snapshot{Stats: c.stats, ICache: c.icache.Stats(), DCache: c.dcache.Stats()},
 		interlocks: r.interlocks,
 		iccHolds:   r.iccHolds,
 	})
@@ -376,6 +413,7 @@ func (r *recorder) save(sp uint32) {
 		r.frames = append(r.frames, sp)
 	}
 	r.depth++
+	r.t.maxDepth = max(r.t.maxDepth, r.depth)
 	if i, found := slices.BinarySearch(r.areas, sp); !found {
 		r.areas = slices.Insert(r.areas, i, sp)
 	}
@@ -586,17 +624,120 @@ type timer struct {
 	ramLo, ramHi                        uint32
 }
 
-// Time derives the run's cumulative profile at every cut on cfg, exactly
-// as a fresh run of the program on cfg would report it. ok is false when
-// the trace cannot stand in for such a run: cfg is invalid, the trace is
-// window-sensitive and cfg has another window count, the recorded program
-// returned past its initial frame, or cfg would spill or fill a window
-// outside RAM where the recording run did not.
-func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, ok bool) {
-	if cfg.Validate() != nil || t.unusable ||
-		(t.windowSensitive && cfg.IU.RegWindows != t.windows) {
-		return nil, false
+// TimingClass is the projection of a configuration onto what one trace's
+// timing walk can observe. Configurations with equal classes on a trace
+// time to identical snapshots; each part is proven so by the trace:
+//
+//   - windows: a count with room for every frame the trace nests (its
+//     deepest SAVE at most W-2 deep) never overflows, and so never
+//     underflows, so all such counts are one class;
+//   - latencies: each extra charge the trace has no event for (no mul, no
+//     div, no jump, no taken CTI, no interlock, no ICC hold) is 0;
+//   - icache: when it holds the text (icacheHoldsText), only the line
+//     length, which fixes the cold misses and their penalty;
+//   - dcache: the whole configuration.
+type TimingClass struct {
+	l      latencies
+	ic, dc config.CacheConfig
+}
+
+// total is the recording run's profile at its last cut.
+func (t *Trace) total() (st profiler.Stats, interlocks, iccHolds uint64) {
+	if len(t.cuts) == 0 {
+		return
 	}
+	cut := &t.cuts[len(t.cuts)-1]
+	return cut.rec.Stats, cut.interlocks, cut.iccHolds
+}
+
+// class returns cfg's timing class and whether its icache holds the text.
+func (t *Trace) class(cfg config.Config) (k TimingClass, holdsText bool) {
+	st, interlocks, iccHolds := t.total()
+	l := latenciesOf(cfg)
+	if t.maxDepth <= l.windows-2 {
+		l.windows = 0
+	}
+	if st.Mults == 0 {
+		l.mulExtra = 0
+	}
+	if st.Divs == 0 {
+		l.divExtra = 0
+	}
+	if st.Jumps == 0 {
+		l.jumpExtra = 0
+	}
+	if st.TakenBranches == 0 && st.Calls == 0 && st.Jumps == 0 {
+		l.decodeExtra = 0
+	}
+	if interlocks == 0 {
+		l.loadDelay = 0
+	}
+	if iccHolds == 0 {
+		l.iccHold = false
+	}
+	k = TimingClass{l: l, ic: cfg.ICache, dc: cfg.DCache}
+	if holdsText = t.icacheHoldsText(cfg.ICache); holdsText {
+		k.ic = config.CacheConfig{LineWords: cfg.ICache.LineWords}
+	}
+	return k, holdsText
+}
+
+// declines reports whether the trace cannot stand in for a run on cfg:
+// cfg is invalid, the trace is window-sensitive and cfg has another window
+// count, or the recorded program returned past its initial frame.
+func (t *Trace) declines(cfg config.Config) bool {
+	return cfg.Validate() != nil || t.unusable ||
+		(t.windowSensitive && cfg.IU.RegWindows != t.windows)
+}
+
+// Class returns cfg's timing class on this trace, or false when Time
+// declines cfg outright.
+func (t *Trace) Class(cfg config.Config) (TimingClass, bool) {
+	if t.declines(cfg) {
+		return TimingClass{}, false
+	}
+	k, _ := t.class(cfg)
+	return k, true
+}
+
+// Walks returns the number of walks Time has made over the trace: one per
+// timing class it was asked for, except the recording configuration's.
+func (t *Trace) Walks() int { return int(t.walks.Load()) }
+
+// Time derives the run's cumulative profile at every cut on cfg, exactly
+// as a fresh run of the program on cfg would report it. The first call for
+// a timing class walks the trace, concurrent callers of that class wait
+// for it, and later ones reuse it; shared reports that the snapshots came
+// from an earlier walk or the recording run itself. ok is false when the
+// trace cannot stand in for such a run: Class declines cfg, or cfg would
+// spill or fill a window outside RAM where the recording run did not.
+func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, shared, ok bool) {
+	if t.declines(cfg) {
+		return nil, false, false
+	}
+	k, holdsText := t.class(cfg)
+	t.mu.Lock()
+	w, shared := t.memo[k]
+	if !shared {
+		w = &classWalk{done: make(chan struct{})}
+		t.memo[k] = w
+	}
+	t.mu.Unlock()
+	if shared {
+		<-w.done
+	} else {
+		t.walks.Add(1)
+		w.snaps, w.ok = t.walkClass(cfg, holdsText)
+		close(w.done)
+	}
+	if !w.ok {
+		return nil, false, false
+	}
+	return slices.Clone(w.snaps), shared, true
+}
+
+// walkClass times cfg by walking the whole trace.
+func (t *Trace) walkClass(cfg config.Config, holdsText bool) ([]Snapshot, bool) {
 	ic, err := cache.New(cfg.ICache)
 	if err != nil {
 		return nil, false
@@ -607,7 +748,7 @@ func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, ok bool) {
 	}
 	l := latenciesOf(cfg)
 	ops, start, warm := t.compile(l)
-	if !t.icacheHoldsText(cfg.ICache) {
+	if !holdsText {
 		warm = start // every execution probes every fetch
 	}
 	tm := &timer{
@@ -615,7 +756,7 @@ func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, ok bool) {
 		resid: 1,
 		ramLo: mem.RAMBase, ramHi: mem.RAMBase + t.ramBytes,
 	}
-	snaps = make([]Snapshot, len(t.cuts))
+	snaps := make([]Snapshot, len(t.cuts))
 	from := 0
 	for k := range t.cuts {
 		cut := &t.cuts[k]
@@ -786,7 +927,7 @@ func (tm *timer) restore(fp uint32) bool {
 // latency in closed form, and the replayed ones.
 func (tm *timer) snapshot(cut *traceCut) Snapshot {
 	l := tm.l
-	st := cut.stats
+	st := cut.rec.Stats
 	st.Cycles = tm.cyc
 	st.ICacheStall = tm.icStall
 	st.DCacheStall = tm.dcStall

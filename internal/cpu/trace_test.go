@@ -50,7 +50,7 @@ func record(t *testing.T, c *cpu.Core) *cpu.Trace {
 // equals a fresh full run c of the program on cfg.
 func timedMatches(t *testing.T, tr *cpu.Trace, cfg config.Config, c *cpu.Core) (declined bool) {
 	t.Helper()
-	snaps, ok := tr.Time(cfg)
+	snaps, _, ok := tr.Time(cfg)
 	if !ok {
 		return true
 	}
@@ -122,15 +122,92 @@ func FuzzTraceTiming(f *testing.F) {
 			t.Fatalf("fuzzConfig produced an invalid configuration: %v", err)
 		}
 		for _, pair := range [][2]config.Config{{config.Default(), cfg}, {cfg, config.Default()}} {
-			tr := record(t, buildCore(t, pair[0], prog))
-			declined := timedMatches(t, tr, pair[1], buildCore(t, pair[1], prog))
-			// The gadgets may write %fp (r30), which makes the trace
-			// window-sensitive; nothing else may make it decline.
-			if declined && !(tr.WindowSensitive() && pair[0].IU.RegWindows != pair[1].IU.RegWindows) {
-				t.Fatalf("trace recorded on %v declined %v", pair[0], pair[1])
+			rec := pair[0]
+			tr := record(t, buildCore(t, rec, prog))
+			// Two more configurations through the same trace put the class
+			// memo under the fuzzer: one decoded from the high bits on the
+			// timed configuration's caches, which often lands in an already
+			// walked class, and one in the recording's own, seeded class
+			// (the gadgets execute no SAVE, so every window count fits).
+			more := fuzzConfig(bits >> 32)
+			more.ICache, more.DCache = pair[1].ICache, pair[1].DCache
+			seeded := rec
+			seeded.IU.RegWindows = 32
+			if rec.IU.RegWindows == 32 {
+				seeded.IU.RegWindows = 8
+			}
+			if k, ok := tr.Class(seeded); ok {
+				if want, _ := tr.Class(rec); k != want {
+					t.Fatalf("%v is not in the class of the recording %v", seeded, rec)
+				}
+			}
+			for _, cfg := range []config.Config{pair[1], more, seeded} {
+				declined := timedMatches(t, tr, cfg, buildCore(t, cfg, prog))
+				// The gadgets may write %fp (r30), which makes the trace
+				// window-sensitive; nothing else may make it decline.
+				if declined && !(tr.WindowSensitive() && rec.IU.RegWindows != cfg.IU.RegWindows) {
+					t.Fatalf("trace recorded on %v declined %v", rec, cfg)
+				}
 			}
 		}
 	})
+}
+
+// TestTraceClassRules covers every timing-class rule on a program with
+// exactly one kind of event. Each configuration changes one parameter of
+// the base and must time to a fresh full run, so a rule that merges a
+// parameter the event charges fails here; the walk count pins which
+// configurations each program's trace proves identical to the base. Every
+// trace walks the 4-word icache line and dcache line classes, since a line
+// length changes the cold misses.
+func TestTraceClassRules(t *testing.T) {
+	var cfgs []config.Config
+	with := func(change func(*config.Config)) {
+		cfg := config.Default()
+		change(&cfg)
+		cfgs = append(cfgs, cfg)
+	}
+	for m := config.MulNone; m <= config.Mul32x32; m++ {
+		with(func(c *config.Config) { c.IU.Multiplier = m })
+	}
+	with(func(c *config.Config) { c.IU.Divider = config.DivNone })
+	with(func(c *config.Config) { c.IU.LoadDelay = 2 })
+	with(func(c *config.Config) { c.IU.FastJump = false })
+	with(func(c *config.Config) { c.IU.FastDecode = false })
+	with(func(c *config.Config) { c.IU.ICCHold = false })
+	for _, w := range []int{16, 24, 32} {
+		with(func(c *config.Config) { c.IU.RegWindows = w })
+	}
+	with(func(c *config.Config) { c.ICache.SetSizeKB = 1 })
+	with(func(c *config.Config) { c.ICache.LineWords = 4 })
+	with(func(c *config.Config) { c.DCache.LineWords = 4 })
+	for _, tc := range []struct {
+		name, src string
+		walks     int
+	}{
+		// Multiplier latencies 44, 35, 2 and 1 differ from the base's 4;
+		// m32x8 shares it.
+		{"mul", "mov 7, %o0\n umul %o0, %o0, %o1\n halt", 2 + 4},
+		{"div", "mov 100, %o0\n udiv %o0, 7, %o1\n halt", 2 + 1},
+		// A jump pays the fast-jump and the fast-decode penalty.
+		{"jmpl", "set to, %g1\n jmp %g1\n nop\nto: halt", 2 + 2},
+		{"call", "call to\n nop\nto: halt", 2 + 1},
+		{"taken", "ba to\n nop\nto: halt", 2 + 1},
+		{"interlock", "ld [%sp-8], %o0\n add %o0, 1, %o1\n halt", 2 + 1},
+		{"icchold", "subcc %g0, 1, %g0\n be to\n nop\nto: halt", 2 + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := record(t, buildAsm(t, config.Default(), tc.src))
+			for _, cfg := range cfgs {
+				if timedMatches(t, tr, cfg, buildAsm(t, cfg, tc.src)) {
+					t.Errorf("%v declined", cfg)
+				}
+			}
+			if got := tr.Walks(); got != tc.walks {
+				t.Errorf("%d walks over %d configurations, want %d", got, len(cfgs), tc.walks)
+			}
+		})
+	}
 }
 
 // spillReaderSource recurses 25 deep and, after each return, adds the
@@ -177,7 +254,7 @@ func TestTraceGuardsSaveAreaReads(t *testing.T) {
 	if !tr.WindowSensitive() {
 		t.Fatal("a program reading its save area is not flagged window-sensitive")
 	}
-	if _, ok := tr.Time(windowCfg(32)); ok {
+	if _, _, ok := tr.Time(windowCfg(32)); ok {
 		t.Error("window-sensitive trace timed a 32-window configuration")
 	}
 	same := windowCfg(8)
@@ -229,7 +306,7 @@ func TestTraceGuardsFPWrites(t *testing.T) {
 func TestTraceUnusableBelowInitialFrame(t *testing.T) {
 	prog := []isa.Instr{aluImm(isa.OpAdd, isa.RegFP, isa.RegSP, -64), {Op: isa.OpRestore}, halt()}
 	tr := record(t, buildCore(t, config.Default(), prog))
-	if _, ok := tr.Time(config.Default()); ok {
+	if _, _, ok := tr.Time(config.Default()); ok {
 		t.Error("trace with a RESTORE below the initial frame timed a configuration")
 	}
 }

@@ -27,6 +27,7 @@ var (
 	ctrTraceRecords  atomic.Uint64
 	ctrTraceTimed    atomic.Uint64
 	ctrTraceDeclined atomic.Uint64
+	ctrTraceShared   atomic.Uint64
 	ctrTraceRecordNs atomic.Uint64
 	ctrTraceTimeNs   atomic.Uint64
 )
@@ -73,11 +74,14 @@ type TuningCounters struct {
 	// TraceRecords counts recording runs (Record), TraceTimed the reports
 	// derived from a trace (Trace.Time) and TraceDeclined the
 	// configurations a trace declined, which then ran in full
-	// (DESIGN.md §22). TraceRecordNs and TraceTimeNs are the wall time
-	// spent recording and timing.
+	// (DESIGN.md §22). TraceShared counts the timed reports served from a
+	// timing class already walked or seeded by the recording run, so
+	// TraceTimed-TraceShared is the number of walks. TraceRecordNs and
+	// TraceTimeNs are the wall time spent recording and timing.
 	TraceRecords  uint64 `json:"trace_records"`
 	TraceTimed    uint64 `json:"trace_timed"`
 	TraceDeclined uint64 `json:"trace_declined"`
+	TraceShared   uint64 `json:"trace_shared"`
 	TraceRecordNs uint64 `json:"trace_record_ns"`
 	TraceTimeNs   uint64 `json:"trace_time_ns"`
 }
@@ -95,6 +99,7 @@ func Counters() TuningCounters {
 		TraceRecords:       ctrTraceRecords.Load(),
 		TraceTimed:         ctrTraceTimed.Load(),
 		TraceDeclined:      ctrTraceDeclined.Load(),
+		TraceShared:        ctrTraceShared.Load(),
 		TraceRecordNs:      ctrTraceRecordNs.Load(),
 		TraceTimeNs:        ctrTraceTimeNs.Load(),
 	}

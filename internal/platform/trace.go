@@ -55,24 +55,31 @@ func (t *Trace) WindowSensitive() bool { return t.rec.WindowSensitive() }
 // Bytes returns the trace's approximate heap footprint.
 func (t *Trace) Bytes() int { return t.rec.Bytes() }
 
+// Class returns cfg's timing class on the trace, or false when Time
+// declines cfg outright: configurations of one class get reports that
+// differ only in Config (cpu.TimingClass).
+func (t *Trace) Class(cfg config.Config) (cpu.TimingClass, bool) { return t.rec.Class(cfg) }
+
+// Walks returns the number of walks Time has made over the trace, one per
+// timing class other than the recording configuration's.
+func (t *Trace) Walks() int { return t.rec.Walks() }
+
 // Time returns the report a RunWith of the recorded program and options
 // on cfg would return, derived from the trace without executing the
 // program. ok is false when the trace cannot stand in for that run (see
 // cpu.Trace.Time); the caller then runs it in full. Time is safe for
-// concurrent use.
+// concurrent use, and walks the trace once per timing class.
 func (t *Trace) Time(cfg config.Config) (rep *RunReport, ok bool) {
 	t0 := time.Now()
-	defer func() {
-		ctrTraceTimeNs.Add(uint64(time.Since(t0)))
-		if ok {
-			ctrTraceTimed.Add(1)
-		} else {
-			ctrTraceDeclined.Add(1)
-		}
-	}()
-	snaps, ok := t.rec.Time(cfg)
+	defer func() { ctrTraceTimeNs.Add(uint64(time.Since(t0))) }()
+	snaps, shared, ok := t.rec.Time(cfg)
 	if !ok {
+		ctrTraceDeclined.Add(1)
 		return nil, false
+	}
+	ctrTraceTimed.Add(1)
+	if shared {
+		ctrTraceShared.Add(1)
 	}
 	ref := t.ref
 	last := snaps[len(snaps)-1]

@@ -152,7 +152,9 @@ ok:     ret
 `, depth)
 }
 
-var recursionDepths = []int{6, 25, 40}
+// recursionDepths nest depth+1 frames. 5 and 6 straddle the no-trap
+// boundary at 8 windows: 6 frames never overflow, 7 do.
+var recursionDepths = []int{5, 6, 25, 40}
 
 func windowConfig(windows int) config.Config {
 	cfg := config.Default()
@@ -332,6 +334,114 @@ func TestTraceTimingWindows(t *testing.T) {
 					checkTimed(t, tr, cfg, want)
 				}
 			}
+		}
+	}
+}
+
+// TestTraceTimingRecursionModelBuild times every model-build
+// configuration through one trace of each recursion program. The
+// benchmark programs execute no SAVE and no JMPL, so this is where the
+// window and jump rules of the timing classes (cpu.TimingClass) meet
+// configurations they must keep apart.
+func TestTraceTimingRecursionModelBuild(t *testing.T) {
+	cfgs := modelBuildConfigs(t)
+	for _, depth := range recursionDepths {
+		t.Run(fmt.Sprint(depth), func(t *testing.T) {
+			t.Parallel()
+			prog := mustAssemble(t, recursionSource(depth))
+			tr, _, err := platform.Record(prog, cfgs[0], platform.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range cfgs {
+				want, err := platform.RunWith(prog, cfg, platform.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cfg == cfgs[0] {
+					// 8 windows hold 6 nested frames without a trap.
+					if traps := want.Stats.WindowOverflows > 0; traps != (depth+1 > 6) {
+						t.Fatalf("%d frames at 8 windows: %d overflows", depth+1, want.Stats.WindowOverflows)
+					}
+				}
+				checkTimed(t, tr, cfg, want)
+			}
+		})
+	}
+}
+
+// TestTraceClassSingleflight: concurrent callers of one timing class
+// share a single walk, and each still gets a report of its own: its own
+// Config, and Intervals and Signature slices no other report shares.
+func TestTraceClassSingleflight(t *testing.T) {
+	prog := benchProgram(t, "arith", workload.Tiny)
+	opts := platform.Options{IntervalInstructions: 20_000}
+	tr, _, err := platform.Record(prog, config.Default(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// arith executes no SAVE, so every window count with one dcache is one
+	// class, and the dcache keeps it apart from the recording's.
+	var cfgs []config.Config
+	for w := 16; w <= 32; w++ {
+		cfg := windowConfig(w)
+		cfg.DCache = config.CacheConfig{Sets: 2, SetSizeKB: 1, LineWords: 4, Replacement: config.LRU}
+		cfgs = append(cfgs, cfg)
+	}
+	class, _ := tr.Class(cfgs[0])
+	if rec, _ := tr.Class(config.Default()); class == rec {
+		t.Fatal("the configurations share the recording's class")
+	}
+	for _, cfg := range cfgs {
+		if k, ok := tr.Class(cfg); !ok || k != class {
+			t.Fatalf("%v is not in the class of %v", cfg, cfgs[0])
+		}
+	}
+	reps := make([]*platform.RunReport, len(cfgs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if rep, ok := tr.Time(cfg); ok {
+				reps[i] = rep
+			} else {
+				t.Errorf("%v declined", cfg)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if w := tr.Walks(); w != 1 {
+		t.Errorf("%d walks for one class, want 1", w)
+	}
+	want := runGrid(t, prog, cfgs[:1], opts)[0]
+	if len(want.Intervals) < 2 {
+		t.Fatalf("%d intervals; the test needs several", len(want.Intervals))
+	}
+	matches := func(i int) bool {
+		w := *want
+		w.Config = cfgs[i]
+		return marshalReport(t, reps[i]) == marshalReport(t, &w)
+	}
+	for i := range reps {
+		if !matches(i) {
+			t.Errorf("%v: report differs from RunWith's", cfgs[i])
+		}
+	}
+	// Scribble over the first report: no other may change.
+	for k := range reps[0].Intervals {
+		reps[0].Intervals[k].Stats.Cycles++
+		reps[0].Intervals[k].Signature[0]++
+	}
+	for i := 1; i < len(reps); i++ {
+		if !matches(i) {
+			t.Errorf("%v: report changed with another report's intervals", cfgs[i])
 		}
 	}
 }

@@ -60,6 +60,13 @@ func TestReplayJobEndToEnd(t *testing.T) {
 		}
 	}
 
+	// A full-space build times most of its configurations from a timing
+	// class already walked: arith executes no SAVE, so its 17 window
+	// counts share the base's class.
+	if full := waitDone(t, ts, postJob(t, ts, serve.JobRequest{App: "arith", Scale: "tiny", Space: "full"}).ID); full.State != serve.StateDone {
+		t.Fatalf("full-space job state = %s, error = %s", full.State, full.Error)
+	}
+
 	// The tuning counters (process-wide, monotonic) must have recorded
 	// the reshaping runs and their switches.
 	resp, err := http.Get(ts.URL + "/v1/metrics")
@@ -80,11 +87,15 @@ func TestReplayJobEndToEnd(t *testing.T) {
 	if m.Tuning.ReplaySwitches == 0 {
 		t.Error("metrics report zero replay switches after a switching replay")
 	}
-	// The job's model build ran on a fresh cache: it recorded its
+	// The jobs' model builds ran on a fresh cache: each recorded its
 	// program once and timed the other configurations from the trace.
 	if m.Tuning.TraceRecords == 0 || m.Tuning.TraceTimed == 0 {
 		t.Errorf("metrics report %d trace recordings and %d timed runs after a model build",
 			m.Tuning.TraceRecords, m.Tuning.TraceTimed)
+	}
+	if m.Tuning.TraceShared == 0 || m.Tuning.TraceShared >= m.Tuning.TraceTimed {
+		t.Errorf("metrics report %d of %d timed runs shared after a full-space build, want some but not all",
+			m.Tuning.TraceShared, m.Tuning.TraceTimed)
 	}
 }
 
