@@ -37,6 +37,17 @@ func newRunner() *experiments.Runner {
 	return experiments.NewRunner(experiments.Options{Scale: benchScale})
 }
 
+// benchTune runs req through a fresh session over p (nil: the
+// process-wide shared measurement cache).
+func benchTune(b *testing.B, p measure.Provider, req core.Request) *core.Artifacts {
+	b.Helper()
+	rep, err := core.NewSession(core.SessionOptions{Provider: p}).Tune(context.Background(), req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep.Artifacts
+}
+
 // ---- One benchmark per paper table/figure ----
 
 func BenchmarkFig1ParameterSpace(b *testing.B) {
@@ -162,10 +173,7 @@ func BenchmarkTraceTime(b *testing.B) {
 			}
 			// The configurations are the ones a model build asks for.
 			keys := measure.NewKeyRecorder(measure.Simulator{})
-			ctx := measure.WithTraceScope(context.Background())
-			if _, err := (&core.Tuner{Scale: benchScale, Provider: keys}).BuildModel(ctx, bench); err != nil {
-				b.Fatal(err)
-			}
+			benchTune(b, keys, core.Request{App: app, Scale: benchScale, SkipValidation: true})
 			var cfgs []config.Config
 			for _, k := range keys.Keys()[1:] { // [0] is the base
 				cfgs = append(cfgs, k.Cfg)
@@ -306,12 +314,7 @@ func BenchmarkAssembleBLASTN(b *testing.B) {
 // seconds"), once per objective weighting w1:w2:w3 of the perfbench
 // request grid, so each weighting's search is trended on its own.
 func BenchmarkSolverFullSpace(b *testing.B) {
-	bench, _ := progs.ByName("blastn")
-	tuner := core.NewTuner(workload.Tiny)
-	model, err := tuner.BuildModel(context.Background(), bench)
-	if err != nil {
-		b.Fatal(err)
-	}
+	model := benchTune(b, nil, core.Request{App: "blastn", Scale: workload.Tiny, SkipValidation: true}).Model
 	for _, w := range []core.Weights{
 		{W1: 100, W2: 1}, {W1: 1, W2: 100}, {W1: 100, W2: 100}, {W1: 50, W2: 1},
 		{W1: 10, W2: 1}, {W1: 1, W2: 10}, {W1: 100, W2: 1, W3: 10}, {W1: 1, W2: 1, W3: 100},
@@ -480,19 +483,11 @@ func BenchmarkFabricDispatch(b *testing.B) {
 // against the nonlinear form on the runtime-weighted recommendation,
 // reporting both predictions' absolute error against actual synthesis.
 func BenchmarkAblationLinearLUT(b *testing.B) {
-	bench, _ := progs.ByName("blastn")
-	tuner := core.NewTuner(benchScale)
-	model, err := tuner.BuildModel(context.Background(), bench)
-	if err != nil {
-		b.Fatal(err)
-	}
+	model := benchTune(b, nil, core.Request{App: "blastn", Scale: benchScale, SkipValidation: true}).Model
 	var linErr, nlErr float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, err := tuner.RecommendFromModel(model, core.RuntimeWeights())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rec := benchTune(b, nil, core.Request{App: "blastn", Scale: benchScale, Model: model, Weights: core.RuntimeWeights(), SkipValidation: true}).Recommendation
 		actual := fpga.MustSynthesize(rec.Config)
 		linErr = float64(rec.Predicted.LUTPctLinear - actual.LUTPercent())
 		nlErr = float64(rec.Predicted.LUTPctNonlinear - actual.LUTPercent())
@@ -509,21 +504,8 @@ func BenchmarkAblationIndependence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gap = 0
 		for _, app := range []string{"blastn", "drr", "frag", "arith"} {
-			bench, _ := progs.ByName(app)
-			tuner := core.NewTuner(benchScale)
-			model, err := tuner.BuildModel(context.Background(), bench)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rec, err := tuner.RecommendFromModel(model, core.RuntimeWeights())
-			if err != nil {
-				b.Fatal(err)
-			}
-			val, err := tuner.Validate(context.Background(), bench, model, rec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			g := abs(rec.Predicted.RuntimePct - val.RuntimePct)
+			a := benchTune(b, nil, core.Request{App: app, Scale: benchScale, Weights: core.RuntimeWeights()})
+			g := abs(a.Recommendation.Predicted.RuntimePct - a.Validation.RuntimePct)
 			if g > gap {
 				gap = g
 			}
@@ -535,12 +517,7 @@ func BenchmarkAblationIndependence(b *testing.B) {
 // BenchmarkAblationSolverBruteForce compares branch-and-bound against
 // exhaustive enumeration on the Section 5 dcache sub-space.
 func BenchmarkAblationSolverBruteForce(b *testing.B) {
-	bench, _ := progs.ByName("blastn")
-	tuner := &core.Tuner{Space: config.DcacheGeometrySpace(), Scale: workload.Tiny}
-	model, err := tuner.BuildModel(context.Background(), bench)
-	if err != nil {
-		b.Fatal(err)
-	}
+	model := benchTune(b, nil, core.Request{App: "blastn", Scale: workload.Tiny, Space: config.DcacheGeometrySpace(), SkipValidation: true}).Model
 	problem := model.Formulate(core.RuntimeOnlyWeights())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,15 +10,13 @@
 //	autoarch -app blastn [-w1 100 -w2 1] [-scale small] [-space full|dcache] [-model] [-json]
 //	autoarch -app mix -phases [-interval N] [-switch-penalty N] [-phase-threshold T] [-json]
 //	autoarch -app mix -replay [-online] ...
-//	autoarch -app blastn [-model-dir DIR] [-superblocks N] ...
+//	autoarch -app blastn [-model-dir DIR] ...
 //	autoarch -app mix -trace ...
 //	autoarch -app blastn -sweep-weights "100:1,1:100" [-json]
 //	autoarch -app blastn -remote http://head:8723 [-class bulk] ...
 //
 // With -model-dir the built model set is spilled to a durable artifact
 // and reused by later runs (and by an autoarchd sharing the directory).
-// -superblocks retunes the simulator's superblock specialization; like
-// -workers it changes only how fast the answer comes, never the answer.
 //
 // With -json the result is the core.Report document — the same
 // serialization the autoarchd daemon returns for a finished job — on
@@ -70,7 +68,6 @@ import (
 	"liquidarch/internal/config"
 	"liquidarch/internal/core"
 	"liquidarch/internal/obs"
-	"liquidarch/internal/platform"
 	"liquidarch/internal/progs"
 	"liquidarch/internal/workload"
 )
@@ -102,8 +99,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		remoteURL = fs.String("remote", "", "submit to a running autoarchd at this base URL (POST /v1/jobs, or /v1/batch with -sweep-weights) instead of tuning locally")
 		class     = fs.String("class", "", "scheduling class for -remote submissions: interactive (default) or bulk")
 
-		superblocks = fs.Int("superblocks", 0, "superblock compilation threshold: taken-branch heat before a hot block is specialized (0 = default, negative = off); never changes results, only speed")
-		modelDir    = fs.String("model-dir", "", "spill built model sets to durable artifacts in this directory and reuse them on later runs (empty = build in memory every run)")
+		modelDir = fs.String("model-dir", "", "spill built model sets to durable artifacts in this directory and reuse them on later runs (empty = build in memory every run)")
 
 		phases    = fs.Bool("phases", false, "phase-aware tuning: one configuration per detected execution phase")
 		interval  = fs.Uint64("interval", core.DefaultIntervalInstructions, "phase profiling interval length in instructions")
@@ -129,10 +125,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// Deferred so the breakdown prints after whichever path ran (and
 		// still shows the spans completed so far when the tune failed).
 		defer printTrace(tracer, progress)
-	}
-
-	if *superblocks != 0 {
-		platform.SetDefaultTuning(*superblocks)
 	}
 
 	if _, ok := progs.ByName(*app); !ok {

@@ -35,13 +35,12 @@ func TestBuildModelAbortsOnCancelledContext(t *testing.T) {
 	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tuner := tinyTuner(config.FullSpace())
 	// A fresh (uncached) provider ensures the cancelled context is what
 	// the measurement path observes, not a cache hit.
-	tuner.Provider = measure.NewCache(measure.Simulator{}, 8)
-	_, err := tuner.BuildModel(ctx, mustBenchmark(t, "blastn"))
+	sess := core.NewSession(core.SessionOptions{Provider: measure.NewCache(measure.Simulator{}, 8)})
+	_, err := sess.Tune(ctx, core.Request{App: "blastn", Scale: workload.Tiny})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("BuildModel with cancelled ctx: err = %v, want context.Canceled", err)
+		t.Fatalf("model build with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -49,20 +48,22 @@ func TestBuildModelAbortsPromptlyMidBuild(t *testing.T) {
 	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	tuner := &core.Tuner{Space: config.FullSpace(), Scale: workload.Tiny, Workers: 2}
-	tuner.Provider = &cancellingProvider{
-		inner:  measure.NewCache(measure.Simulator{}, 64),
-		cancel: cancel,
-		after:  3,
-	}
+	sess := core.NewSession(core.SessionOptions{
+		Provider: &cancellingProvider{
+			inner:  measure.NewCache(measure.Simulator{}, 64),
+			cancel: cancel,
+			after:  3,
+		},
+		Workers: 2,
+	})
 	start := time.Now()
-	_, err := tuner.BuildModel(ctx, mustBenchmark(t, "arith"))
+	_, err := sess.Tune(ctx, core.Request{App: "arith", Scale: workload.Tiny})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("BuildModel cancelled mid-build: err = %v, want context.Canceled", err)
+		t.Fatalf("model build cancelled mid-build: err = %v, want context.Canceled", err)
 	}
 	// "Promptly" = a handful of in-flight tiny runs at most, not the
 	// remaining ~49 of the 52-variable space.
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("cancelled BuildModel took %v", elapsed)
+		t.Fatalf("cancelled model build took %v", elapsed)
 	}
 }

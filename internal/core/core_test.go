@@ -13,8 +13,27 @@ import (
 	"liquidarch/internal/workload"
 )
 
-func tinyTuner(space *config.Space) *core.Tuner {
-	return &core.Tuner{Space: space, Scale: workload.Tiny}
+// tune runs req through a fresh session over the process-wide shared
+// measurement cache. A request's zero Scale is workload.Tiny.
+func tune(t *testing.T, req core.Request) *core.Report {
+	t.Helper()
+	rep, err := core.NewSession(core.SessionOptions{}).Tune(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// tinyModel builds app's perturbation model over space at Tiny scale.
+func tinyModel(t *testing.T, app string, space *config.Space) *core.Model {
+	t.Helper()
+	return tune(t, core.Request{App: app, Space: space, SkipValidation: true}).Artifacts.Model
+}
+
+// solve solves a built model under w without measuring anything.
+func solve(t *testing.T, m *core.Model, w core.Weights) *core.Recommendation {
+	t.Helper()
+	return tune(t, core.Request{App: m.App, Scale: m.Scale, Model: m, Weights: w, SkipValidation: true}).Artifacts.Recommendation
 }
 
 func mustBenchmark(t *testing.T, name string) *progs.Benchmark {
@@ -28,11 +47,7 @@ func mustBenchmark(t *testing.T, name string) *progs.Benchmark {
 
 func TestBuildModelDcacheSubspace(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.DcacheGeometrySpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "arith"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, "arith", config.DcacheGeometrySpace())
 	if len(m.Entries) != 8 {
 		t.Fatalf("entries = %d, want 8", len(m.Entries))
 	}
@@ -62,11 +77,7 @@ func TestBuildModelDcacheSubspace(t *testing.T) {
 
 func TestBuildModelMeasuresReplacementViaCompanion(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.FullSpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "arith"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, "arith", config.FullSpace())
 	if len(m.Entries) != 52 {
 		t.Fatalf("entries = %d, want 52", len(m.Entries))
 	}
@@ -93,11 +104,7 @@ func TestBuildModelMeasuresReplacementViaCompanion(t *testing.T) {
 
 func TestFormulateObjectiveAndGroups(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.DcacheGeometrySpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "arith"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, "arith", config.DcacheGeometrySpace())
 	w := core.Weights{W1: 100, W2: 1}
 	p := m.Formulate(w)
 	if p.N != 8 {
@@ -125,11 +132,7 @@ func TestFormulateObjectiveAndGroups(t *testing.T) {
 
 func TestFormulateFullSpaceCouplings(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.FullSpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "arith"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, "arith", config.FullSpace())
 	p := m.Formulate(core.RuntimeWeights())
 	var couplings int
 	for _, c := range p.Constraints {
@@ -151,21 +154,13 @@ func TestRecommendationIsValidAndBeatsBase(t *testing.T) {
 		app := app
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			tuner := tinyTuner(config.FullSpace())
-			b := mustBenchmark(t, app)
-			rec, m, err := tuner.Recommend(context.Background(), b, core.RuntimeWeights())
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := tune(t, core.Request{App: app, Weights: core.RuntimeWeights()}).Artifacts
+			rec, m, val := a.Recommendation, a.Model, a.Validation
 			if err := rec.Config.Validate(); err != nil {
 				t.Fatalf("recommended config invalid: %v", err)
 			}
 			if !rec.Proven {
 				t.Error("52-variable instance should be proven optimal")
-			}
-			val, err := tuner.Validate(context.Background(), b, m, rec)
-			if err != nil {
-				t.Fatal(err)
 			}
 			if !val.Resources.FitsDevice() {
 				t.Errorf("recommendation does not fit the device: %v", val.Resources)
@@ -181,16 +176,8 @@ func TestRecommendationIsValidAndBeatsBase(t *testing.T) {
 // dominant the recommendation must not use more chip resources than base.
 func TestResourceWeightingSavesResources(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.FullSpace())
-	b := mustBenchmark(t, "arith")
-	rec, m, err := tuner.Recommend(context.Background(), b, core.ResourceWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	val, err := tuner.Validate(context.Background(), b, m, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := tune(t, core.Request{App: "arith", Weights: core.ResourceWeights()}).Artifacts
+	m, val := a.Model, a.Validation
 	if val.Resources.BRAMPercent() > m.BaseResources.BRAMPercent() {
 		t.Errorf("resource weighting grew BRAM: %d%% > %d%%",
 			val.Resources.BRAMPercent(), m.BaseResources.BRAMPercent())
@@ -214,15 +201,7 @@ func TestSection5NearOptimality(t *testing.T) {
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
 			b := mustBenchmark(t, app)
-			tuner := tinyTuner(config.DcacheGeometrySpace())
-			rec, m, err := tuner.Recommend(context.Background(), b, core.RuntimeOnlyWeights())
-			if err != nil {
-				t.Fatal(err)
-			}
-			val, err := tuner.Validate(context.Background(), b, m, rec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			val := tune(t, core.Request{App: app, Space: config.DcacheGeometrySpace(), Weights: core.RuntimeOnlyWeights()}).Artifacts.Validation
 			results, err := exhaustive.DcacheGeometry(context.Background(), b, workload.Tiny, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -254,11 +233,7 @@ func TestWeightsPresets(t *testing.T) {
 
 func TestPredictLinearVsNonlinear(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.DcacheGeometrySpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "blastn"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, "blastn", config.DcacheGeometrySpace())
 	// Select sets=2 and setsize=16: the nonlinear form must predict more
 	// BRAM than the linear sum (the product counts the second way's 16KB).
 	sel := make([]bool, m.Space.Len())
@@ -276,19 +251,9 @@ func TestPredictLinearVsNonlinear(t *testing.T) {
 
 func TestRecommendFromModelReuse(t *testing.T) {
 	t.Parallel()
-	tuner := tinyTuner(config.DcacheGeometrySpace())
-	m, err := tuner.BuildModel(context.Background(), mustBenchmark(t, "blastn"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := tuner.RecommendFromModel(m, core.RuntimeOnlyWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := tuner.RecommendFromModel(m, core.ResourceWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := tinyModel(t, "blastn", config.DcacheGeometrySpace())
+	r1 := solve(t, m, core.RuntimeOnlyWeights())
+	r2 := solve(t, m, core.ResourceWeights())
 	// Different weightings over the same model should generally differ;
 	// at minimum both must decode to valid configurations.
 	if err := r1.Config.Validate(); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"liquidarch/internal/config"
 	"liquidarch/internal/core"
-	"liquidarch/internal/progs"
 	"liquidarch/internal/workload"
 )
 
@@ -26,18 +25,14 @@ func TestPaperHeadlineResults(t *testing.T) {
 		val *core.Validation
 	}
 	results := map[string]outcome{}
-	tuner := core.NewTuner(workload.Small)
+	sess := core.NewSession(core.SessionOptions{})
 	for _, app := range []string{"blastn", "drr", "frag", "arith"} {
-		b, _ := progs.ByName(app)
-		rec, m, err := tuner.Recommend(context.Background(), b, core.RuntimeWeights())
+		rep, err := sess.Tune(context.Background(), core.Request{App: app, Scale: workload.Small, Weights: core.RuntimeWeights()})
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
-		val, err := tuner.Validate(context.Background(), b, m, rec)
-		if err != nil {
-			t.Fatalf("%s: %v", app, err)
-		}
-		results[app] = outcome{rec: rec, m: m, val: val}
+		a := rep.Artifacts
+		results[app] = outcome{rec: a.Recommendation, m: a.Model, val: a.Validation}
 	}
 
 	gains := map[string]float64{}

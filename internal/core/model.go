@@ -36,7 +36,7 @@ type Entry struct {
 	Var config.Var
 	// Cycles is the measured runtime of the single-change configuration.
 	// For replacement-policy variables (invalid stand-alone on a 1-way
-	// base cache) it is the companion-pair measurement; see BuildModel.
+	// base cache) it is the companion-pair measurement; see buildModels.
 	Cycles uint64
 	// Resources is the synthesized resource usage of the configuration.
 	Resources fpga.Resources

@@ -10,7 +10,6 @@ import (
 	"liquidarch/internal/config"
 	"liquidarch/internal/measure"
 	"liquidarch/internal/platform"
-	"liquidarch/internal/progs"
 	"liquidarch/internal/workload"
 )
 
@@ -26,16 +25,22 @@ func (c *countingProvider) Measure(ctx context.Context, prog *asm.Program, cfg c
 	return c.inner.Measure(ctx, prog, cfg, opts)
 }
 
+// tunePhases runs one phase-aware request under runtime weights through
+// a fresh session over p (nil: the process-wide shared cache).
+func tunePhases(ctx context.Context, p measure.Provider, app string, scale workload.Scale, opts PhaseOptions) (*Report, error) {
+	return NewSession(SessionOptions{Provider: p}).Tune(ctx, Request{
+		App: app, Scale: scale, Weights: RuntimeWeights(), Phases: &opts,
+	})
+}
+
 // TestTunePhasesReport checks the internal consistency of a phase-aware
 // tuning run: phases tile the run, the per-phase base cycles sum to the
 // whole-program base, the schedule covers every segment, and the
 // decision arithmetic matches its inputs.
 func TestTunePhasesReport(t *testing.T) {
-	b, _ := progs.ByName("blastn")
 	counter := &countingProvider{inner: measure.NewCache(measure.Simulator{}, 512)}
-	tuner := &Tuner{Space: config.FullSpace(), Scale: workload.Tiny, Provider: counter}
 	opts := PhaseOptions{IntervalInstructions: 20_000, SwitchPenaltyCycles: 10_000}
-	rep, err := tuner.TunePhases(context.Background(), b, RuntimeWeights(), opts)
+	rep, err := tunePhases(context.Background(), counter, "blastn", workload.Tiny, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,20 +118,19 @@ func TestTunePhasesReport(t *testing.T) {
 
 // TestTunePhasesWholeProgramMatchesPlainTuning: interval profiling must
 // not perturb the simulation, so the phase run's whole-program
-// recommendation equals the ordinary Recommend flow's.
+// recommendation equals a plain run's.
 func TestTunePhasesWholeProgramMatchesPlainTuning(t *testing.T) {
-	b, _ := progs.ByName("arith")
-	tuner := NewTuner(workload.Tiny)
-	w := RuntimeWeights()
-	rep, err := tuner.TunePhases(context.Background(), b, w, PhaseOptions{IntervalInstructions: 10_000})
+	rep, err := tunePhases(context.Background(), nil, "arith", workload.Tiny, PhaseOptions{IntervalInstructions: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainRec, _, err := tuner.Recommend(context.Background(), b, w)
+	plainRep, err := NewSession(SessionOptions{}).Tune(context.Background(), Request{
+		App: "arith", Scale: workload.Tiny, Weights: RuntimeWeights(), SkipValidation: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := recommendationReport(plainRec)
+	plain := recommendationReport(plainRep.Artifacts.Recommendation)
 	got, _ := json.Marshal(rep.Recommendation)
 	want, _ := json.Marshal(plain)
 	if string(got) != string(want) {
@@ -137,10 +141,8 @@ func TestTunePhasesWholeProgramMatchesPlainTuning(t *testing.T) {
 // TestTunePhasesDeterministic: the full report — trace, per-phase
 // solves, schedule — is byte-reproducible.
 func TestTunePhasesDeterministic(t *testing.T) {
-	b, _ := progs.ByName("blastn")
 	run := func() []byte {
-		tuner := NewTuner(workload.Tiny)
-		rep, err := tuner.TunePhases(context.Background(), b, RuntimeWeights(), PhaseOptions{IntervalInstructions: 20_000})
+		rep, err := tunePhases(context.Background(), nil, "blastn", workload.Tiny, PhaseOptions{IntervalInstructions: 20_000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,9 +166,7 @@ func TestMixPerPhaseWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	b, _ := progs.ByName("mix")
-	tuner := NewTuner(workload.Small)
-	rep, err := tuner.TunePhases(context.Background(), b, RuntimeWeights(), PhaseOptions{IntervalInstructions: 100_000})
+	rep, err := tunePhases(context.Background(), nil, "mix", workload.Small, PhaseOptions{IntervalInstructions: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +186,9 @@ func TestMixPerPhaseWins(t *testing.T) {
 // TestTunePhasesCancellation: a cancelled context aborts the build with
 // the context's error.
 func TestTunePhasesCancellation(t *testing.T) {
-	b, _ := progs.ByName("blastn")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tuner := NewTuner(workload.Tiny)
-	if _, err := tuner.TunePhases(ctx, b, RuntimeWeights(), PhaseOptions{}); err == nil {
-		t.Fatal("cancelled TunePhases should fail")
+	if _, err := tunePhases(ctx, nil, "blastn", workload.Tiny, PhaseOptions{}); err == nil {
+		t.Fatal("cancelled phase tune should fail")
 	}
 }

@@ -251,12 +251,10 @@ type OnlineBlock struct {
 	Unclassified int `json:"unclassified"`
 }
 
-// NewTuneReport assembles the shared document from a tuning run's pieces.
-// val may be nil (validation skipped); includeModel controls whether the
-// full perturbation model is embedded.
-//
-// Deprecated: Session.Tune returns the assembled *Report directly.
-func NewTuneReport(m *Model, rec *Recommendation, val *Validation, includeModel bool) *Report {
+// tuneReport assembles a plain run's document from its pieces. val may
+// be nil (validation skipped); includeModel controls whether the full
+// perturbation model is embedded.
+func tuneReport(m *Model, rec *Recommendation, val *Validation, includeModel bool) *Report {
 	r := &Report{
 		App:            m.App,
 		Scale:          m.Scale.String(),

@@ -8,13 +8,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"liquidarch/internal/binlp"
 	"liquidarch/internal/config"
 	"liquidarch/internal/fpga"
 	"liquidarch/internal/measure"
 	"liquidarch/internal/obs"
 	"liquidarch/internal/phase"
-	"liquidarch/internal/platform"
 	"liquidarch/internal/progs"
 	"liquidarch/internal/workload"
 )
@@ -33,16 +31,14 @@ import (
 type Session struct {
 	provider     measure.Provider
 	workers      int
-	solver       binlp.Options
 	models       *modelCache
 	store        *ModelStore
 	measureStore *measure.Store
 }
 
 // SessionOptions configures a Session. The zero value is usable: the
-// process-wide shared measurement cache, GOMAXPROCS measurement workers,
-// default solver settings and a DefaultModelCacheEntries-bounded model
-// layer.
+// process-wide shared measurement cache, GOMAXPROCS measurement workers
+// and a DefaultModelCacheEntries-bounded model layer.
 type SessionOptions struct {
 	// Provider supplies the measurements; nil means the process-wide
 	// shared bounded cache over the simulator (measure.Default()). A
@@ -52,8 +48,6 @@ type SessionOptions struct {
 	// Workers bounds the parallel measurement runs of each request that
 	// does not set its own (default GOMAXPROCS).
 	Workers int
-	// SolverOptions tunes the BINLP solver.
-	SolverOptions binlp.Options
 	// ModelCacheEntries bounds the shared model layer (<= 0 means
 	// DefaultModelCacheEntries).
 	ModelCacheEntries int
@@ -87,7 +81,6 @@ func NewSession(opts SessionOptions) *Session {
 	return &Session{
 		provider:     p,
 		workers:      opts.Workers,
-		solver:       opts.SolverOptions,
 		models:       newModelCache(opts.ModelCacheEntries),
 		store:        opts.ModelStore,
 		measureStore: opts.MeasureStore,
@@ -142,15 +135,14 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 	}
 
 	prog := &progressCounter{obs: req.Observer, total: tuneTotal(space, req)}
-	tuner := &Tuner{
-		Space: space,
-		Scale: req.Scale,
+	tn := &tuner{
+		space: space,
+		scale: req.Scale,
 		// The per-measurement hook fires on cache and store hits too —
 		// the layers below answered them, the request still consumed them.
-		Provider:           measure.Observed{Inner: s.provider, OnMeasure: prog.step},
-		Workers:            req.workers(s.workers),
-		SolverOptions:      s.solver,
-		SampleInstructions: req.SampleInstructions,
+		provider: measure.Observed{Inner: s.provider, OnMeasure: prog.step},
+		workers:  req.workers(s.workers),
+		sample:   req.SampleInstructions,
 	}
 
 	// One trace scope covers the request's model build and, when this
@@ -199,24 +191,24 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 					return ds, false, nil
 				}
 			}
-			bt := *tuner
+			bt := *tn
 			var rec *measure.KeyRecorder
 			if s.store != nil && s.measureStore != nil {
 				// Record the measurement keys the build consumes (cache
 				// hits included) so the spill can name its cohesive set.
 				// Validation runs happen outside this closure and stay out.
-				rec = measure.NewKeyRecorder(bt.Provider)
-				bt.Provider = rec
+				rec = measure.NewKeyRecorder(bt.provider)
+				bt.provider = rec
 			}
 			var built *modelSet
 			if phased {
-				ps, perr := buildPhaseSet(mctx, &bt, b, popts)
+				ps, perr := bt.buildPhaseSet(mctx, b, popts)
 				if perr != nil {
 					return nil, false, perr
 				}
 				built = ps
 			} else {
-				m, merr := bt.BuildModel(mctx, b)
+				m, merr := bt.buildModel(mctx, b)
 				if merr != nil {
 					return nil, false, merr
 				}
@@ -263,7 +255,7 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 	if phased {
 		_, solveSpan := obs.Start(ctx, "solve")
 		solveSpan.Set(obs.Int("solves", int64(len(set.models))))
-		rep, err := phaseReport(set, b, w, popts, tuner)
+		rep, err := phaseReport(set, b, w, popts)
 		solveSpan.End()
 		if err != nil {
 			return nil, err
@@ -293,7 +285,7 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 
 	model := set.models[0]
 	_, solveSpan := obs.Start(ctx, "solve")
-	rec, err := tuner.RecommendFromModel(model, w)
+	rec, err := recommend(model, w)
 	if solveSpan != nil {
 		if err == nil {
 			solveSpan.Set(obs.Int("nodes", int64(rec.SolverNodes)), obs.Bool("proven", rec.Proven))
@@ -310,13 +302,13 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 			vctx = scoped
 		}
 		vctx, valSpan := obs.Start(vctx, "validate")
-		val, err = tuner.Validate(vctx, b, model, rec)
+		val, err = tn.validate(vctx, b, model, rec)
 		valSpan.End()
 		if err != nil {
 			return nil, err
 		}
 	}
-	return NewTuneReport(model, rec, val, req.IncludeModel), nil
+	return tuneReport(model, rec, val, req.IncludeModel), nil
 }
 
 // TuneBatch runs a batch of requests through the session sequentially
@@ -579,25 +571,10 @@ func (c *modelCache) getOnce(ctx context.Context, key modelKey, build func() (*m
 // interval-profiled run per configuration. The result is
 // weight-independent, which is what makes it cacheable in the shared
 // model layer.
-func buildPhaseSet(ctx context.Context, t *Tuner, b *progs.Benchmark, opts PhaseOptions) (*modelSet, error) {
-	prog, err := b.Assemble(t.Scale)
-	if err != nil {
-		return nil, err
-	}
-	baseRes, err := fpga.Synthesize(config.Default())
-	if err != nil {
-		return nil, err
-	}
-	runOpts := platform.Options{
-		SampleInstructions:   t.SampleInstructions,
-		IntervalInstructions: opts.IntervalInstructions,
-	}
-	baseRep, err := t.provider().Measure(ctx, prog, config.Default(), runOpts)
+func (t *tuner) buildPhaseSet(ctx context.Context, b *progs.Benchmark, opts PhaseOptions) (*modelSet, error) {
+	baseRep, baseRes, err := t.run(ctx, b, config.Default(), opts.IntervalInstructions)
 	if err != nil {
 		return nil, fmt.Errorf("core: base measurement: %w", err)
-	}
-	if !baseRep.Sampled && baseRep.ExitCode != 0 {
-		return nil, fmt.Errorf("core: %s exited with code %d", b.Name, baseRep.ExitCode)
 	}
 	_, detectSpan := obs.Start(ctx, "phase.detect")
 	trace := phase.Detect(baseRep.Intervals, opts.IntervalInstructions, phase.Options{Threshold: opts.Threshold})
@@ -609,7 +586,7 @@ func buildPhaseSet(ctx context.Context, t *Tuner, b *progs.Benchmark, opts Phase
 	}
 	base := resolveObservation(baseRep, baseRes, trace)
 
-	models, err := t.buildPhaseModels(ctx, b, opts.IntervalInstructions, trace, base)
+	models, err := t.buildModels(ctx, b, opts.IntervalInstructions, trace, base)
 	if err != nil {
 		return nil, err
 	}
@@ -626,10 +603,10 @@ func buildPhaseSet(ctx context.Context, t *Tuner, b *progs.Benchmark, opts Phase
 // weights, lay the per-phase schedule over the trace — charging each
 // transition for the configuration parameters it actually changes — and
 // weigh it against the whole-program recommendation.
-func phaseReport(set *modelSet, b *progs.Benchmark, w Weights, opts PhaseOptions, tuner *Tuner) (*Report, error) {
+func phaseReport(set *modelSet, b *progs.Benchmark, w Weights, opts PhaseOptions) (*Report, error) {
 	trace := set.trace
 	space := set.models[0].Space
-	wholeRec, err := tuner.RecommendFromModel(set.models[0], w)
+	wholeRec, err := recommend(set.models[0], w)
 	if err != nil {
 		return nil, err
 	}
@@ -642,7 +619,7 @@ func phaseReport(set *modelSet, b *progs.Benchmark, w Weights, opts PhaseOptions
 	recs := make([]*Recommendation, trace.Phases)
 	var perPhase float64
 	for p := 0; p < trace.Phases; p++ {
-		rec, err := tuner.RecommendFromModel(set.models[1+p], w)
+		rec, err := recommend(set.models[1+p], w)
 		if err != nil {
 			return nil, fmt.Errorf("core: solving phase %d: %w", p, err)
 		}

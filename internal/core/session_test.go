@@ -12,7 +12,6 @@ import (
 	"liquidarch/internal/core"
 	"liquidarch/internal/measure"
 	"liquidarch/internal/platform"
-	"liquidarch/internal/progs"
 	"liquidarch/internal/workload"
 )
 
@@ -220,12 +219,18 @@ func TestSessionRequestValidation(t *testing.T) {
 // measuring and solves it directly (the CLI's -load-model path).
 func TestSessionPrebuiltModel(t *testing.T) {
 	sess, sim := newCountedSession(t)
-	b, _ := progs.ByName("arith")
-	tuner := &core.Tuner{Space: config.DcacheGeometrySpace(), Scale: workload.Tiny, Provider: sess.Provider()}
-	model, err := tuner.BuildModel(context.Background(), b)
+	// The model comes from a sibling session over the same provider, so
+	// this session's model layer stays untouched.
+	built, err := core.NewSession(core.SessionOptions{Provider: sess.Provider()}).Tune(context.Background(), core.Request{
+		App:            "arith",
+		Scale:          workload.Tiny,
+		Space:          config.DcacheGeometrySpace(),
+		SkipValidation: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	model := built.Artifacts.Model
 	sims := sim.calls.Load()
 
 	rep, err := sess.Tune(context.Background(), core.Request{

@@ -8,98 +8,83 @@ import (
 	"liquidarch/internal/config"
 	"liquidarch/internal/fpga"
 	"liquidarch/internal/measure"
+	"liquidarch/internal/phase"
 	"liquidarch/internal/platform"
 	"liquidarch/internal/power"
 	"liquidarch/internal/progs"
 	"liquidarch/internal/workload"
 )
 
-// Tuner is the measurement-and-solve engine behind the unified
-// pipeline: BuildModel, RecommendFromModel and Validate are the
-// building blocks Session.Tune composes. Constructing a Tuner directly
-// still works, but new code should describe the run as a core.Request
-// and call Session.Tune — requests then share the session's model
-// layer and progress surface.
-type Tuner struct {
-	// Space is the decision-variable space; nil means the full 52-variable
-	// paper space.
-	Space *config.Space
-	// Scale selects the workload size. The zero value is workload.Tiny
-	// (NewTuner takes the scale explicitly); unlike the daemon's
-	// JobRequest.Scale, which defaults to "small", nothing upgrades it.
-	Scale workload.Scale
-	// Workers bounds the parallel measurement runs (default GOMAXPROCS).
-	Workers int
-	// Provider supplies the measurements; nil means the process-wide
-	// shared bounded cache over the simulator (measure.Default()). A
-	// serving system injects its own stack here so concurrent tuning jobs
-	// share one cache.
-	Provider measure.Provider
-	// SolverOptions tunes the BINLP solver.
-	SolverOptions binlp.Options
-	// SampleInstructions, when nonzero, truncates every measurement run
-	// after that many instructions (the paper's future-work "runtime
-	// sampling" for long applications). Because the instruction stream is
+// tuner is the measurement half of one Session.Tune request: it
+// measures through the request's provider stack and builds the
+// perturbation models the solve and validation consume.
+type tuner struct {
+	space   *config.Space
+	scale   workload.Scale
+	workers int
+	// provider supplies the measurements: the session's provider behind
+	// the request's progress hook.
+	provider measure.Provider
+	// sample, when nonzero, truncates every measurement run after that
+	// many instructions (the paper's future-work "runtime sampling" for
+	// long applications). Because the instruction stream is
 	// configuration-independent, equal-length prefixes stay directly
 	// comparable; accuracy is limited only by phase behaviour beyond the
 	// sample.
-	SampleInstructions uint64
+	sample uint64
 }
 
-// NewTuner returns a tuner over the full paper space at the given scale.
-func NewTuner(scale workload.Scale) *Tuner {
-	return &Tuner{Space: config.FullSpace(), Scale: scale}
-}
-
-func (t *Tuner) space() *config.Space {
-	if t.Space == nil {
-		return config.FullSpace()
-	}
-	return t.Space
-}
-
-func (t *Tuner) provider() measure.Provider {
-	if t.Provider != nil {
-		return t.Provider
-	}
-	return measure.Default()
-}
-
-// measurement is one build-and-run observation.
-type measurement struct {
-	cycles uint64
-	res    fpga.Resources
-	energy power.Estimate
-}
-
-// measure runs the application once on cfg and synthesizes it. The
-// assembled program is memoized per (benchmark, scale) by package progs,
-// and the simulation goes through the tuner's measurement provider (by
-// default the process-wide shared bounded cache), so the ~52 single-change
-// jobs of BuildModel, the figure harnesses and validation all share
-// identical (program, timing-config) runs.
-func (t *Tuner) measure(ctx context.Context, b *progs.Benchmark, cfg config.Config) (measurement, error) {
-	prog, err := b.Assemble(t.Scale)
+// run runs the application once on cfg, interval-profiled when interval
+// is nonzero, and synthesizes cfg. The assembled program is memoized per
+// (benchmark, scale) by package progs, and the simulation goes through
+// the tuner's measurement provider, so the ~52 single-change runs of a
+// model build, the figure harnesses and validation all share identical
+// (program, timing-config) runs.
+func (t *tuner) run(ctx context.Context, b *progs.Benchmark, cfg config.Config, interval uint64) (*platform.RunReport, fpga.Resources, error) {
+	prog, err := b.Assemble(t.scale)
 	if err != nil {
-		return measurement{}, err
+		return nil, fpga.Resources{}, err
 	}
 	res, err := fpga.Synthesize(cfg)
 	if err != nil {
-		return measurement{}, err
+		return nil, fpga.Resources{}, err
 	}
-	opts := platform.Options{SampleInstructions: t.SampleInstructions}
-	rep, err := t.provider().Measure(ctx, prog, cfg, opts)
+	opts := platform.Options{SampleInstructions: t.sample, IntervalInstructions: interval}
+	rep, err := t.provider.Measure(ctx, prog, cfg, opts)
 	if err != nil {
-		return measurement{}, err
+		return nil, fpga.Resources{}, err
 	}
 	if !rep.Sampled && rep.ExitCode != 0 {
-		return measurement{}, fmt.Errorf("core: %s exited with code %d", b.Name, rep.ExitCode)
+		return nil, fpga.Resources{}, fmt.Errorf("core: %s exited with code %d", b.Name, rep.ExitCode)
 	}
-	return measurement{
-		cycles: rep.Cycles(),
+	return rep, res, nil
+}
+
+// observation is one configuration's measured cost, resolved per model:
+// index 0 is the whole program, index 1+p is phase p.
+type observation struct {
+	cycles []uint64
+	energy []power.Estimate
+	res    fpga.Resources
+}
+
+// resolveObservation folds one run into per-model costs under trace —
+// the one place the whole-program/per-phase index convention and the
+// per-phase energy model live. A plain run resolves under an empty trace
+// to the whole program alone.
+func resolveObservation(rep *platform.RunReport, res fpga.Resources, trace *phase.Trace) observation {
+	obs := observation{
+		cycles: make([]uint64, 1+trace.Phases),
+		energy: make([]power.Estimate, 1+trace.Phases),
 		res:    res,
-		energy: power.Model(rep.Stats, rep.ICache, rep.DCache, res),
-	}, nil
+	}
+	obs.cycles[0] = rep.Cycles()
+	obs.energy[0] = power.Model(rep.Stats, rep.ICache, rep.DCache, res)
+	for _, p := range trace.Profiles(rep.Intervals) {
+		obs.cycles[1+p.Phase] = p.Cycles
+		obs.energy[1+p.Phase] = power.Model(p.Stats, p.ICache, p.DCache, res)
+	}
+	return obs
 }
 
 // companionFor returns, for a replacement-policy variable that is invalid
@@ -116,141 +101,125 @@ func companionFor(v config.Var) (string, bool) {
 	return "", false
 }
 
-// deferredVar is a variable whose measurement rides on a companion
-// configuration (companionFor) and is attributed against the
-// companion's own measurement.
-type deferredVar struct {
-	index     int
-	companion string
+// buildModel builds a plain run's whole-program model: buildModels over
+// a trace with no phases.
+func (t *tuner) buildModel(ctx context.Context, b *progs.Benchmark) (*Model, error) {
+	plain := &phase.Trace{}
+	rep, res, err := t.run(ctx, b, config.Default(), 0)
+	if err != nil {
+		return nil, fmt.Errorf("core: base measurement: %w", err)
+	}
+	models, err := t.buildModels(ctx, b, 0, plain, resolveObservation(rep, res, plain))
+	if err != nil {
+		return nil, err
+	}
+	return models[0], nil
 }
 
-// planSpace partitions a space's variables into the ordinary
-// single-change measurements and the companion-paired deferred ones,
-// validating that every required companion is present. Shared by
-// BuildModel and the per-phase model builder so the pairing rules live
-// in one place.
-func planSpace(space *config.Space) (ordinary []int, deferred []deferredVar, err error) {
-	for i, v := range space.Vars() {
+// buildModels performs the paper's Section 3 procedure against the
+// measured base: measure every single-change configuration (and, for the
+// replacement-policy variables that LEON forbids on a 1-way cache, the
+// minimal companion pair sets=2 + policy, attributing the difference
+// over the sets=2 measurement), interval-profiled at interval, and
+// assemble 1+trace.Phases models over the shared observations: models[0]
+// is the whole-program model, models[1+p] phase p's. Measurements run in
+// parallel on the shared worker pool; results are deterministic.
+// Cancelling ctx aborts the build promptly (between measurement runs)
+// with the context's error.
+func (t *tuner) buildModels(ctx context.Context, b *progs.Benchmark, interval uint64, trace *phase.Trace, base observation) ([]*Model, error) {
+	space := t.space
+	baseCfg := config.Default()
+	vars := space.Vars()
+	obs := make([]observation, len(vars))
+
+	// Replacement-policy variables are deferred to a second round,
+	// measured on top of their companion's configuration.
+	var ordinary, deferred []int
+	for i, v := range vars {
 		if companion, ok := companionFor(v); ok {
 			if _, exists := space.ByName(companion); !exists {
-				return nil, nil, fmt.Errorf("core: variable %s needs companion %s, absent from the space", v.Name, companion)
+				return nil, fmt.Errorf("core: variable %s needs companion %s, absent from the space", v.Name, companion)
 			}
-			deferred = append(deferred, deferredVar{index: i, companion: companion})
+			deferred = append(deferred, i)
 			continue
 		}
 		ordinary = append(ordinary, i)
 	}
-	return ordinary, deferred, nil
-}
 
-// BuildModel performs the paper's Section 3 procedure: measure the base,
-// then every single-change configuration (and, for the replacement-policy
-// variables that LEON forbids on a 1-way cache, the minimal companion
-// pair sets=2 + policy, attributing the difference over the sets=2
-// measurement). Measurements run in parallel on the shared worker pool;
-// results are deterministic. Cancelling ctx aborts the build promptly
-// (between measurement runs) with the context's error.
-func (t *Tuner) BuildModel(ctx context.Context, b *progs.Benchmark) (*Model, error) {
-	space := t.space()
-	baseCfg := config.Default()
-
-	baseMeas, err := t.measure(ctx, b, baseCfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: base measurement: %w", err)
-	}
-
-	type job struct {
-		index int
-		cfg   config.Config
-		// ref holds the values the deltas are computed against (base, or
-		// the companion's measurement).
-		ref measurement
-	}
-
-	vars := space.Vars()
-	entries := make([]Entry, len(vars))
-
-	// Phase 1: ordinary variables (companion-paired ones are deferred).
-	ordinary, deferredVars, err := planSpace(space)
-	if err != nil {
-		return nil, err
-	}
-	var jobs []job
-	for _, i := range ordinary {
-		jobs = append(jobs, job{index: i, cfg: vars[i].Apply(baseCfg)})
-	}
-
-	runJobs := func(js []job) error {
-		return measure.ForEach(ctx, len(js), t.Workers, func(i int) error {
-			j := js[i]
-			meas, err := t.measure(ctx, b, j.cfg)
+	measureVars := func(indices []int, cfgFor func(config.Var) config.Config) error {
+		return measure.ForEach(ctx, len(indices), t.workers, func(k int) error {
+			i := indices[k]
+			rep, res, err := t.run(ctx, b, cfgFor(vars[i]), interval)
 			if err != nil {
-				return fmt.Errorf("core: measuring %s: %w", vars[j.index].Name, err)
+				return fmt.Errorf("core: measuring %s: %w", vars[i].Name, err)
 			}
-			e := &entries[j.index]
-			e.Var = vars[j.index]
-			e.Cycles = meas.cycles
-			e.Resources = meas.res
-			e.Energy = meas.energy
-			e.Rho = 100 * (float64(meas.cycles) - float64(j.ref.cycles)) / float64(j.ref.cycles)
-			e.Lambda = meas.res.LUTPercent() - j.ref.res.LUTPercent()
-			e.Beta = meas.res.BRAMPercent() - j.ref.res.BRAMPercent()
-			e.Epsilon = power.DeltaPercent(meas.energy, j.ref.energy)
+			obs[i] = resolveObservation(rep, res, trace)
 			return nil
 		})
 	}
 
-	for i := range jobs {
-		jobs[i].ref = baseMeas
+	if err := measureVars(ordinary, func(v config.Var) config.Config { return v.Apply(baseCfg) }); err != nil {
+		return nil, err
 	}
-	if err := runJobs(jobs); err != nil {
+	if err := measureVars(deferred, func(v config.Var) config.Config {
+		companion, _ := companionFor(v)
+		compVar, _ := space.ByName(companion)
+		return v.Apply(compVar.Apply(baseCfg))
+	}); err != nil {
 		return nil, err
 	}
 
-	// Phase 2: replacement-policy variables measured against their
-	// companion's (already measured) configuration.
-	var phase2 []job
-	for _, d := range deferredVars {
-		v := vars[d.index]
-		compVar, _ := space.ByName(d.companion)
-		var compEntry *Entry
-		for k := range entries {
-			if entries[k].Var.Name == d.companion {
-				compEntry = &entries[k]
-				break
+	// A replacement-policy variable is attributed against its companion's
+	// observation, every other variable against the base.
+	byName := make(map[string]int, len(vars))
+	for i, v := range vars {
+		byName[v.Name] = i
+	}
+	refFor := func(i int) (observation, error) {
+		if companion, ok := companionFor(vars[i]); ok {
+			ci, found := byName[companion]
+			if !found || obs[ci].cycles == nil {
+				return observation{}, fmt.Errorf("core: companion %s not measured", companion)
 			}
+			return obs[ci], nil
 		}
-		if compEntry == nil || compEntry.Cycles == 0 {
-			return nil, fmt.Errorf("core: companion %s not measured", d.companion)
-		}
-		cfg := compVar.Apply(baseCfg)
-		cfg = v.Apply(cfg)
-		phase2 = append(phase2, job{
-			index: d.index,
-			cfg:   cfg,
-			ref: measurement{
-				cycles: compEntry.Cycles,
-				res:    compEntry.Resources,
-				energy: compEntry.Energy,
-			},
-		})
-	}
-	if err := runJobs(phase2); err != nil {
-		return nil, err
+		return base, nil
 	}
 
-	return &Model{
-		App:           b.Name,
-		Scale:         t.Scale,
-		Space:         space,
-		BaseCycles:    baseMeas.cycles,
-		BaseResources: baseMeas.res,
-		BaseEnergy:    baseMeas.energy,
-		Entries:       entries,
-	}, nil
+	models := make([]*Model, 1+trace.Phases)
+	for m := range models {
+		entries := make([]Entry, len(vars))
+		for i, v := range vars {
+			ref, err := refFor(i)
+			if err != nil {
+				return nil, err
+			}
+			o := obs[i]
+			e := &entries[i]
+			e.Var = v
+			e.Cycles = o.cycles[m]
+			e.Resources = o.res
+			e.Energy = o.energy[m]
+			e.Rho = 100 * (float64(o.cycles[m]) - float64(ref.cycles[m])) / float64(ref.cycles[m])
+			e.Lambda = o.res.LUTPercent() - ref.res.LUTPercent()
+			e.Beta = o.res.BRAMPercent() - ref.res.BRAMPercent()
+			e.Epsilon = power.DeltaPercent(o.energy[m], ref.energy[m])
+		}
+		models[m] = &Model{
+			App:           b.Name,
+			Scale:         t.scale,
+			Space:         space,
+			BaseCycles:    base.cycles[m],
+			BaseResources: base.res,
+			BaseEnergy:    base.energy[m],
+			Entries:       entries,
+		}
+	}
+	return models, nil
 }
 
-// Recommendation is the tuner's output for one application and weighting.
+// Recommendation is the solver's output for one application and
+// weighting.
 type Recommendation struct {
 	// App names the application.
 	App string
@@ -271,27 +240,11 @@ type Recommendation struct {
 	Proven      bool
 }
 
-// Recommend runs the full flow: build the model, formulate, solve, decode.
-//
-// Deprecated: build a Session and call Tune — repeated runs then share
-// one model build through the session's model layer.
-func (t *Tuner) Recommend(ctx context.Context, b *progs.Benchmark, w Weights) (*Recommendation, *Model, error) {
-	model, err := t.BuildModel(ctx, b)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec, err := t.RecommendFromModel(model, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rec, model, nil
-}
-
-// RecommendFromModel solves an already-built model under the given
-// weights (models are reused across weightings, as the paper does).
-func (t *Tuner) RecommendFromModel(m *Model, w Weights) (*Recommendation, error) {
+// recommend solves a built model under the given weights (models are
+// reused across weightings, as the paper does).
+func recommend(m *Model, w Weights) (*Recommendation, error) {
 	problem := m.Formulate(w)
-	sol, err := binlp.Solve(problem, t.SolverOptions)
+	sol, err := binlp.Solve(problem, binlp.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("core: solving: %w", err)
 	}
@@ -328,17 +281,18 @@ type Validation struct {
 	EnergyPct  float64 // delta over base, percent
 }
 
-// Validate builds and runs the recommendation for real.
-func (t *Tuner) Validate(ctx context.Context, b *progs.Benchmark, m *Model, rec *Recommendation) (*Validation, error) {
-	meas, err := t.measure(ctx, b, rec.Config)
+// validate builds and runs the recommendation for real.
+func (t *tuner) validate(ctx context.Context, b *progs.Benchmark, m *Model, rec *Recommendation) (*Validation, error) {
+	rep, res, err := t.run(ctx, b, rec.Config, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: validating: %w", err)
 	}
+	energy := power.Model(rep.Stats, rep.ICache, rep.DCache, res)
 	return &Validation{
-		Cycles:     meas.cycles,
-		Resources:  meas.res,
-		Energy:     meas.energy,
-		RuntimePct: 100 * (float64(meas.cycles) - float64(m.BaseCycles)) / float64(m.BaseCycles),
-		EnergyPct:  power.DeltaPercent(meas.energy, m.BaseEnergy),
+		Cycles:     rep.Cycles(),
+		Resources:  res,
+		Energy:     energy,
+		RuntimePct: 100 * (float64(rep.Cycles()) - float64(m.BaseCycles)) / float64(m.BaseCycles),
+		EnergyPct:  power.DeltaPercent(energy, m.BaseEnergy),
 	}, nil
 }

@@ -72,13 +72,6 @@ func (Simulator) Measure(ctx context.Context, prog *asm.Program, cfg config.Conf
 // parameters that cannot change simulated timing (dcache fast read/write,
 // InferMultDiv) are normalised away, so e.g. the base run is shared with
 // the fastread-only perturbation.
-//
-// The execution-tuning knob (Options.SuperblockThreshold) is deliberately
-// NOT part of the key: the parity suites prove it cannot change a single
-// reported counter, so a report cached under one tuning is valid under
-// every other. Keying on it would split the cache (and the persistent
-// store shared across a fleet) by a setting that only affects wall-clock
-// speed.
 type Key struct {
 	Prog     *asm.Program
 	Cfg      config.Config
@@ -185,7 +178,7 @@ const DefaultCacheEntries = 4096
 var defaultProvider = NewCache(Simulator{}, DefaultCacheEntries)
 
 // Default returns the process-wide shared provider: a bounded cache over
-// the simulator. Library consumers (core.Tuner, exhaustive.Sweep) fall
+// the simulator. Library consumers (core.Session, exhaustive.Sweep) fall
 // back to it when no explicit provider is configured.
 func Default() *Cache { return defaultProvider }
 

@@ -6,15 +6,10 @@ import (
 	"liquidarch/internal/cpu"
 )
 
-// Process-wide tuning default and diagnostic counters. Options inherit
-// the default when SuperblockThreshold is zero, so one SetDefaultTuning
-// call (a CLI flag, a daemon option) retunes every subsequent run without
-// threading the knob through each call site. The counters aggregate
-// superblock, replay and trace activity across all engines for the
-// daemon's /v1/metrics endpoint; none of them feed any report.
+// Process-wide diagnostic counters. They aggregate superblock, replay
+// and trace activity across all engines for the daemon's /v1/metrics
+// endpoint; none of them feed any report.
 var (
-	defaultSBThreshold atomic.Int64
-
 	ctrSBCompiled atomic.Uint64
 	ctrSBHits     atomic.Uint64
 	ctrSBDeopts   atomic.Uint64
@@ -31,19 +26,6 @@ var (
 	ctrTraceRecordNs atomic.Uint64
 	ctrTraceTimeNs   atomic.Uint64
 )
-
-func init() {
-	defaultSBThreshold.Store(cpu.DefaultSuperblockThreshold)
-}
-
-// SetDefaultTuning sets the process-wide superblock default.
-// superblockThreshold <= 0 disables superblock specialization by default;
-// a positive value compiles hot blocks at that taken-branch heat. The
-// knob never changes any reported result — only wall-clock speed
-// (DESIGN.md §17).
-func SetDefaultTuning(superblockThreshold int) {
-	defaultSBThreshold.Store(int64(max(superblockThreshold, 0)))
-}
 
 // TuningCounters is a point-in-time snapshot of the process-wide
 // execution-tuning activity, for the daemon's metrics endpoint.
@@ -109,15 +91,12 @@ func Counters() TuningCounters {
 	return c
 }
 
-// foldSuperblockCounters folds the delta since the engine's last run into
-// the process-wide counters.
-func (e *Engine) foldSuperblockCounters() {
-	sb := e.core.SuperblockStats()
-	if sb == e.lastSB {
-		return
-	}
-	ctrSBCompiled.Add(sb.Compiled - e.lastSB.Compiled)
-	ctrSBHits.Add(sb.Hits - e.lastSB.Hits)
-	ctrSBDeopts.Add(sb.Deopts - e.lastSB.Deopts)
-	e.lastSB = sb
+// foldSuperblocks folds core's superblock activity since the watermark
+// seen into the process-wide counters and advances seen.
+func foldSuperblocks(core *cpu.Core, seen *cpu.SuperblockStats) {
+	sb := core.SuperblockStats()
+	ctrSBCompiled.Add(sb.Compiled - seen.Compiled)
+	ctrSBHits.Add(sb.Hits - seen.Hits)
+	ctrSBDeopts.Add(sb.Deopts - seen.Deopts)
+	*seen = sb
 }

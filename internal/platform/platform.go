@@ -57,15 +57,6 @@ type Options struct {
 	TraceWriter io.Writer
 	// TraceLimit bounds the trace length (default 0 = no trace).
 	TraceLimit uint64
-	// SuperblockThreshold tunes superblock specialization in the core
-	// (DESIGN.md §17): 0 inherits the process default (on, at
-	// cpu.DefaultSuperblockThreshold, unless SetDefaultTuning changed it),
-	// a negative value disables specialization for this run, and a
-	// positive value compiles hot blocks at that taken-branch heat. The
-	// knob changes wall-clock speed only — every reported number is
-	// byte-identical either way — so package measure excludes it from
-	// result cache keys.
-	SuperblockThreshold int
 }
 
 // Normalized fills in the option defaults. Callers that derive cache keys
@@ -77,15 +68,6 @@ func (o Options) Normalized() Options {
 	}
 	if o.MaxInstructions == 0 {
 		o.MaxInstructions = DefaultMaxInstructions
-	}
-	// Resolve the tuning sentinel to a concrete value (0 = process
-	// default, negative = off) so pool keys built from normalized options
-	// attribute engines to the execution mode they actually run.
-	switch {
-	case o.SuperblockThreshold == 0:
-		o.SuperblockThreshold = int(defaultSBThreshold.Load())
-	case o.SuperblockThreshold < 0:
-		o.SuperblockThreshold = 0
 	}
 	return o
 }
@@ -171,20 +153,39 @@ type Engine struct {
 // NewEngine builds an engine for repeated runs of prog on cfg.
 func NewEngine(prog *asm.Program, cfg config.Config, opts Options) (*Engine, error) {
 	opts = opts.Normalized()
-	m := mem.New(opts.RAMBytes)
-	return newEngineOn(m, prog, cfg, opts, true)
+	m, err := loadMemory(prog, opts.RAMBytes)
+	if err != nil {
+		return nil, err
+	}
+	m.Snapshot()
+	return newEngine(m, prog, cfg, opts)
 }
 
-// newEngineOn wires a core around an existing memory. load says whether
-// the program image still has to be written (false for a pooled memory,
-// which is already loaded and snapshotted).
-func newEngineOn(m *mem.Memory, prog *asm.Program, cfg config.Config, opts Options, load bool) (*Engine, error) {
-	if load {
-		if err := prog.Load(m); err != nil {
-			return nil, fmt.Errorf("platform: %w", err)
-		}
-		m.Snapshot()
+// newEngine wires a core around a memory that already holds prog.
+func newEngine(m *mem.Memory, prog *asm.Program, cfg config.Config, opts Options) (*Engine, error) {
+	core, err := newCore(prog, cfg, opts, m)
+	if err != nil {
+		return nil, err
 	}
+	return &Engine{prog: prog, cfg: cfg, opts: opts, m: m, core: core}, nil
+}
+
+// loadMemory returns a fresh memory of the given size holding prog's
+// image.
+func loadMemory(prog *asm.Program, ram int) (*mem.Memory, error) {
+	m := mem.New(ram)
+	if err := prog.Load(m); err != nil {
+		return nil, fmt.Errorf("platform: %w", err)
+	}
+	return m, nil
+}
+
+// newCore builds a core for cfg over m, which already holds prog's
+// image: the text predecoded, superblocks armed at
+// cpu.DefaultSuperblockThreshold (DESIGN.md §17) and, for interval runs,
+// block-signature collection on. It is the one core builder behind
+// engines and replays alike.
+func newCore(prog *asm.Program, cfg config.Config, opts Options, m *mem.Memory) (*cpu.Core, error) {
 	core, err := cpu.New(cfg, m)
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
@@ -192,8 +193,11 @@ func newEngineOn(m *mem.Memory, prog *asm.Program, cfg config.Config, opts Optio
 	if err := core.LoadText(prog.TextBase, prog.TextWords()); err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
-	core.EnableSuperblocks(opts.SuperblockThreshold)
-	return &Engine{prog: prog, cfg: cfg, opts: opts, m: m, core: core}, nil
+	core.EnableSuperblocks(cpu.DefaultSuperblockThreshold)
+	if opts.IntervalInstructions > 0 {
+		core.EnableBlockVector(SignatureBuckets, signatureShift)
+	}
+	return core, nil
 }
 
 // Run executes the program once and returns its report.
@@ -213,8 +217,13 @@ func (e *Engine) Run() (*RunReport, error) {
 	)
 	switch {
 	case e.opts.IntervalInstructions > 0:
+		// A plain interval run is a replay that never switches.
+		s := stepper{core: core, opts: e.opts}
 		var err error
-		intervals, sampled, err = e.runIntervals()
+		sampled, err = s.run(func(iv Interval, _ bool) error {
+			intervals = append(intervals, iv)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +238,7 @@ func (e *Engine) Run() (*RunReport, error) {
 			return nil, fmt.Errorf("platform: %w", err)
 		}
 	}
-	e.foldSuperblockCounters()
+	foldSuperblocks(core, &e.lastSB)
 	return &RunReport{
 		Config:    e.cfg,
 		Stats:     core.Stats(),
@@ -243,22 +252,34 @@ func (e *Engine) Run() (*RunReport, error) {
 	}, nil
 }
 
-// runIntervals drives the run in IntervalInstructions-sized steps,
-// snapshotting the profile delta and the block-signature vector at every
-// boundary. Boundaries are exact instruction counts (core.RunFor stops
-// precisely at its target), so the same program produces the same
-// interval partition on every configuration. The loop adds no work to
-// the simulator's inner loop beyond the per-taken-CTI signature
-// increment — each step is a plain fast-path run to a nearer target.
-func (e *Engine) runIntervals() (intervals []Interval, sampled bool, err error) {
-	core := e.core
-	core.EnableBlockVector(SignatureBuckets, signatureShift)
-	every := e.opts.IntervalInstructions
-	sample := e.opts.SampleInstructions
-	var prev profiler.Stats
-	var prevIC, prevDC cache.Stats
+// stepper drives a run in IntervalInstructions-sized steps and cuts an
+// Interval (profile delta plus block-signature vector) at every
+// boundary. It is the one interval loop behind interval-profiled runs
+// and replays. Boundaries are exact instruction counts (core.RunFor
+// stops precisely at its target), so the same program produces the same
+// interval partition on every configuration, and a replay may swap the
+// running core at any boundary. The loop adds no work to the simulator's
+// inner loop beyond the per-taken-CTI signature increment: each step is
+// a plain fast-path run to a nearer target.
+type stepper struct {
+	core *cpu.Core
+	opts Options
+	// n counts the intervals cut so far; prev, prevIC and prevDC are the
+	// running core's counters at the last boundary.
+	n              int
+	prev           profiler.Stats
+	prevIC, prevDC cache.Stats
+}
+
+// run steps to the end of the program or the sample limit and reports
+// whether the sample limit ended it. visit receives every interval that
+// retired instructions, with more false for the final one; it may swap
+// the running core before returning. Reaching MaxInstructions is an
+// error.
+func (s *stepper) run(visit func(iv Interval, more bool) error) (sampled bool, err error) {
+	every, sample, limit := s.opts.IntervalInstructions, s.opts.SampleInstructions, s.opts.MaxInstructions
 	for {
-		done := prev.Instructions
+		done := s.prev.Instructions
 		// Clamp each step to every remaining bound: the sample limit and
 		// the runaway guard. Without the MaxInstructions clamp a huge (or
 		// overflowing) interval length would run unboundedly — the
@@ -267,36 +288,46 @@ func (e *Engine) runIntervals() (intervals []Interval, sampled bool, err error) 
 		if sample > 0 && step > sample-done {
 			step = sample - done
 		}
-		if step > e.opts.MaxInstructions-done {
-			step = e.opts.MaxInstructions - done
+		if step > limit-done {
+			step = limit - done
 		}
-		halted, err := core.RunFor(step)
+		halted, err := s.core.RunFor(step)
 		if err != nil {
-			return nil, false, fmt.Errorf("platform: %w", err)
+			return false, fmt.Errorf("platform: %w", err)
 		}
-		st, ic, dc := core.Stats(), core.ICacheStats(), core.DCacheStats()
-		if st.Instructions > prev.Instructions {
-			intervals = append(intervals, Interval{
-				Index:        len(intervals),
-				Instructions: st.Instructions - prev.Instructions,
-				Stats:        st.Sub(prev),
-				ICache:       ic.Sub(prevIC),
-				DCache:       dc.Sub(prevDC),
-				Signature:    core.TakeBlockVector(),
-			})
+		st := s.core.Stats()
+		sampled = !halted && sample > 0 && st.Instructions >= sample
+		if !halted && !sampled && st.Instructions >= limit {
+			return false, fmt.Errorf("platform: instruction limit %d reached at pc %#08x", limit, s.core.PC())
 		}
-		prev, prevIC, prevDC = st, ic, dc
-		if halted {
-			return intervals, false, nil
+		if st.Instructions > done {
+			ic, dc := s.core.ICacheStats(), s.core.DCacheStats()
+			iv := Interval{
+				Index:        s.n,
+				Instructions: st.Instructions - done,
+				Stats:        st.Sub(s.prev),
+				ICache:       ic.Sub(s.prevIC),
+				DCache:       dc.Sub(s.prevDC),
+				Signature:    s.core.TakeBlockVector(),
+			}
+			s.n++
+			s.prev, s.prevIC, s.prevDC = st, ic, dc
+			if err := visit(iv, !halted && !sampled); err != nil {
+				return false, err
+			}
 		}
-		if sample > 0 && st.Instructions >= sample {
-			return intervals, true, nil
-		}
-		if st.Instructions >= e.opts.MaxInstructions {
-			return nil, false, fmt.Errorf("platform: instruction limit %d reached at pc %#08x",
-				e.opts.MaxInstructions, core.PC())
+		if halted || sampled {
+			return sampled, nil
 		}
 	}
+}
+
+// swap hands the run to core, which has adopted the running core's
+// architectural state. Its caches start cold, so their watermarks
+// restart at zero.
+func (s *stepper) swap(core *cpu.Core) {
+	s.core = core
+	s.prevIC, s.prevDC = cache.Stats{}, cache.Stats{}
 }
 
 // Engine/memory pools. Engines are reused for repeated identical
@@ -312,11 +343,11 @@ type engineKey struct {
 	maxI     uint64
 	sample   uint64
 	interval uint64
-	// sb is the resolved superblock threshold. It cannot change results,
-	// but a pooled engine carries compiled superblocks, so mixing modes
-	// under one key would misattribute the wall-clock cost each mode is
-	// being measured against.
-	sb int
+}
+
+func keyOf(prog *asm.Program, cfg config.Config, opts Options) engineKey {
+	return engineKey{prog: prog, cfg: cfg, ram: opts.RAMBytes, maxI: opts.MaxInstructions,
+		sample: opts.SampleInstructions, interval: opts.IntervalInstructions}
 }
 
 type memKey struct {
@@ -412,9 +443,7 @@ func PoolSnapshot() PoolStats {
 }
 
 func acquireEngine(prog *asm.Program, cfg config.Config, opts Options) (*Engine, error) {
-	ek := engineKey{prog: prog, cfg: cfg, ram: opts.RAMBytes, maxI: opts.MaxInstructions,
-		sample: opts.SampleInstructions, interval: opts.IntervalInstructions,
-		sb: opts.SuperblockThreshold}
+	ek := keyOf(prog, cfg, opts)
 	mk := memKey{prog: prog, ram: opts.RAMBytes}
 	pool.Lock()
 	if es := pool.engines[ek]; len(es) > 0 {
@@ -433,15 +462,13 @@ func acquireEngine(prog *asm.Program, cfg config.Config, opts Options) (*Engine,
 	pool.Unlock()
 	if m != nil {
 		m.RestoreSnapshot()
-		return newEngineOn(m, prog, cfg, opts, false)
+		return newEngine(m, prog, cfg, opts)
 	}
 	return NewEngine(prog, cfg, opts)
 }
 
 func releaseEngine(e *Engine) {
-	ek := engineKey{prog: e.prog, cfg: e.cfg, ram: e.opts.RAMBytes, maxI: e.opts.MaxInstructions,
-		sample: e.opts.SampleInstructions, interval: e.opts.IntervalInstructions,
-		sb: e.opts.SuperblockThreshold}
+	ek := keyOf(e.prog, e.cfg, e.opts)
 	pool.Lock()
 	defer pool.Unlock()
 	if pool.nEng < pool.maxEngines {

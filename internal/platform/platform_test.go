@@ -46,6 +46,42 @@ func TestRunSourceHelloWorld(t *testing.T) {
 	}
 }
 
+// hotLoopSource spins one loop far past the superblock compile heat.
+const hotLoopSource = `
+start:  set     100000, %g1
+loop:   subcc   %g1, 1, %g1
+        bne     loop
+        nop
+        clr     %o0
+        halt
+`
+
+// TestEnginesSpecializeByDefault: every core the platform builds arms
+// superblocks, so a plain run and a replay of a hot loop both enter
+// compiled plans. The test is serial because the counters are
+// process-wide.
+func TestEnginesSpecializeByDefault(t *testing.T) {
+	prog := mustAssemble(t, hotLoopSource)
+	hits := func() uint64 { return platform.Counters().SuperblockHits }
+
+	before := hits()
+	if _, err := platform.Run(prog, config.Default()); err != nil {
+		t.Fatal(err)
+	}
+	if hits() == before {
+		t.Error("platform.Run of a hot loop entered no superblock")
+	}
+
+	before = hits()
+	steps := []platform.ReplayStep{{Config: config.Default(), Intervals: -1}}
+	if _, err := platform.ReplaySchedule(prog, steps, platform.Options{IntervalInstructions: 10_000}); err != nil {
+		t.Fatal(err)
+	}
+	if hits() == before {
+		t.Error("ReplaySchedule of a hot loop entered no superblock")
+	}
+}
+
 func TestRunSourceAssemblyError(t *testing.T) {
 	if _, err := platform.RunSource("  bogus %g1\n", config.Default()); err == nil {
 		t.Error("assembly error should propagate")

@@ -25,7 +25,6 @@ import (
 	"liquidarch/internal/cache"
 	"liquidarch/internal/config"
 	"liquidarch/internal/cpu"
-	"liquidarch/internal/mem"
 	"liquidarch/internal/profiler"
 )
 
@@ -162,61 +161,30 @@ func ReplayOnline(prog *asm.Program, first config.Config, decide func(i int, iv 
 	return rep, nil
 }
 
-// newReplayCore builds a core for cfg over the already-loaded memory,
-// with signature collection on — the replay counterpart of newEngineOn.
-func newReplayCore(prog *asm.Program, cfg config.Config, opts Options, m *mem.Memory) (*cpu.Core, error) {
-	core, err := cpu.New(cfg, m)
-	if err != nil {
-		return nil, fmt.Errorf("platform: %w", err)
-	}
-	if err := core.LoadText(prog.TextBase, prog.TextWords()); err != nil {
-		return nil, fmt.Errorf("platform: %w", err)
-	}
-	core.EnableSuperblocks(opts.SuperblockThreshold)
-	core.EnableBlockVector(SignatureBuckets, signatureShift)
-	return core, nil
-}
-
-// foldCoreSuperblocks folds a replay core's whole superblock activity
-// into the process-wide counters (replay cores are fresh, so the delta
-// is the total).
-func foldCoreSuperblocks(core *cpu.Core) {
-	sb := core.SuperblockStats()
-	ctrSBCompiled.Add(sb.Compiled)
-	ctrSBHits.Add(sb.Hits)
-	ctrSBDeopts.Add(sb.Deopts)
-}
-
-// replayRun is the shared reconfiguring-run loop. It mirrors
-// Engine.runIntervals' stepping exactly — the same boundary grid, the
-// same sample and runaway clamps — and consults next at every live
-// boundary. Replay runs build a fresh memory per call (no pooling: a
-// mid-run reconfiguration leaves the core mid-program, which a pooled
-// engine's reset contract does not cover).
+// replayRun is the reconfiguring run behind both modes: the shared
+// interval stepper, consulting next at every live boundary. Replay runs
+// build a fresh memory per call (no pooling: a mid-run reconfiguration
+// leaves the core mid-program, which a pooled engine's reset contract
+// does not cover).
 func replayRun(prog *asm.Program, first config.Config, next nextFn, opts Options) (*ReplayReport, error) {
 	opts = opts.Normalized()
 	if opts.IntervalInstructions == 0 {
 		return nil, fmt.Errorf("platform: replay requires IntervalInstructions")
 	}
-	m := mem.New(opts.RAMBytes)
-	if err := prog.Load(m); err != nil {
-		return nil, fmt.Errorf("platform: %w", err)
+	m, err := loadMemory(prog, opts.RAMBytes)
+	if err != nil {
+		return nil, err
 	}
-	core, err := newReplayCore(prog, first, opts, m)
+	core, err := newCore(prog, first, opts, m)
 	if err != nil {
 		return nil, err
 	}
 	core.Reset(prog.Entry)
 
 	rep := &ReplayReport{IntervalInstructions: opts.IntervalInstructions}
-	every := opts.IntervalInstructions
-	sample := opts.SampleInstructions
-	curCfg := first
+	s := stepper{core: core, opts: opts}
 	seg := ReplaySegment{Config: first}
 	segEmpty := true
-	var prev profiler.Stats        // absolute profile at the last boundary
-	var prevIC, prevDC cache.Stats // current core's counters at the last boundary
-
 	closeSegment := func() {
 		if segEmpty {
 			return
@@ -225,88 +193,53 @@ func replayRun(prog *asm.Program, first config.Config, next nextFn, opts Options
 		rep.DCache.Add(seg.DCache)
 		rep.Segments = append(rep.Segments, seg)
 	}
-	finish := func(sampled bool) *ReplayReport {
-		closeSegment()
-		foldCoreSuperblocks(core)
-		rep.Stats = core.Stats()
-		rep.ExitCode = core.ExitCode()
-		rep.Checksum = core.Reg(9) // %o1
-		rep.Console = m.Console()
-		rep.Sampled = sampled
-		return rep
-	}
 
-	for {
-		done := prev.Instructions
-		step := every
-		if sample > 0 && step > sample-done {
-			step = sample - done
+	sampled, err := s.run(func(iv Interval, more bool) error {
+		if segEmpty {
+			seg.Start = iv.Index
+			segEmpty = false
 		}
-		if step > opts.MaxInstructions-done {
-			step = opts.MaxInstructions - done
-		}
-		halted, err := core.RunFor(step)
-		if err != nil {
-			return nil, fmt.Errorf("platform: %w", err)
-		}
-		st, ic, dc := core.Stats(), core.ICacheStats(), core.DCacheStats()
-		var iv Interval
-		live := st.Instructions > prev.Instructions
-		if live {
-			iv = Interval{
-				Index:        rep.Intervals,
-				Instructions: st.Instructions - prev.Instructions,
-				Stats:        st.Sub(prev),
-				ICache:       ic.Sub(prevIC),
-				DCache:       dc.Sub(prevDC),
-				Signature:    core.TakeBlockVector(),
-			}
-			rep.Intervals++
-			if segEmpty {
-				seg.Start = iv.Index
-				segEmpty = false
-			}
-			seg.End = iv.Index
-			seg.Instructions += iv.Instructions
-			seg.Stats.Add(iv.Stats)
-			seg.ICache.Add(iv.ICache)
-			seg.DCache.Add(iv.DCache)
-			prev, prevIC, prevDC = st, ic, dc
-		}
-		if halted {
-			return finish(false), nil
-		}
-		if sample > 0 && st.Instructions >= sample {
-			return finish(true), nil
-		}
-		if st.Instructions >= opts.MaxInstructions {
-			return nil, fmt.Errorf("platform: instruction limit %d reached at pc %#08x",
-				opts.MaxInstructions, core.PC())
-		}
-		if !live {
-			continue
+		seg.End = iv.Index
+		seg.Instructions += iv.Instructions
+		seg.Stats.Add(iv.Stats)
+		seg.ICache.Add(iv.ICache)
+		seg.DCache.Add(iv.DCache)
+		if !more {
+			return nil
 		}
 		cfg, cut := next(iv.Index, iv)
-		if cfg != curCfg {
+		switch {
+		case cfg != seg.Config:
 			closeSegment()
-			foldCoreSuperblocks(core)
-			nc, err := newReplayCore(prog, cfg, opts, m)
+			nc, err := newCore(prog, cfg, opts, m)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if err := nc.AdoptArchState(core); err != nil {
-				return nil, fmt.Errorf("platform: %w", err)
+			if err := nc.AdoptArchState(s.core); err != nil {
+				return fmt.Errorf("platform: %w", err)
 			}
-			core = nc
-			curCfg = cfg
-			prevIC, prevDC = cache.Stats{}, cache.Stats{}
+			foldSuperblocks(s.core, new(cpu.SuperblockStats)) // each replay core folds once
+			s.swap(nc)
 			seg = ReplaySegment{Index: len(rep.Segments), Config: cfg, Switched: true}
 			segEmpty = true
 			rep.Switches++
-		} else if cut {
+		case cut:
 			closeSegment()
 			seg = ReplaySegment{Index: len(rep.Segments), Config: cfg}
 			segEmpty = true
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	closeSegment()
+	foldSuperblocks(s.core, new(cpu.SuperblockStats))
+	rep.Intervals = s.n
+	rep.Stats = s.core.Stats()
+	rep.ExitCode = s.core.ExitCode()
+	rep.Checksum = s.core.Reg(9) // %o1
+	rep.Console = m.Console()
+	rep.Sampled = sampled
+	return rep, nil
 }

@@ -67,7 +67,9 @@ func checkSegmentSums(t *testing.T, rep *platform.ReplayReport) {
 // TestReplaySameConfigEquivalence: a replay whose every step names the
 // same configuration performs no reconfiguration, so its outcome must
 // be byte-identical to a plain interval-profiled run — the anchor that
-// pins replay stepping to the production interval loop.
+// pins replay stepping to the production interval loop. The inputs cover
+// one segment per interval, a sample limit that ends mid-interval and a
+// runaway limit, which must fail on both paths.
 func TestReplaySameConfigEquivalence(t *testing.T) {
 	prog := assembleApp(t, "arith", workload.Tiny)
 	cfg := config.Default()
@@ -76,30 +78,69 @@ func TestReplaySameConfigEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, steps := range [][]platform.ReplayStep{
-		{{Config: cfg, Intervals: -1}},
-		{{Config: cfg, Intervals: 2}, {Config: cfg, Intervals: 1}, {Config: cfg, Intervals: -1}},
+	perInterval := make([]platform.ReplayStep, len(plain.Intervals))
+	for i := range perInterval {
+		perInterval[i] = platform.ReplayStep{Config: cfg, Intervals: 1}
+	}
+	perInterval[len(perInterval)-1].Intervals = -1
+	sampled := opts
+	sampled.SampleInstructions = 3*opts.IntervalInstructions + 1_234
+	runaway := opts
+	runaway.MaxInstructions = plain.Stats.Instructions / 2
+
+	for _, tc := range []struct {
+		name  string
+		steps []platform.ReplayStep
+		opts  platform.Options
+		fails bool
+	}{
+		{"one step", []platform.ReplayStep{{Config: cfg, Intervals: -1}}, opts, false},
+		{"three steps", []platform.ReplayStep{{Config: cfg, Intervals: 2}, {Config: cfg, Intervals: 1}, {Config: cfg, Intervals: -1}}, opts, false},
+		{"step per interval", perInterval, opts, false},
+		{"sample mid-interval", []platform.ReplayStep{{Config: cfg, Intervals: 2}, {Config: cfg, Intervals: -1}}, sampled, false},
+		{"runaway", []platform.ReplayStep{{Config: cfg, Intervals: -1}}, runaway, true},
 	} {
-		rep, err := platform.ReplaySchedule(prog, steps, opts)
-		if err != nil {
-			t.Fatal(err)
+		want, wantErr := platform.RunWith(prog, cfg, tc.opts)
+		rep, err := platform.ReplaySchedule(prog, tc.steps, tc.opts)
+		if tc.fails {
+			if wantErr == nil || err == nil {
+				t.Errorf("%s: plain run error %v, replay error %v; want both to fail", tc.name, wantErr, err)
+			}
+			continue
+		}
+		if wantErr != nil || err != nil {
+			t.Fatalf("%s: plain run error %v, replay error %v", tc.name, wantErr, err)
+		}
+		if tc.opts.SampleInstructions > 0 && !rep.Sampled {
+			t.Errorf("%s: the sample limit did not truncate the run", tc.name)
 		}
 		if rep.Switches != 0 {
-			t.Errorf("same-config replay performed %d switches", rep.Switches)
+			t.Errorf("%s: same-config replay performed %d switches", tc.name, rep.Switches)
 		}
-		if rep.Stats != plain.Stats || rep.ICache != plain.ICache || rep.DCache != plain.DCache {
-			t.Errorf("same-config replay diverged from plain run:\nreplay %+v\nplain  %+v", rep.Stats, plain.Stats)
+		if rep.Stats != want.Stats || rep.ICache != want.ICache || rep.DCache != want.DCache {
+			t.Errorf("%s: same-config replay diverged from plain run:\nreplay %+v\nplain  %+v", tc.name, rep.Stats, want.Stats)
 		}
-		if rep.ExitCode != plain.ExitCode || rep.Checksum != plain.Checksum || rep.Console != plain.Console {
-			t.Errorf("same-config replay architectural results diverged")
+		if rep.ExitCode != want.ExitCode || rep.Checksum != want.Checksum || rep.Console != want.Console || rep.Sampled != want.Sampled {
+			t.Errorf("%s: same-config replay architectural results diverged", tc.name)
 		}
-		if rep.Intervals != len(plain.Intervals) {
-			t.Errorf("replay saw %d intervals, plain run %d", rep.Intervals, len(plain.Intervals))
+		if rep.Intervals != len(want.Intervals) {
+			t.Errorf("%s: replay saw %d intervals, plain run %d", tc.name, rep.Intervals, len(want.Intervals))
 		}
-		if len(steps) > 1 && len(rep.Segments) != len(steps) {
-			t.Errorf("expected %d segments (one per step), got %d", len(steps), len(rep.Segments))
+		if len(tc.steps) > 1 && len(rep.Segments) != len(tc.steps) {
+			t.Errorf("%s: expected %d segments (one per step), got %d", tc.name, len(tc.steps), len(rep.Segments))
 		}
 		checkSegmentSums(t, rep)
+	}
+	rep, err := platform.ReplaySchedule(prog, perInterval, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seg := range rep.Segments {
+		iv := plain.Intervals[i]
+		if seg.Start != i || seg.End != i || seg.Instructions != iv.Instructions ||
+			seg.Stats != iv.Stats || seg.ICache != iv.ICache || seg.DCache != iv.DCache {
+			t.Errorf("segment %d diverged from plain interval %d:\nsegment %+v\ninterval %+v", i, i, seg, iv)
+		}
 	}
 }
 

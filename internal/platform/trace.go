@@ -96,9 +96,9 @@ func (t *Trace) Time(cfg config.Config) (rep *RunReport, ok bool) {
 	if ref.Intervals == nil {
 		return rep, true
 	}
-	// runIntervals cuts once per step and keeps the steps that retired
-	// instructions; the partition is functional, so the kept cuts are
-	// the recording run's intervals one for one.
+	// The interval stepper cuts once per step and keeps the steps that
+	// retired instructions; the partition is functional, so the kept cuts
+	// are the recording run's intervals one for one.
 	rep.Intervals = make([]Interval, 0, len(ref.Intervals))
 	var prev cpu.Snapshot
 	for _, s := range snaps {

@@ -21,7 +21,7 @@ func newFabricWorker(t *testing.T) (*countingProvider, *httptest.Server) {
 	t.Helper()
 	counting := &countingProvider{inner: measure.Simulator{}}
 	w := fabric.NewWorker(measure.NewCache(counting, 256), 4)
-	s := serve.New(serve.Options{Workers: 1, Worker: w, CacheEntries: 16})
+	s := serve.New(serve.Options{Workers: 1, Worker: w, Provider: measure.NewCache(measure.Simulator{}, 16)})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -272,7 +272,7 @@ func TestWorkerEndpointRegistersAndExpires(t *testing.T) {
 // reports in item order.
 func TestBatchOneModelBuild(t *testing.T) {
 	t.Parallel()
-	s := serve.New(serve.Options{Workers: 1, CacheEntries: 512})
+	s := serve.New(serve.Options{Workers: 1, Provider: measure.NewCache(measure.Simulator{}, 512)})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
 		ts.Close()

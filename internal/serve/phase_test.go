@@ -10,7 +10,6 @@ import (
 
 	"liquidarch/internal/config"
 	"liquidarch/internal/core"
-	"liquidarch/internal/progs"
 	"liquidarch/internal/serve"
 	"liquidarch/internal/workload"
 )
@@ -38,10 +37,13 @@ func TestPhaseJobMatchesCLI(t *testing.T) {
 	}
 
 	// The same tuning, in process.
-	b, _ := progs.ByName("blastn")
-	tuner := &core.Tuner{Space: config.DcacheGeometrySpace(), Scale: workload.Tiny}
-	want, err := tuner.TunePhases(context.Background(), b, core.Weights{W1: 100, W2: 1},
-		core.PhaseOptions{IntervalInstructions: 20_000})
+	want, err := core.NewSession(core.SessionOptions{}).Tune(context.Background(), core.Request{
+		App:     "blastn",
+		Scale:   workload.Tiny,
+		Space:   config.DcacheGeometrySpace(),
+		Weights: core.Weights{W1: 100, W2: 1},
+		Phases:  &core.PhaseOptions{IntervalInstructions: 20_000},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

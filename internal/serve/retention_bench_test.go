@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"testing"
+
+	"liquidarch/internal/measure"
 )
 
 // BenchmarkSubmitAtRetentionCap times one warm submission, submit to
@@ -13,7 +15,7 @@ import (
 func BenchmarkSubmitAtRetentionCap(b *testing.B) {
 	for _, retain := range []int{1024, 8192} {
 		b.Run(fmt.Sprintf("retain=%d", retain), func(b *testing.B) {
-			s := New(Options{Workers: 2, CacheEntries: 256, RetainJobs: retain})
+			s := New(Options{Workers: 2, Provider: measure.NewCache(measure.Simulator{}, 256), RetainJobs: retain})
 			defer s.Close()
 			req := JobRequest{App: "arith", Scale: "tiny", Space: "dcache"}
 			run := func() {

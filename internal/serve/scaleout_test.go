@@ -276,7 +276,7 @@ func TestDedupCancelAllStopsExecution(t *testing.T) {
 // verifies the dropped counter.
 func TestRetentionDropsOldTerminalJobs(t *testing.T) {
 	t.Parallel()
-	s := serve.New(serve.Options{Workers: 1, CacheEntries: 256, RetainJobs: 2})
+	s := serve.New(serve.Options{Workers: 1, Provider: measure.NewCache(measure.Simulator{}, 256), RetainJobs: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
 		ts.Close()

@@ -14,14 +14,13 @@ import (
 	"liquidarch/internal/config"
 	"liquidarch/internal/core"
 	"liquidarch/internal/measure"
-	"liquidarch/internal/progs"
 	"liquidarch/internal/serve"
 	"liquidarch/internal/workload"
 )
 
 func newTestServer(t *testing.T) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	s := serve.New(serve.Options{Workers: 2, CacheEntries: 256})
+	s := serve.New(serve.Options{Workers: 2, Provider: measure.NewCache(measure.Simulator{}, 256)})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -128,16 +127,17 @@ func TestTuneOverHTTPMatchesCLI(t *testing.T) {
 	}
 
 	// The same tuning, in process.
-	b, _ := progs.ByName("arith")
-	tuner := &core.Tuner{Space: config.DcacheGeometrySpace(), Scale: workload.Tiny}
-	model, err := tuner.BuildModel(context.Background(), b)
+	rep, err := core.NewSession(core.SessionOptions{}).Tune(context.Background(), core.Request{
+		App:            "arith",
+		Scale:          workload.Tiny,
+		Space:          config.DcacheGeometrySpace(),
+		Weights:        core.Weights{W1: w1, W2: w2},
+		SkipValidation: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := tuner.RecommendFromModel(model, core.Weights{W1: w1, W2: w2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	model, rec := rep.Artifacts.Model, rep.Artifacts.Recommendation
 	if got, want := st.Result.Recommendation.Config, rec.Config.String(); got != want {
 		t.Errorf("HTTP-tuned config:\n%s\nCLI-tuned config:\n%s", got, want)
 	}
@@ -212,7 +212,7 @@ func TestJobsShareOneCache(t *testing.T) {
 func TestCancelQueuedJob(t *testing.T) {
 	t.Parallel()
 	// One worker, and occupy it with a long job so the second queues.
-	s := serve.New(serve.Options{Workers: 1, CacheEntries: 256})
+	s := serve.New(serve.Options{Workers: 1, Provider: measure.NewCache(measure.Simulator{}, 256)})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
 		ts.Close()

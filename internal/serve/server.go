@@ -97,11 +97,8 @@ type Options struct {
 	// a bulk flood cannot starve interactive admissions.
 	BulkQueueDepth int
 	// Provider is the shared measurement provider; nil builds a bounded
-	// cache over the simulator with CacheEntries entries.
+	// cache over the simulator with measure.DefaultCacheEntries entries.
 	Provider measure.Provider
-	// CacheEntries sizes the default provider's cache (ignored when
-	// Provider is set; <= 0 means measure.DefaultCacheEntries).
-	CacheEntries int
 	// Store, when set, is reported under /v1/metrics. It does not alter
 	// the provider stack — wire the store into Provider explicitly.
 	Store *measure.Store
@@ -116,11 +113,6 @@ type Options struct {
 	// ModelCacheEntries bounds the session's shared model layer
 	// (<= 0 means core.DefaultModelCacheEntries).
 	ModelCacheEntries int
-	// SuperblockThreshold retunes the process-wide superblock default
-	// (platform.SetDefaultTuning) when nonzero: the compilation heat, or
-	// a negative value to disable. It never changes any measured result
-	// — only how fast the daemon produces it.
-	SuperblockThreshold int
 	// ModelStore, when set, is the durable model tier: completed model
 	// sets spill there and model-cache misses try it before rebuilding,
 	// so a restarted (or sibling) replica serves a previously modeled
@@ -388,13 +380,10 @@ func New(opts Options) *Server {
 	if opts.BulkQueueDepth <= 0 {
 		opts.BulkQueueDepth = opts.QueueDepth
 	}
-	if opts.SuperblockThreshold != 0 {
-		platform.SetDefaultTuning(opts.SuperblockThreshold)
-	}
 	provider := opts.Provider
 	var cache *measure.Cache
 	if provider == nil {
-		cache = measure.NewCache(measure.Simulator{}, opts.CacheEntries)
+		cache = measure.NewCache(measure.Simulator{}, measure.DefaultCacheEntries)
 		provider = cache
 	} else if c, ok := provider.(*measure.Cache); ok {
 		cache = c

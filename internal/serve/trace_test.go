@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"liquidarch/internal/measure"
 	"liquidarch/internal/obs"
 	"liquidarch/internal/serve"
 )
@@ -186,7 +187,7 @@ func TestSlowJobLog(t *testing.T) {
 	var lines []string
 	s := serve.New(serve.Options{
 		Workers:          1,
-		CacheEntries:     64,
+		Provider:         measure.NewCache(measure.Simulator{}, 64),
 		SlowJobThreshold: time.Nanosecond,
 		Logf: func(format string, args ...any) {
 			mu.Lock()
