@@ -403,10 +403,32 @@ func benchmarkSessionTune(b *testing.B, warmStore, warmArtifact bool) {
 	}
 }
 
+// benchmarkSessionTuneWarm prices the fourth temperature, the warm
+// daemon's request: one session whose model layer already holds the
+// full-space model, so a plain request formulates the objective, solves,
+// decodes and validates from the measurement cache — no simulation and
+// no model build. It is the in-process layer under perfbench's
+// warm-serve workload, without the HTTP and JSON around it.
+func benchmarkSessionTuneWarm(b *testing.B) {
+	ctx := context.Background()
+	req := core.Request{App: "blastn", Scale: workload.Tiny}
+	sess := core.NewSession(core.SessionOptions{Provider: measure.NewCache(measure.Simulator{}, 256)})
+	if _, err := sess.Tune(ctx, req); err != nil {
+		b.Fatal(err) // untimed: builds the model the timed requests reuse
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := sess.Tune(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSessionTune(b *testing.B) {
 	b.Run("cold", func(b *testing.B) { benchmarkSessionTune(b, false, false) })
 	b.Run("warm-store", func(b *testing.B) { benchmarkSessionTune(b, true, false) })
 	b.Run("warm-artifact", func(b *testing.B) { benchmarkSessionTune(b, false, true) })
+	b.Run("warm", benchmarkSessionTuneWarm)
 }
 
 // BenchmarkScheduleReplay prices the conformance loop: the incremental

@@ -38,6 +38,17 @@
 // decision, and with it the node count, the objective bits and the
 // assignment, is that of a term-by-term scan. TestSolveMatchesRecordedSearch
 // pins the search on the 40 problems of the perfbench request grid.
+//
+// # Compiled constraints
+//
+// Every solve reads a constraint through its compiled left-hand side:
+// each linear form flattened to terms sorted by variable. A caller that
+// solves one constraint set many times — core.Model.Formulate does, once
+// per weighting — calls Constraint.Compile once; copies of the compiled
+// constraint share those forms and carry their own Name and Bound, so a
+// solve compiles nothing. An uncompiled constraint is compiled per solve.
+// Both paths sum in the same order, so they explore the same search.
+// Validation range-checks each constraint from its compiled forms.
 package binlp
 
 import (
@@ -94,9 +105,8 @@ func (f LinearForm) Eval(x []bool) float64 {
 }
 
 // compiledForm is a LinearForm flattened to sorted term slices: the
-// representation the solver's hot loops evaluate. Compiling once per
-// Solve removes both the map-iteration nondeterminism and the per-node
-// map overhead.
+// representation the solver's hot loops evaluate. Compiling removes both
+// the map-iteration nondeterminism and the per-node map overhead.
 type compiledForm struct {
 	terms []term
 	konst float64
@@ -127,11 +137,35 @@ type Constraint struct {
 	Linear   LinearForm
 	Products []ProductTerm
 	Bound    float64
+
+	// lhs is the compiled left-hand side Compile keeps; copies of the
+	// constraint share it.
+	lhs *compiledLHS
+}
+
+// Compile flattens the constraint's left-hand side — Linear and both
+// factors of every product — into sorted term slices and keeps them, so
+// every later Solve, Validate and Eval reuses them instead of
+// recompiling the coefficient maps. Compile freezes the left-hand side:
+// Linear and Products must not change afterwards. A copy of a compiled
+// constraint (c2 := *c) shares the compiled forms and owns its Name and
+// Bound, which is how one precompiled formulation hands each caller
+// constraints it may re-bound. Compile before sharing the constraint
+// between goroutines; the compiled forms are read-only after that.
+func (c *Constraint) Compile() { c.lhs = compileLHS(c) }
+
+// compiled returns the constraint's compiled left-hand side, compiling
+// a fresh one when Compile has not run.
+func (c *Constraint) compiled() *compiledLHS {
+	if c.lhs != nil {
+		return c.lhs
+	}
+	return compileLHS(c)
 }
 
 // Eval computes the left-hand side on a complete assignment.
 func (c *Constraint) Eval(x []bool) float64 {
-	return compileConstraint(c).eval(x)
+	return c.compiled().eval(x)
 }
 
 // Satisfied reports whether the constraint holds on a complete assignment.
@@ -139,35 +173,44 @@ func (c *Constraint) Satisfied(x []bool) bool {
 	return c.Eval(x) <= c.Bound+1e-9
 }
 
-// compiledConstraint is a Constraint with every form compiled.
-type compiledConstraint struct {
+// compiledLHS is a constraint's left-hand side with every form
+// compiled, and the range of variables its terms touch. It holds no
+// bound, so constraints with different bounds can share one.
+type compiledLHS struct {
 	linear   compiledForm
-	products []struct{ a, b compiledForm }
-	bound    float64
+	products []compiledProduct
+	lo, hi   int // smallest and largest term variable; MaxInt and MinInt when there are no terms
 }
 
-func compileConstraint(c *Constraint) *compiledConstraint {
-	cc := &compiledConstraint{
-		linear: compileForm(c.Linear),
-		bound:  c.Bound,
-	}
+type compiledProduct struct{ a, b compiledForm }
+
+func compileLHS(c *Constraint) *compiledLHS {
+	cc := &compiledLHS{linear: compileForm(c.Linear), lo: math.MaxInt, hi: math.MinInt}
 	for _, p := range c.Products {
-		cc.products = append(cc.products,
-			struct{ a, b compiledForm }{compileForm(p.A), compileForm(p.B)})
+		cc.products = append(cc.products, compiledProduct{compileForm(p.A), compileForm(p.B)})
+	}
+	cc.span(cc.linear)
+	for _, p := range cc.products {
+		cc.span(p.a)
+		cc.span(p.b)
 	}
 	return cc
 }
 
-func (c *compiledConstraint) eval(x []bool) float64 {
+// span widens [lo, hi] to the variables of f, whose terms are sorted.
+func (c *compiledLHS) span(f compiledForm) {
+	if len(f.terms) > 0 {
+		c.lo = min(c.lo, f.terms[0].i)
+		c.hi = max(c.hi, f.terms[len(f.terms)-1].i)
+	}
+}
+
+func (c *compiledLHS) eval(x []bool) float64 {
 	v := c.linear.eval(x)
 	for _, p := range c.products {
 		v += p.a.eval(x) * p.b.eval(x)
 	}
 	return v
-}
-
-func (c *compiledConstraint) satisfied(x []bool) bool {
-	return c.eval(x) <= c.bound+1e-9
 }
 
 // Problem is a complete BINLP instance.
@@ -186,42 +229,40 @@ type Problem struct {
 
 // Validate checks structural soundness.
 func (p *Problem) Validate() error {
+	_, err := p.compile()
+	return err
+}
+
+// compile validates the problem and returns every constraint's compiled
+// left-hand side, compiling those that Compile has not. A constraint's
+// variables are range-checked from its compiled forms.
+func (p *Problem) compile() ([]*compiledLHS, error) {
 	if len(p.Cost) != p.N {
-		return fmt.Errorf("binlp: %d costs for %d variables", len(p.Cost), p.N)
+		return nil, fmt.Errorf("binlp: %d costs for %d variables", len(p.Cost), p.N)
 	}
 	seen := make([]bool, p.N)
 	for gi, g := range p.Groups {
 		if len(g) == 0 {
-			return fmt.Errorf("binlp: group %d is empty", gi)
+			return nil, fmt.Errorf("binlp: group %d is empty", gi)
 		}
 		for _, i := range g {
 			if i < 0 || i >= p.N {
-				return fmt.Errorf("binlp: group %d has variable %d out of range", gi, i)
+				return nil, fmt.Errorf("binlp: group %d has variable %d out of range", gi, i)
 			}
 			if seen[i] {
-				return fmt.Errorf("binlp: variable %d appears in two groups", i)
+				return nil, fmt.Errorf("binlp: variable %d appears in two groups", i)
 			}
 			seen[i] = true
 		}
 	}
-	outside := func(f LinearForm) bool {
-		for i := range f.Coeffs {
-			if i < 0 || i >= p.N {
-				return true
-			}
-		}
-		return false
-	}
-	for _, c := range p.Constraints {
-		bad := outside(c.Linear)
-		for _, pt := range c.Products {
-			bad = bad || outside(pt.A) || outside(pt.B)
-		}
-		if bad {
-			return fmt.Errorf("binlp: constraint %q has a variable out of range", c.Name)
+	lhs := make([]*compiledLHS, len(p.Constraints))
+	for ci, c := range p.Constraints {
+		lhs[ci] = c.compiled()
+		if lhs[ci].lo < 0 || lhs[ci].hi >= p.N {
+			return nil, fmt.Errorf("binlp: constraint %q has a variable out of range", c.Name)
 		}
 	}
-	return nil
+	return lhs, nil
 }
 
 // Solution is the solver's result.
@@ -248,11 +289,12 @@ type Options struct {
 // bounds (see the package comment).
 type solver struct {
 	p          *Problem
-	members    []int // every variable once, grouped; cheapest first within a group
-	groupStart []int // group gi is members[groupStart[gi]:groupStart[gi+1]]
-	formStart  []int // constraint ci owns forms formStart[ci]..formStart[ci+1]-1
-	occStart   []int // variable i occurs as occ[occStart[i]:occStart[i+1]]
-	checks     []int // depth gi re-checks constraints checks[checkStart[gi]:checkStart[gi+1]]
+	lhs        []*compiledLHS // constraint ci's compiled left-hand side
+	members    []int          // every variable once, grouped; cheapest first within a group
+	groupStart []int          // group gi is members[groupStart[gi]:groupStart[gi+1]]
+	formStart  []int          // constraint ci owns forms formStart[ci]..formStart[ci+1]-1
+	occStart   []int          // variable i occurs as occ[occStart[i]:occStart[i+1]]
+	checks     []int          // depth gi re-checks constraints checks[checkStart[gi]:checkStart[gi+1]]
 	checkStart []int
 	occ        []occurrence
 	suffix     []float64  // suffix[gi]: objective lower bound of groups gi..end
@@ -285,10 +327,11 @@ type occurrence struct {
 // must be feasible (it is for the paper's formulation — the base
 // configuration); if it is not, Solve returns an error.
 func Solve(p *Problem, opts Options) (*Solution, error) {
-	if err := p.Validate(); err != nil {
+	lhs, err := p.compile()
+	if err != nil {
 		return nil, err
 	}
-	s := newSolver(p, opts)
+	s := newSolver(p, lhs, opts)
 
 	// Incumbent: the all-zero assignment, where best, bestObj and bestSel
 	// start. At the last depth nothing is undecided and the still-zero
@@ -310,12 +353,12 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	}, nil
 }
 
-// newSolver lays out the search tables of a validated problem: the
-// normalised, ordered groups, the occurrence lists, the per-depth check
-// lists, the suffix tables and the per-depth rows, each in one backing
-// slice sized from the problem.
-func newSolver(p *Problem, opts Options) *solver {
-	s := &solver{p: p, maxNodes: opts.MaxNodes, complete: true}
+// newSolver lays out the search tables of a validated problem with its
+// compiled constraints: the normalised, ordered groups, the occurrence
+// lists, the per-depth check lists, the suffix tables and the per-depth
+// rows, each in one backing slice sized from the problem.
+func newSolver(p *Problem, lhs []*compiledLHS, opts Options) *solver {
+	s := &solver{p: p, lhs: lhs, maxNodes: opts.MaxNodes, complete: true}
 	if s.maxNodes == 0 {
 		s.maxNodes = 10_000_000
 	}
@@ -387,29 +430,28 @@ func newSolver(p *Problem, opts Options) *solver {
 
 	// Number the forms and count every variable's occurrences.
 	nf := 0
-	for ci, c := range p.Constraints {
+	for ci, c := range s.lhs {
 		s.formStart[ci] = nf
-		nf += 1 + 2*len(c.Products)
+		nf += 1 + 2*len(c.products)
 	}
 	s.formStart[nc] = nf
 	s.nforms = nf
-	s.eachForm(func(_ int, lf *LinearForm) {
-		for i := range lf.Coeffs {
-			s.occStart[i+1]++
+	s.eachForm(func(_ int, cf *compiledForm) {
+		for _, t := range cf.terms {
+			s.occStart[t.i+1]++
 		}
 	})
 	for i := 0; i < n; i++ {
 		s.occStart[i+1] += s.occStart[i]
 	}
 	// Fill the lists form by form, so each variable's list is in form
-	// order whatever the coefficient maps' iteration order. occStart[i]
-	// serves as variable i's fill cursor and ends at i+1's start, so one
-	// shift restores the starts.
+	// order. occStart[i] serves as variable i's fill cursor and ends at
+	// i+1's start, so one shift restores the starts.
 	s.occ = make([]occurrence, s.occStart[n])
-	s.eachForm(func(f int, lf *LinearForm) {
-		for i, c := range lf.Coeffs {
-			s.occ[s.occStart[i]] = occurrence{form: f, c: c}
-			s.occStart[i]++
+	s.eachForm(func(f int, cf *compiledForm) {
+		for _, t := range cf.terms {
+			s.occ[s.occStart[t.i]] = occurrence{form: f, c: t.c}
+			s.occStart[t.i]++
 		}
 	})
 	copy(s.occStart[1:], s.occStart[:n])
@@ -445,8 +487,8 @@ func newSolver(p *Problem, opts Options) *solver {
 	floats := make([]float64, depths+depths*nf)
 	s.suffix, s.rows = floats[:depths:depths], floats[depths:]
 	last := s.ext[s.ngroups*nf:]
-	s.eachForm(func(f int, lf *LinearForm) {
-		last[f] = interval{lf.Const, lf.Const}
+	s.eachForm(func(f int, cf *compiledForm) {
+		last[f] = interval{cf.konst, cf.konst}
 	})
 	for gi := s.ngroups - 1; gi >= 0; gi-- {
 		s.suffix[gi] = s.suffix[gi+1] + spans[gi].minCost
@@ -465,14 +507,15 @@ func newSolver(p *Problem, opts Options) *solver {
 	return s
 }
 
-// eachForm visits every form of every constraint with its number.
-func (s *solver) eachForm(visit func(f int, lf *LinearForm)) {
-	for ci, c := range s.p.Constraints {
+// eachForm visits every compiled form of every constraint with its
+// number.
+func (s *solver) eachForm(visit func(f int, cf *compiledForm)) {
+	for ci, c := range s.lhs {
 		f := s.formStart[ci]
-		visit(f, &c.Linear)
-		for k := range c.Products {
-			visit(f+1+2*k, &c.Products[k].A)
-			visit(f+2+2*k, &c.Products[k].B)
+		visit(f, &c.linear)
+		for k := range c.products {
+			visit(f+1+2*k, &c.products[k].a)
+			visit(f+2+2*k, &c.products[k].b)
 		}
 	}
 }
@@ -569,7 +612,8 @@ func (s *solver) branch(gi int, partial float64) {
 // on small instances). It returns the optimum and the number of complete
 // assignments examined.
 func BruteForce(p *Problem) (*Solution, error) {
-	if err := p.Validate(); err != nil {
+	cons, err := p.compile()
+	if err != nil {
 		return nil, err
 	}
 	inGroup := make([]bool, p.N)
@@ -585,10 +629,6 @@ func BruteForce(p *Problem) (*Solution, error) {
 			groups = append(groups, []int{i})
 		}
 	}
-	var cons []*compiledConstraint
-	for _, c := range p.Constraints {
-		cons = append(cons, compileConstraint(c))
-	}
 	x := make([]bool, p.N)
 	best := make([]bool, p.N)
 	bestObj := math.Inf(1)
@@ -597,8 +637,8 @@ func BruteForce(p *Problem) (*Solution, error) {
 	rec = func(gi int, obj float64) {
 		if gi == len(groups) {
 			count++
-			for _, c := range cons {
-				if !c.satisfied(x) {
+			for k, c := range cons {
+				if c.eval(x) > p.Constraints[k].Bound+1e-9 {
 					return
 				}
 			}

@@ -176,6 +176,68 @@ func TestValidation(t *testing.T) {
 		if _, err := Solve(p, Options{}); err == nil {
 			t.Errorf("problem %d should fail validation", i)
 		}
+		// A compiled constraint is range-checked from its compiled forms.
+		for _, c := range p.Constraints {
+			c.Compile()
+		}
+		if _, err := Solve(p, Options{}); err == nil {
+			t.Errorf("problem %d should fail validation with its constraints compiled", i)
+		}
+	}
+}
+
+// TestCompiledConstraintCopiesOwnTheirBounds: copies of a compiled
+// constraint share its compiled left-hand side but each keeps its own
+// Name and Bound, and a compiled constraint solves exactly like the
+// uncompiled original.
+func TestCompiledConstraintCopiesOwnTheirBounds(t *testing.T) {
+	proto := &Constraint{Name: "budget", Bound: 5}
+	for i, c := range []float64{3, 2, 4, 1} {
+		proto.Linear.Add(i, c)
+	}
+	proto.Products = []ProductTerm{{
+		A: LinearForm{Coeffs: map[int]float64{0: 1, 1: 2}, Const: 1},
+		B: LinearForm{Coeffs: map[int]float64{2: 1, 3: 2}},
+	}}
+	problem := func(c *Constraint) *Problem {
+		return &Problem{N: 4, Cost: []float64{-4, -3, -2, -1}, Constraints: []*Constraint{c}}
+	}
+	uncompiled := *proto
+	want, err := Solve(problem(&uncompiled), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	proto.Compile()
+	tight := *proto
+	tight.Name, tight.Bound = "tight budget", 0
+	loose := *proto
+	for _, c := range []*Constraint{&tight, &loose} {
+		if c.lhs != proto.lhs {
+			t.Fatalf("%s: a copy must share the compiled left-hand side", c.Name)
+		}
+	}
+	if proto.Name != "budget" || proto.Bound != 5 || loose.Bound != 5 {
+		t.Fatalf("editing a copy changed another header: %+v / %+v", proto, loose)
+	}
+
+	got, err := Solve(problem(&loose), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Nodes != want.Nodes || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) || !slices.Equal(got.X, want.X) {
+		t.Errorf("compiled solve %+v, uncompiled %+v", got, want)
+	}
+	zero, err := Solve(problem(&tight), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Objective != 0 || slices.Contains(zero.X, true) {
+		t.Errorf("bound 0 admits only the base assignment, got %+v", zero)
+	}
+	x := []bool{true, false, true, true}
+	if a, b := loose.Eval(x), uncompiled.Eval(x); a != b {
+		t.Errorf("compiled Eval %g, uncompiled %g", a, b)
 	}
 }
 
@@ -507,7 +569,12 @@ func TestConstraintEvalAndBounds(t *testing.T) {
 		}, 1},
 	}
 	for _, tc := range cases {
-		s := newSolver(&Problem{N: 3, Cost: make([]float64, 3), Constraints: []*Constraint{tc.c}}, Options{})
+		p := &Problem{N: 3, Cost: make([]float64, 3), Constraints: []*Constraint{tc.c}}
+		lhs, err := p.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newSolver(p, lhs, Options{})
 		ext, row := s.depth(0)
 		lb := s.lowerBound(0, ext, row)
 		if lb != tc.want {
@@ -564,13 +631,22 @@ func loadRecordedSearches(tb testing.TB) []recordedSearch {
 // weightings, Small scale, the full 52-variable space) the solver must
 // explore exactly the recorded number of nodes and return the recorded
 // objective bits and assignment. A bound that prunes differently — even
-// to the same optimum — fails here.
+// to the same optimum — fails here. Each problem is solved twice: as
+// decoded, and with every constraint compiled, the way
+// core.Model.Formulate hands them out.
 func TestSolveMatchesRecordedSearch(t *testing.T) {
 	recs := loadRecordedSearches(t)
 	if len(recs) != 40 {
 		t.Fatalf("%d recorded problems, want 40", len(recs))
 	}
-	for _, r := range recs {
+	for i := range 2 * len(recs) {
+		r := recs[i%len(recs)]
+		if i >= len(recs) {
+			r.Name += " (compiled)"
+			for _, c := range r.Problem.Constraints {
+				c.Compile()
+			}
+		}
 		sol, err := Solve(r.Problem, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name, err)

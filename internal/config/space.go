@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
+	"sync"
 )
 
 // Group identifies a set of decision variables of which at most one may be
@@ -68,12 +70,17 @@ func (v Var) Apply(c Config) Config {
 
 // Space is an ordered collection of decision variables with their group
 // structure. The full paper space has 52 variables; restricted sub-spaces
-// (Section 5's dcache study) carry a subset.
+// (Section 5's dcache study) carry a subset. A Space is immutable once
+// built, so one value is safely shared by every request and goroutine.
 type Space struct {
 	vars []Var
+
+	fpOnce sync.Once
+	fp     string
 }
 
-// Vars returns the decision variables in index order.
+// Vars returns the decision variables in index order. The slice is the
+// space's own: callers must not modify it.
 func (s *Space) Vars() []Var { return s.vars }
 
 // Len returns the number of decision variables.
@@ -104,13 +111,18 @@ func (s *Space) ByName(name string) (Var, bool) {
 // spaces with the same fingerprint measure the same single-change
 // configurations and formulate the same constraints, which is what lets
 // a model cache key on it across independently constructed Space values
-// (FullSpace() allocates a fresh *Space per call).
+// (SpaceFromNames builds a new *Space for every sub-space it is asked
+// for). It is computed on first use and kept, since the space is
+// immutable.
 func (s *Space) Fingerprint() string {
-	h := sha256.New()
-	for _, v := range s.vars {
-		fmt.Fprintf(h, "%d:%s:%d\n", v.Index, v.Name, v.Group)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	s.fpOnce.Do(func() {
+		h := sha256.New()
+		for _, v := range s.vars {
+			fmt.Fprintf(h, "%d:%s:%d\n", v.Index, v.Name, v.Group)
+		}
+		s.fp = hex.EncodeToString(h.Sum(nil))
+	})
+	return s.fp
 }
 
 // Groups returns, for each group present in the space, the indices (into
@@ -150,8 +162,22 @@ func (s *Space) Decode(selected []bool) (Config, error) {
 }
 
 // FullSpace returns the complete 52-variable decision space of the paper's
-// Section 4, in x1..x52 order.
-func FullSpace() *Space {
+// Section 4, in x1..x52 order. Every call returns the same shared,
+// immutable *Space.
+func FullSpace() *Space { return fullSpace() }
+
+// DcacheGeometrySpace returns the restricted sub-space of Section 5's
+// near-optimality study: dcache number of sets (2,3,4) and set size
+// (1,2,8,16,32 KB) only — 8 variables, 2 groups. Every call returns the
+// same shared, immutable *Space.
+func DcacheGeometrySpace() *Space { return dcacheGeometrySpace() }
+
+var (
+	fullSpace           = sync.OnceValue(buildFullSpace)
+	dcacheGeometrySpace = sync.OnceValue(buildDcacheGeometrySpace)
+)
+
+func buildFullSpace() *Space {
 	var vars []Var
 	idx := 0
 	add := func(name string, g Group, apply func(*Config)) {
@@ -219,10 +245,7 @@ func FullSpace() *Space {
 	return &Space{vars: vars}
 }
 
-// DcacheGeometrySpace returns the restricted sub-space of Section 5's
-// near-optimality study: dcache number of sets (2,3,4) and set size
-// (1,2,8,16,32 KB) only — 8 variables, 2 groups.
-func DcacheGeometrySpace() *Space {
+func buildDcacheGeometrySpace() *Space {
 	full := FullSpace()
 	var vars []Var
 	for _, v := range full.vars {
@@ -235,8 +258,14 @@ func DcacheGeometrySpace() *Space {
 
 // SpaceFromNames builds a sub-space containing the named variables of the
 // full paper space, preserving full-space ordering of the names given.
-// Used when re-binding persisted models.
+// Used when re-binding persisted models. Names that spell out the full or
+// the dcache space return that shared space.
 func SpaceFromNames(names []string) (*Space, error) {
+	for _, shared := range []*Space{FullSpace(), DcacheGeometrySpace()} {
+		if slices.EqualFunc(shared.vars, names, func(v Var, name string) bool { return v.Name == name }) {
+			return shared, nil
+		}
+	}
 	full := FullSpace()
 	var vars []Var
 	for _, name := range names {

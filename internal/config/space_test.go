@@ -2,6 +2,7 @@ package config
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -232,4 +233,58 @@ func TestParameterValueCount(t *testing.T) {
 	if got := ParameterValueCount(); got != 73 {
 		t.Errorf("ParameterValueCount = %d, want 73 (reconstructed Figure 1)", got)
 	}
+}
+
+// TestSharedSpaces: FullSpace and DcacheGeometrySpace hand out one shared
+// space each, SpaceFromNames returns them for their own variable lists,
+// and any other sub-space is new. Concurrent first calls of Fingerprint
+// on a new space all see the one value (run it under -race).
+func TestSharedSpaces(t *testing.T) {
+	if FullSpace() != FullSpace() || DcacheGeometrySpace() != DcacheGeometrySpace() {
+		t.Fatal("FullSpace and DcacheGeometrySpace must return their shared space")
+	}
+	names := func(s *Space) []string {
+		var out []string
+		for _, v := range s.Vars() {
+			out = append(out, v.Name)
+		}
+		return out
+	}
+	for _, shared := range []*Space{FullSpace(), DcacheGeometrySpace()} {
+		got, err := SpaceFromNames(names(shared))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != shared {
+			t.Errorf("SpaceFromNames(%d names) built a new space instead of the shared one", shared.Len())
+		}
+	}
+
+	sub := []string{"dcachsets=2", "fastjump=false", "registers=16"}
+	a, err := SpaceFromNames(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := SpaceFromNames(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b || a == FullSpace() {
+		t.Fatal("a sub-space must be a new space")
+	}
+	want := b.Fingerprint()
+	if want == FullSpace().Fingerprint() || want == DcacheGeometrySpace().Fingerprint() {
+		t.Fatal("different spaces share a fingerprint")
+	}
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := a.Fingerprint(); got != want {
+				t.Errorf("fingerprint %s, want %s", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }

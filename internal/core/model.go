@@ -20,7 +20,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"liquidarch/internal/binlp"
 	"liquidarch/internal/config"
@@ -55,6 +57,11 @@ type Entry struct {
 
 // Model is the approximate cost model of Section 3: per-variable measured
 // deltas, assumed independent.
+//
+// A model is fixed once built. Its first Formulate or Predict compiles
+// the weight-independent half of the Section 4 BINLP from the fields
+// below and keeps it, so the fields must not change after that;
+// UnmarshalJSON, which replaces them, discards the compiled formulation.
 type Model struct {
 	// App names the application the model was built for.
 	App string
@@ -72,6 +79,9 @@ type Model struct {
 	// Entries holds one measurement per decision variable, in space
 	// order.
 	Entries []Entry
+
+	// compiled is the model's formulation, built on first use.
+	compiled atomic.Pointer[formulation]
 }
 
 // Weights are the objective weights of Section 4.1, extended with the
@@ -101,24 +111,69 @@ func RuntimeOnlyWeights() Weights { return Weights{W1: 100, W2: 0} }
 // future-work extension.
 func EnergyWeights() Weights { return Weights{W1: 1, W2: 1, W3: 100} }
 
-// groupIndex returns, for each variable position in the space, its group.
-func groupIndices(space *config.Space) map[config.Group][]int {
-	return space.Groups()
+// formulation is the weight-independent half of a model's Section 4
+// BINLP, compiled once per model and shared read-only by every Formulate
+// and Predict: the at-most-one groups, the constraints with their
+// left-hand sides compiled, and the nonlinear LUT form Predict evaluates
+// (its BRAM twin is the device BRAM constraint itself). Only the
+// objective depends on the weighting.
+type formulation struct {
+	// groups are the multi-member at-most-one groups in Group order.
+	groups [][]int
+	// constraints are the couplings, the linear LUT constraint and the
+	// nonlinear BRAM constraint, in that order; bram indexes the last.
+	constraints []binlp.Constraint
+	bram        int
+	// lut is the LUT cost in the sets×setsize product form, for Predict.
+	lut binlp.Constraint
+}
+
+// formulation returns the model's compiled formulation, compiling it on
+// first use. Concurrent first uses may each compile; one result wins and
+// every compile is identical.
+func (m *Model) formulation() *formulation {
+	if f := m.compiled.Load(); f != nil {
+		return f
+	}
+	m.compiled.CompareAndSwap(nil, m.compile())
+	return m.compiled.Load()
 }
 
 // Formulate builds the Section 4 BINLP from the model's measured deltas.
+// Only the objective is computed per call; the groups and the
+// constraints' compiled left-hand sides come from the model's compiled
+// formulation and are shared by every problem it formulates, so they
+// must be treated as read-only. The constraint headers — each
+// *binlp.Constraint with its Name and Bound — are the caller's own: a
+// caller may re-bound them without affecting later formulations.
 func (m *Model) Formulate(w Weights) *binlp.Problem {
+	f := m.formulation()
 	n := m.Space.Len()
-	p := &binlp.Problem{N: n, Cost: make([]float64, n)}
+	p := &binlp.Problem{
+		N:           n,
+		Cost:        make([]float64, n),
+		Groups:      slices.Clip(f.groups),
+		Constraints: make([]*binlp.Constraint, len(f.constraints)),
+	}
 	for i, e := range m.Entries {
 		p.Cost[i] = w.W1*e.Rho + w.W2*float64(e.Lambda+e.Beta) + w.W3*e.Epsilon
 	}
+	headers := slices.Clone(f.constraints)
+	for i := range headers {
+		p.Constraints[i] = &headers[i]
+	}
+	return p
+}
+
+// compile builds the model's formulation.
+func (m *Model) compile() *formulation {
+	f := &formulation{}
 
 	// Group constraints in Group-value order: map iteration would vary
-	// the constraint order per solve, and with it the solver's branch
-	// order and node count — the same problem must always produce the
-	// same solve, byte for byte.
-	groups := groupIndices(m.Space)
+	// the group order per compile, and with it the solver's branch order
+	// and node count — the same model must always produce the same
+	// solve, byte for byte.
+	groups := m.Space.Groups()
 	keys := make([]config.Group, 0, len(groups))
 	for g := range groups {
 		keys = append(keys, g)
@@ -126,7 +181,7 @@ func (m *Model) Formulate(w Weights) *binlp.Problem {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, g := range keys {
 		if members := groups[g]; len(members) > 1 {
-			p.Groups = append(p.Groups, members)
+			f.groups = append(f.groups, members)
 		}
 	}
 
@@ -143,22 +198,22 @@ func (m *Model) Formulate(w Weights) *binlp.Problem {
 	// 2 sets, LRU only with a multi-way cache.
 	addCoupling := func(lrr, lru, sets2, sets3, sets4 string) {
 		if i, ok := byName(lrr); ok {
-			c := &binlp.Constraint{Name: lrr + " requires 2 sets", Bound: 0}
+			c := binlp.Constraint{Name: lrr + " requires 2 sets", Bound: 0}
 			c.Linear.Add(i, 1)
 			if j, ok := byName(sets2); ok {
 				c.Linear.Add(j, -1)
 			}
-			p.Constraints = append(p.Constraints, c)
+			f.constraints = append(f.constraints, c)
 		}
 		if i, ok := byName(lru); ok {
-			c := &binlp.Constraint{Name: lru + " requires multi-way", Bound: 0}
+			c := binlp.Constraint{Name: lru + " requires multi-way", Bound: 0}
 			c.Linear.Add(i, 1)
 			for _, s := range []string{sets2, sets3, sets4} {
 				if j, ok := byName(s); ok {
 					c.Linear.Add(j, -1)
 				}
 			}
-			p.Constraints = append(p.Constraints, c)
+			f.constraints = append(f.constraints, c)
 		}
 	}
 	addCoupling("icachreplace=LRR", "icachreplace=LRU", "icachsets=2", "icachsets=3", "icachsets=4")
@@ -172,19 +227,26 @@ func (m *Model) Formulate(w Weights) *binlp.Problem {
 	remainingLUT := float64(100 - m.BaseResources.LUTPercent())
 	remainingBRAM := float64(100 - m.BaseResources.BRAMPercent())
 
-	lut := &binlp.Constraint{Name: "device LUTs (linear)", Bound: remainingLUT}
+	lut := binlp.Constraint{Name: "device LUTs (linear)", Bound: remainingLUT}
 	for i, e := range m.Entries {
 		if e.Lambda != 0 {
 			lut.Linear.Add(i, float64(e.Lambda))
 		}
 	}
-	p.Constraints = append(p.Constraints, lut)
+	f.constraints = append(f.constraints, lut)
 
-	bram := &binlp.Constraint{Name: "device BRAM (nonlinear)", Bound: remainingBRAM}
-	m.addCacheCost(bram, func(e Entry) float64 { return float64(e.Beta) })
-	p.Constraints = append(p.Constraints, bram)
+	bram := binlp.Constraint{Name: "device BRAM (nonlinear)", Bound: remainingBRAM}
+	m.addCacheCost(&bram, func(e Entry) float64 { return float64(e.Beta) })
+	f.bram = len(f.constraints)
+	f.constraints = append(f.constraints, bram)
 
-	return p
+	m.addCacheCost(&f.lut, func(e Entry) float64 { return float64(e.Lambda) })
+
+	for i := range f.constraints {
+		f.constraints[i].Compile()
+	}
+	f.lut.Compile()
+	return f
 }
 
 // addCacheCost fills a constraint with the paper's nonlinear cache cost
@@ -277,13 +339,9 @@ func (m *Model) Predict(sel []bool) Prediction {
 		bramLin += m.Entries[i].Beta
 	}
 
-	nonlinear := func(delta func(Entry) float64) float64 {
-		c := &binlp.Constraint{}
-		m.addCacheCost(c, delta)
-		return c.Eval(sel)
-	}
-	lutNl := nonlinear(func(e Entry) float64 { return float64(e.Lambda) })
-	bramNl := nonlinear(func(e Entry) float64 { return float64(e.Beta) })
+	f := m.formulation()
+	lutNl := f.lut.Eval(sel)
+	bramNl := f.constraints[f.bram].Eval(sel)
 
 	return Prediction{
 		RuntimeCycles:    float64(m.BaseCycles) * (1 + rho/100),

@@ -113,6 +113,9 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 			Epsilon:   e.Epsilon,
 		})
 	}
+	// The fields changed, so a formulation compiled from the old ones
+	// no longer describes the model.
+	m.compiled.Store(nil)
 	return nil
 }
 
