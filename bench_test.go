@@ -9,7 +9,6 @@ package liquidarch_test
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"slices"
 	"testing"
 	"time"
@@ -21,7 +20,6 @@ import (
 	"liquidarch/internal/core"
 	"liquidarch/internal/exhaustive"
 	"liquidarch/internal/experiments"
-	"liquidarch/internal/fabric"
 	"liquidarch/internal/fpga"
 	"liquidarch/internal/measure"
 	"liquidarch/internal/platform"
@@ -460,43 +458,6 @@ func BenchmarkScheduleReplay(b *testing.B) {
 		errPct = rep.Replay.ErrorPct
 	}
 	b.ReportMetric(abs(errPct), "replayerr%")
-}
-
-// BenchmarkFabricDispatch prices one measurement RPC of the distributed
-// fabric on the loopback: request marshalling (program image included),
-// the HTTP round-trip, the worker-side fingerprint memo and cache hit,
-// and report decoding. The worker's cache is warmed untimed, so the
-// number is the fabric's per-measurement dispatch overhead — what a
-// coordinator pays to ask a warm worker instead of simulating locally.
-func BenchmarkFabricDispatch(b *testing.B) {
-	bench, _ := progs.ByName("arith")
-	prog, err := bench.Assemble(workload.Tiny)
-	if err != nil {
-		b.Fatal(err)
-	}
-	worker := fabric.NewWorker(measure.NewCache(measure.Simulator{}, 64), 0)
-	ts := httptest.NewServer(worker)
-	defer ts.Close()
-	reg := fabric.NewRegistry()
-	if err := reg.Register(fabric.Registration{ID: "bench", URL: ts.URL}); err != nil {
-		b.Fatal(err)
-	}
-	remote := fabric.NewRemote(reg, measure.Simulator{}, fabric.RemoteOptions{})
-
-	ctx := context.Background()
-	cfg := config.Default()
-	if _, err := remote.Measure(ctx, prog, cfg, platform.Options{}); err != nil {
-		b.Fatal(err) // untimed: pays the worker's one simulation
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := remote.Measure(ctx, prog, cfg, platform.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if stats := remote.Stats(); stats.Fallbacks != 0 {
-		b.Fatalf("%d dispatches fell back locally — the benchmark measured the simulator, not the fabric", stats.Fallbacks)
-	}
 }
 
 // ---- Ablation benchmarks (design choices called out in DESIGN.md) ----

@@ -23,20 +23,11 @@
 // modeled application without a single simulation or model rebuild.
 // See DESIGN.md §14-§15, §18.
 //
-// The daemon also scales out actively as a distributed measurement
-// fabric (DESIGN.md §21). With -fabric it is a coordinator: workers
-// announce themselves with heartbeat registrations, each measurement is
-// dispatched to the live worker that consistent-hashing elects for its
-// configuration (so one configuration's results always land on the
-// same worker's store), and an unreachable fleet degrades — counted,
-// never silently — to local simulation. With -worker (or -coordinator)
-// it serves measurement RPCs through its own cache/store stack under
-// -measure-concurrency; -coordinator=URL additionally heartbeats its
-// registration there every -heartbeat. POST /v1/batch submits an
-// app × space × weighting matrix as one flight (one model build, N
-// solves), and jobs carry a scheduling class: interactive jobs always
-// run before bulk sweeps, each class admitted under its own queue
-// depth (-queue / -bulk-queue).
+// POST /v1/batch submits an app × space × weighting matrix as one
+// flight (one model build, N solves), and jobs carry a scheduling
+// class: interactive jobs always run before bulk sweeps, each class
+// admitted under its own queue depth (-queue / -bulk-queue). See
+// DESIGN.md §21.
 //
 // Usage:
 //
@@ -46,15 +37,11 @@
 //	          [-store-max-bytes 0] [-store-max-age 0] [-store-gc-every 64]
 //	          [-store-lease 0] [-engine-pool N] [-mem-pool N]
 //	          [-pprof] [-slow-job 1m]
-//	autoarchd -fabric [-fabric-timeout 5m] [-fabric-retries 2] ...
-//	autoarchd -worker -coordinator http://head:8723 [-advertise URL]
-//	          [-worker-id ID] [-heartbeat 5s] [-measure-concurrency N] ...
 //
 // Endpoints: POST/GET /v1/jobs, POST /v1/batch, GET /v1/jobs/{id}, GET
 // /v1/jobs/{id}/stream (ndjson), DELETE /v1/jobs/{id}, GET
 // /v1/trace/{id}, GET /v1/trace/{id}/stream (ndjson), GET /v1/metrics,
-// GET /v1/healthz; plus POST/GET /v1/workers on a coordinator and
-// POST /v1/measure on a worker.
+// GET /v1/healthz.
 //
 // Every job is traced: GET /v1/trace/{id} returns its pipeline span
 // tree (model source, per-measurement cache outcomes, solver effort),
@@ -73,11 +60,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"liquidarch/internal/core"
-	"liquidarch/internal/fabric"
 	"liquidarch/internal/measure"
 	"liquidarch/internal/platform"
 	"liquidarch/internal/serve"
@@ -88,6 +73,7 @@ func main() {
 		addr          = flag.String("addr", ":8723", "listen address")
 		jobs          = flag.Int("jobs", 2, "concurrently running tuning jobs")
 		queueDepth    = flag.Int("queue", 256, "submitted-job backlog bound")
+		bulkQueue     = flag.Int("bulk-queue", 0, "bulk-class job backlog bound (0 = same as -queue); interactive and bulk admissions are independent")
 		cacheEntries  = flag.Int("cache-entries", measure.DefaultCacheEntries, "bounded measurement-cache entry cap")
 		modelCache    = flag.Int("model-cache", core.DefaultModelCacheEntries, "shared model-layer entry cap (model builds reused across weightings)")
 		cacheDir      = flag.String("cache-dir", "", "persist measurement reports to this directory (empty = in-memory only; shareable across replicas)")
@@ -102,17 +88,6 @@ func main() {
 		memPool       = flag.Int("mem-pool", 0, "platform loaded-memory pool size (0 = default)")
 		pprofOn       = flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the service listener")
 		slowJob       = flag.Duration("slow-job", time.Minute, "log a warning for jobs slower than this, with their slowest pipeline stages (0 = off)")
-
-		bulkQueue     = flag.Int("bulk-queue", 0, "bulk-class job backlog bound (0 = same as -queue); interactive and bulk admissions are independent")
-		fabricOn      = flag.Bool("fabric", false, "coordinator mode: shard measurements across heartbeat-registered remote workers (POST/GET /v1/workers), falling back to local simulation when the fleet cannot answer")
-		fabricTimeout = flag.Duration("fabric-timeout", fabric.DefaultRPCTimeout, "per-attempt measurement RPC timeout")
-		fabricRetries = flag.Int("fabric-retries", 2, "extra RPC attempts on the elected worker before falling back locally")
-		workerMode    = flag.Bool("worker", false, "worker mode: serve measurement RPCs (POST /v1/measure) through this daemon's cache and store stack")
-		coordinator   = flag.String("coordinator", "", "coordinator base URL to heartbeat this worker's registration to (implies -worker)")
-		advertise     = flag.String("advertise", "", "base URL this worker advertises to the coordinator (default http://127.0.0.1<addr>)")
-		workerID      = flag.String("worker-id", "", "stable worker identity — its shard assignment hashes against it, so a restarted worker reclaiming its ID reclaims its warm shard (default hostname<addr>)")
-		heartbeat     = flag.Duration("heartbeat", fabric.DefaultHeartbeat, "worker re-registration period; the coordinator drops workers silent for 3x this")
-		measureConc   = flag.Int("measure-concurrency", 0, "concurrently served measurement RPCs in worker mode (0 = NumCPU)")
 	)
 	flag.Parse()
 
@@ -142,29 +117,7 @@ func main() {
 		st := store.Stats()
 		log.Printf("report store at %s (v%d, %d entries, %d bytes)", store.Dir(), measure.StoreVersion, st.Entries, st.Bytes)
 	}
-	// Coordinator mode: the remote provider slots between the bounded
-	// cache (warm keys never leave the host) and the local stack (the
-	// counted fallback when the fleet cannot answer). Remote results
-	// spill to the shared store when one is configured, so the fabric
-	// degrades to exactly the passive -cache-dir sharing it replaces.
-	var remote *fabric.Remote
-	if *fabricOn {
-		remote = fabric.NewRemote(fabric.NewRegistry(), provider, fabric.RemoteOptions{
-			Timeout: *fabricTimeout,
-			Retries: *fabricRetries,
-			Store:   store,
-		})
-		provider = remote
-		log.Printf("fabric coordinator: sharding measurements across registered workers (rpc timeout %v, %d retries)", *fabricTimeout, *fabricRetries)
-	}
 	cache := measure.NewCache(provider, *cacheEntries)
-
-	// Worker mode: measurement RPCs are served through the same cache
-	// and store stack local jobs use, under a bounded semaphore.
-	var worker *fabric.Worker
-	if *workerMode || *coordinator != "" {
-		worker = fabric.NewWorker(cache, *measureConc)
-	}
 
 	var modelStore *core.ModelStore
 	if *modelDir != "" {
@@ -181,8 +134,6 @@ func main() {
 		Workers:           *jobs,
 		QueueDepth:        *queueDepth,
 		BulkQueueDepth:    *bulkQueue,
-		Fabric:            remote,
-		Worker:            worker,
 		Provider:          cache,
 		Store:             store,
 		RetainJobs:        *jobRetain,
@@ -212,24 +163,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if *coordinator != "" {
-		id := *workerID
-		if id == "" {
-			host, _ := os.Hostname()
-			id = host + *addr
-		}
-		adv := *advertise
-		if adv == "" {
-			if strings.HasPrefix(*addr, ":") {
-				adv = "http://127.0.0.1" + *addr
-			} else {
-				adv = "http://" + *addr
-			}
-		}
-		reg := fabric.Registration{ID: id, URL: adv, TTLSeconds: (3 * *heartbeat).Seconds()}
-		go fabric.Heartbeat(ctx, nil, *coordinator, reg, *heartbeat)
-		log.Printf("fabric worker %q heartbeating to %s every %v (advertising %s)", id, *coordinator, *heartbeat, adv)
-	}
 	go func() {
 		<-ctx.Done()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -240,6 +240,13 @@ func (p *Problem) compile() ([]*compiledLHS, error) {
 	if len(p.Cost) != p.N {
 		return nil, fmt.Errorf("binlp: %d costs for %d variables", len(p.Cost), p.N)
 	}
+	// A NaN or infinite cost defeats the bound comparisons, so the search
+	// would prune nothing and stop at the node limit without a proof.
+	for i, c := range p.Cost {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return nil, fmt.Errorf("binlp: cost of variable %d is %g, not finite", i, c)
+		}
+	}
 	seen := make([]bool, p.N)
 	for gi, g := range p.Groups {
 		if len(g) == 0 {

@@ -197,3 +197,36 @@ func TestFormulateSolvePredictConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFormulateRejectsNonFiniteCosts: a weighting that makes any cost
+// NaN or infinite — given outright, or a finite weight whose product
+// with a model coefficient overflows — formulates a problem Validate
+// and Solve both refuse, instead of a search that runs to the node
+// limit and answers with an unproven pick.
+func TestFormulateRejectsNonFiniteCosts(t *testing.T) {
+	t.Parallel()
+	m := tinyModel(t, "arith", config.FullSpace())
+	for _, tc := range []struct {
+		name string
+		w    core.Weights
+	}{
+		{"NaN", core.Weights{W1: math.NaN(), W2: 1}},
+		{"+Inf", core.Weights{W1: math.Inf(1), W2: 1}},
+		{"-Inf", core.Weights{W1: math.Inf(-1), W2: 1}},
+		{"overflow", core.Weights{W1: 1e308, W2: 1}},
+	} {
+		p := m.Formulate(tc.w)
+		if !slices.ContainsFunc(p.Cost, func(c float64) bool { return math.IsNaN(c) || math.IsInf(c, 0) }) {
+			t.Fatalf("%s: weighting %+v formulated only finite costs", tc.name, tc.w)
+		}
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted a non-finite cost", tc.name)
+		}
+		if sol, err := binlp.Solve(p, binlp.Options{MaxNodes: 1000}); err == nil {
+			t.Errorf("%s: Solve answered %+v for a non-finite cost", tc.name, sol)
+		}
+	}
+	if err := m.Formulate(core.RuntimeWeights()).Validate(); err != nil {
+		t.Fatalf("runtime weighting: %v", err)
+	}
+}

@@ -47,6 +47,39 @@ func postJob(t *testing.T, ts *httptest.Server, req serve.JobRequest) serve.JobS
 	return st
 }
 
+func postBatch(t *testing.T, ts *httptest.Server, req serve.BatchRequest) serve.JobStatus {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/batch: status %d", resp.StatusCode)
+	}
+	var st serve.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// postJobStatus submits a job and returns the HTTP status code without
+// failing on non-202 — for admission-control assertions.
+func postJobStatus(t *testing.T, ts *httptest.Server, req serve.JobRequest) int {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+func fptr(v float64) *float64 { return &v }
+
 func getJob(t *testing.T, ts *httptest.Server, id string) serve.JobStatus {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
@@ -302,6 +335,31 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET missing job: status %d, want 404", resp.StatusCode)
+	}
+	for _, route := range [][2]string{{"GET", "/v1/workers"}, {"POST", "/v1/workers"}, {"POST", "/v1/measure"}} {
+		req, _ := http.NewRequest(route[0], ts.URL+route[1], strings.NewReader("{}"))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", route[0], route[1], resp.StatusCode)
+		}
+	}
+}
+
+// TestOverflowingWeightFails: w1 = 1e308 is valid JSON and a finite
+// weight, but its product with a model coefficient overflows the
+// objective. The job must end failed with the solver's non-finite-cost
+// error, not done with an unproven "keep base" answer.
+func TestOverflowingWeightFails(t *testing.T) {
+	t.Parallel()
+	_, ts := newTestServer(t)
+	st := postJob(t, ts, serve.JobRequest{App: "arith", Scale: "tiny", W1: fptr(1e308)})
+	st = waitDone(t, ts, st.ID)
+	if st.State != serve.StateFailed || !strings.Contains(st.Error, "not finite") {
+		t.Fatalf("job ended %s (error %q), want failed with a non-finite cost error", st.State, st.Error)
 	}
 }
 

@@ -35,16 +35,12 @@
 //	DELETE /v1/jobs/{id}     cancel a queued or running job
 //	GET    /v1/trace/{id}    the job's completed (or so-far) span tree
 //	GET    /v1/trace/{id}/stream  ndjson stream of spans as they complete
-//	GET    /v1/metrics       cache, store, model-layer, pool, scheduler,
-//	                         fabric and per-stage latency counters
+//	GET    /v1/metrics       cache, store, model-layer, pool, scheduler
+//	                         and per-stage latency counters
 //	GET    /v1/healthz       liveness
 //
-// With a fabric role configured (Options.Fabric / Options.Worker) the
-// distributed-measurement endpoints join the surface:
-//
-//	POST   /v1/workers       worker heartbeat registration (coordinator)
-//	GET    /v1/workers       the registered worker table (coordinator)
-//	POST   /v1/measure       one measurement RPC (worker)
+// Request bodies are capped at MaxRequestBytes; a larger body is
+// answered 413 before anything is queued.
 //
 // Scheduling is a two-level priority queue: interactive jobs (the
 // default class) always run before bulk ones, and each class is
@@ -60,6 +56,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -68,7 +65,6 @@ import (
 
 	"liquidarch/internal/config"
 	"liquidarch/internal/core"
-	"liquidarch/internal/fabric"
 	"liquidarch/internal/measure"
 	"liquidarch/internal/obs"
 	"liquidarch/internal/phase"
@@ -129,16 +125,6 @@ type Options struct {
 	// Logf receives the server's diagnostics (currently the slow-job
 	// warnings); nil means the standard library logger.
 	Logf func(format string, args ...any)
-	// Fabric, when set, makes this server a measurement-fabric
-	// coordinator: POST/GET /v1/workers serve worker registration, and
-	// the fabric's dispatch counters and worker table appear under
-	// /v1/metrics. The Remote itself must also be wired into Provider
-	// (below the cache) for jobs to actually dispatch remotely.
-	Fabric *fabric.Remote
-	// Worker, when set, makes this server a measurement-fabric worker:
-	// POST /v1/measure serves measurement RPCs through it, and its
-	// serve counters appear under /v1/metrics.
-	Worker *fabric.Worker
 }
 
 // retain resolves the configured terminal-job cap (-1 = unlimited).
@@ -970,16 +956,6 @@ type SchedulerStats struct {
 	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
 }
 
-// FabricMetrics is the fabric section of /v1/metrics: the remote
-// dispatch counters and worker table on a coordinator, the RPC serve
-// counters on a worker. Absent entirely on a daemon with no fabric
-// role.
-type FabricMetrics struct {
-	Remote  *fabric.RemoteStats `json:"remote,omitempty"`
-	Worker  *fabric.WorkerStats `json:"worker,omitempty"`
-	Workers []fabric.WorkerInfo `json:"workers,omitempty"`
-}
-
 // Metrics is the GET /v1/metrics document. Models reports the session's
 // shared model layer: models.hits/misses/builds say how often a job's
 // model came from an earlier build — a warm daemon serving many
@@ -1003,10 +979,6 @@ type Metrics struct {
 	// flight: count, total and p50/p95/p99 per pipeline stage name
 	// ("tune", "model", "measure", "solve", ...).
 	Stages map[string]obs.StageStats `json:"stages,omitempty"`
-	// Fabric reports the distributed measurement fabric (coordinator
-	// dispatch counters, worker table, worker RPC counters) when this
-	// daemon plays either fabric role.
-	Fabric *FabricMetrics `json:"fabric,omitempty"`
 }
 
 // MetricsSnapshot assembles the current counters.
@@ -1026,19 +998,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 	if s.opts.Store != nil {
 		st := s.opts.Store.Stats()
 		m.Store = &st
-	}
-	if s.opts.Fabric != nil || s.opts.Worker != nil {
-		fm := &FabricMetrics{}
-		if s.opts.Fabric != nil {
-			st := s.opts.Fabric.Stats()
-			fm.Remote = &st
-			fm.Workers = s.opts.Fabric.Registry().Snapshot()
-		}
-		if s.opts.Worker != nil {
-			st := s.opts.Worker.Stats()
-			fm.Worker = &st
-		}
-		m.Fabric = fm
 	}
 	for _, js := range s.Jobs() {
 		m.Jobs[js.State]++
@@ -1088,13 +1047,34 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// MaxRequestBytes caps a POST /v1/jobs or /v1/batch body. The largest
+// legitimate request, a MaxBatchItems matrix with every field set, is a
+// few kilobytes; the cap stops a client from making the server allocate
+// an arbitrarily large payload before any validation runs.
+const MaxRequestBytes = 64 << 10
+
+// decodeBody decodes a JSON request body of at most MaxRequestBytes
+// into v: 413 past the cap, 400 for anything else it cannot decode.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	if err == nil {
+		return nil
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &apiError{http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", MaxRequestBytes)}
+	}
+	return &apiError{http.StatusBadRequest, "invalid request: " + err.Error()}
+}
+
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req JobRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, &apiError{http.StatusBadRequest, "invalid request: " + err.Error()})
+		if err := decodeBody(w, r, &req); err != nil {
+			writeErr(w, err)
 			return
 		}
 		st, err := s.Submit(req)
@@ -1135,8 +1115,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, &apiError{http.StatusBadRequest, "invalid request: " + err.Error()})
+		if err := decodeBody(w, r, &req); err != nil {
+			writeErr(w, err)
 			return
 		}
 		st, err := s.SubmitBatch(req)
@@ -1146,26 +1126,6 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusAccepted, st)
 	})
-	if s.opts.Fabric != nil {
-		mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
-			var reg fabric.Registration
-			if err := json.NewDecoder(r.Body).Decode(&reg); err != nil {
-				writeErr(w, &apiError{http.StatusBadRequest, "invalid registration: " + err.Error()})
-				return
-			}
-			if err := s.opts.Fabric.Registry().Register(reg); err != nil {
-				writeErr(w, &apiError{http.StatusBadRequest, err.Error()})
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-		})
-		mux.HandleFunc("GET /v1/workers", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, s.opts.Fabric.Registry().Snapshot())
-		})
-	}
-	if s.opts.Worker != nil {
-		mux.Handle("POST /v1/measure", s.opts.Worker)
-	}
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.MetricsSnapshot())
 	})

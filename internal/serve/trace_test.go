@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"liquidarch/internal/core"
 	"liquidarch/internal/measure"
 	"liquidarch/internal/obs"
 	"liquidarch/internal/serve"
@@ -286,16 +287,11 @@ func TestMetricsFieldsSerialized(t *testing.T) {
 	if len(seen) < 5 {
 		t.Fatalf("walked only %d struct types — the reflection walk is broken", len(seen))
 	}
-	// The fabric section hangs off Metrics through pointers the walk must
-	// chase: require its stats structs were actually visited.
-	fabricSeen := false
-	for typ := range seen {
-		if strings.Contains(typ.PkgPath(), "internal/fabric") {
-			fabricSeen = true
-			break
+	// Cache and Models hang off Metrics through pointer fields the walk
+	// must chase: require the structs behind them were actually visited.
+	for _, want := range []reflect.Type{reflect.TypeOf(measure.CacheStats{}), reflect.TypeOf(core.ModelCacheStats{})} {
+		if !seen[want] {
+			t.Fatalf("reflection walk never reached %s behind a pointer field", want)
 		}
-	}
-	if !fabricSeen {
-		t.Fatal("reflection walk never reached the fabric metrics structs")
 	}
 }
