@@ -158,9 +158,11 @@ func BenchmarkSimulatorMix(b *testing.B)    { benchmarkSimulator(b, "mix") }
 // than the base, timed from a recording on the base. A trace walks each
 // timing class once and serves its other members from that walk, so each
 // iteration times a fresh recording, made with the timer stopped
-// (record-ms). ns/config is the cost that replaced one full simulation per
-// configuration, walks/op the classes walked, and trace-KB the
-// recording's footprint.
+// (record-ms). Beside it, also untimed, each iteration runs the program
+// once on the base without recording; record-x is the recording's cost
+// in such runs, from the same iterations. ns/config is the cost that
+// replaced one full simulation per configuration, walks/op the classes
+// walked, and trace-KB the recording's footprint.
 func BenchmarkTraceTime(b *testing.B) {
 	for _, app := range progs.Names() {
 		b.Run(app, func(b *testing.B) {
@@ -176,21 +178,26 @@ func BenchmarkTraceTime(b *testing.B) {
 			for _, k := range keys.Keys()[1:] { // [0] is the base
 				cfgs = append(cfgs, k.Cfg)
 			}
-			var record time.Duration
+			var record, run time.Duration
 			var walks int
 			var tr *platform.Trace
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				t0 := time.Now()
+				if _, err := platform.RunWith(prog, config.Default(), platform.Options{}); err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
 				tr, _, err = platform.Record(prog, config.Default(), platform.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				record += time.Since(t0)
+				run += t1.Sub(t0)
+				record += time.Since(t1)
 				b.StartTimer()
 				for _, cfg := range cfgs {
-					if _, ok := tr.Time(cfg); !ok {
+					if _, _, ok := tr.Time(cfg); !ok {
 						b.Fatalf("%v declined", cfg)
 					}
 				}
@@ -199,6 +206,7 @@ func BenchmarkTraceTime(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cfgs)), "ns/config")
 			b.ReportMetric(float64(walks)/float64(b.N), "walks/op")
 			b.ReportMetric(float64(record.Nanoseconds())/1e6/float64(b.N), "record-ms")
+			b.ReportMetric(float64(record)/float64(run), "record-x")
 			b.ReportMetric(float64(tr.Bytes())/1024, "trace-KB")
 		})
 	}

@@ -315,6 +315,33 @@ func printTrace(t *obs.Tracer, w io.Writer) {
 		fmt.Fprintf(w, "  measurements: %d total (%d simulated, %d cache hits, %d joined in-flight)\n",
 			n, misses, hits, waits)
 	}
+	// How the simulated runs were answered: the recording, walks of its
+	// trace, runs shared with a walk or the recording, and full runs. The
+	// time a run spent waiting for the recording is left out of its own.
+	kinds := []string{"record", "walk", "shared", "full"}
+	count := map[string]int{}
+	spent := map[string]time.Duration{}
+	for _, rec := range tr.Spans {
+		a, found := rec.Attr("sim")
+		if rec.Name != "measure" || !found {
+			continue
+		}
+		d := rec.Duration()
+		if wait, found := rec.Attr("sim_wait_ns"); found {
+			d -= time.Duration(wait.Int)
+		}
+		count[a.Str]++
+		spent[a.Str] += d
+	}
+	var parts []string
+	for _, k := range kinds {
+		if count[k] > 0 {
+			parts = append(parts, fmt.Sprintf("%s x%d %v", k, count[k], spent[k].Round(time.Microsecond)))
+		}
+	}
+	if len(parts) > 0 {
+		fmt.Fprintf(w, "  simulation:   %s\n", strings.Join(parts, ", "))
+	}
 }
 
 // writeJSON emits the report document on stdout.

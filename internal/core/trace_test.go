@@ -54,6 +54,11 @@ func TestColdTuneRecordsOnce(t *testing.T) {
 		if d := after.TraceDeclined - before.TraceDeclined; d != 0 {
 			t.Errorf("%s: trace declines = %d, want 0", req.App, d)
 		}
+		// The recording ran on the fast loop: only the halt trap, the
+		// programs' one fallback opcode, went through Step.
+		if d := after.TraceStepInstrs - before.TraceStepInstrs; d != 1 {
+			t.Errorf("%s: %d instructions recorded through Step, want the halt trap only", req.App, d)
+		}
 		// Every leaf measurement but the recording one was timed.
 		timed, sims := after.TraceTimed-before.TraceTimed, len(leaf.cfgs)
 		if timed != uint64(sims-1) {

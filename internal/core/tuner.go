@@ -132,39 +132,31 @@ func (t *tuner) buildModels(ctx context.Context, b *progs.Benchmark, interval ui
 	vars := space.Vars()
 	obs := make([]observation, len(vars))
 
-	// Replacement-policy variables are deferred to a second round,
-	// measured on top of their companion's configuration.
-	var ordinary, deferred []int
-	for i, v := range vars {
+	// A replacement-policy variable is measured on top of its companion's
+	// configuration. That configuration comes from the space alone, so
+	// every variable is measured in one round: only the attribution below
+	// reads the companion's observation.
+	for _, v := range vars {
 		if companion, ok := companionFor(v); ok {
 			if _, exists := space.ByName(companion); !exists {
 				return nil, fmt.Errorf("core: variable %s needs companion %s, absent from the space", v.Name, companion)
 			}
-			deferred = append(deferred, i)
-			continue
 		}
-		ordinary = append(ordinary, i)
 	}
-
-	measureVars := func(indices []int, cfgFor func(config.Var) config.Config) error {
-		return measure.ForEach(ctx, len(indices), t.workers, func(k int) error {
-			i := indices[k]
-			rep, res, err := t.run(ctx, b, cfgFor(vars[i]), interval)
-			if err != nil {
-				return fmt.Errorf("core: measuring %s: %w", vars[i].Name, err)
-			}
-			obs[i] = resolveObservation(rep, res, trace)
-			return nil
-		})
+	cfgFor := func(v config.Var) config.Config {
+		if companion, ok := companionFor(v); ok {
+			compVar, _ := space.ByName(companion)
+			return v.Apply(compVar.Apply(baseCfg))
+		}
+		return v.Apply(baseCfg)
 	}
-
-	if err := measureVars(ordinary, func(v config.Var) config.Config { return v.Apply(baseCfg) }); err != nil {
-		return nil, err
-	}
-	if err := measureVars(deferred, func(v config.Var) config.Config {
-		companion, _ := companionFor(v)
-		compVar, _ := space.ByName(companion)
-		return v.Apply(compVar.Apply(baseCfg))
+	if err := measure.ForEach(ctx, len(vars), t.workers, func(i int) error {
+		rep, res, err := t.run(ctx, b, cfgFor(vars[i]), interval)
+		if err != nil {
+			return fmt.Errorf("core: measuring %s: %w", vars[i].Name, err)
+		}
+		obs[i] = resolveObservation(rep, res, trace)
+		return nil
 	}); err != nil {
 		return nil, err
 	}

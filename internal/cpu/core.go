@@ -110,9 +110,11 @@ type Core struct {
 	traceW     io.Writer
 	traceLimit uint64
 
-	// rec, when non-nil, records every run step into a Trace on the
-	// reference Step path (trace.go).
-	rec *recorder
+	// rec, when non-nil, records every run step into a Trace (trace.go).
+	// recCap sizes the next recording's streams: a pooled core records
+	// the same program again, so the last recording's lengths fit.
+	rec    *recorder
+	recCap struct{ seq, addrs int }
 }
 
 // Latency tables for the multiplier and divider options (cycles per

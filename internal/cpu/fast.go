@@ -32,7 +32,10 @@ import (
 //     skip is enabled a hit has no replacement side effects;
 //   - the rare opcodes (SAVE, RESTORE, Ticc, invalid) fall back to the
 //     reference Step for that one instruction, so the tricky window-trap
-//     and halt semantics exist in exactly one place.
+//     and halt semantics exist in exactly one place;
+//   - on a recording core (StartRecording) the loop, superblock plans
+//     included, also writes the trace of record once, time many
+//     (trace.go), and its fallback opcodes go through recordStep.
 //
 // Equivalence with Step is enforced by the engine-equivalence suite in
 // differential_test.go: every benchmark × a representative configuration
@@ -403,6 +406,17 @@ func canExtendPast(f, next *fastInstr) bool {
 	return true
 }
 
+// fastBytes is the data width of a load or store dispatch code.
+func fastBytes(code uint8) uint32 {
+	switch code {
+	case fLdUB, fLdSB, fStB:
+		return 1
+	case fLdUH, fLdSH, fStH:
+		return 2
+	}
+	return 4
+}
+
 // Packed register-file indices: each instruction's three operands resolve
 // (for the current window) to regfile slots that fit in 10 bits each, so
 // one uint32 per instruction carries all of them. riRs1/riRs2 read
@@ -526,12 +540,11 @@ func (b *fastBatch) flush(c *Core) {
 
 // runTo executes until the program halts or the total retired instruction
 // count reaches target. Tracing runs take the reference Step loop so the
-// disassembly hook stays out of the fast path entirely.
+// disassembly hook stays out of the fast path entirely. A recording core
+// runs the fast loop, which records as it goes, and marks a cut when it
+// stops.
 func (c *Core) runTo(target uint64) error {
-	if c.rec != nil {
-		return c.recordTo(target)
-	}
-	if c.traceW != nil {
+	if c.traceW != nil && c.rec == nil {
 		for !c.halted && c.stats.Instructions < target {
 			if err := c.Step(); err != nil {
 				return err
@@ -539,13 +552,20 @@ func (c *Core) runTo(target uint64) error {
 		}
 		return nil
 	}
-	return c.runFast(target)
+	if err := c.runFast(target); err != nil {
+		return err
+	}
+	if c.rec != nil {
+		c.rec.cut(c)
+	}
+	return nil
 }
 
 // runFast drives the trace-free fast loop. runFastInner executes the
 // predecoded common opcodes until it halts, reaches target, errors, or
 // meets a rare opcode; rare opcodes are executed here on the reference
-// Step path and the inner loop resumes. The icache batching anchor (the
+// Step path (recorded through recordStep on a recording core) and the
+// inner loop resumes. The icache batching anchor (the
 // line fetched last) survives the round trip; the dcache anchor does not,
 // because window traps fill dcache lines.
 func (c *Core) runFast(target uint64) error {
@@ -556,7 +576,12 @@ func (c *Core) runFast(target uint64) error {
 			return err
 		}
 		pc := c.pc
-		if err := c.Step(); err != nil {
+		if c.rec != nil {
+			err = c.recordStep()
+		} else {
+			err = c.Step()
+		}
+		if err != nil {
 			return err
 		}
 		if c.cwp != c.fastCwp {
@@ -623,6 +648,10 @@ func (c *Core) runFastInner(target uint64, fetchLine uint32) (stepNext bool, ret
 		// the memory's dirty range on exit (mem.Widen).
 		wlo = uint64(len(ram))
 		whi = uint64(0)
+		// The recorder of a recording core (trace.go), nil otherwise: a
+		// recording run notes each dispatch, flagged instruction, data
+		// address and annulled slot behind one predictable nil check.
+		rec = c.rec
 	)
 	if c.iccJustSet {
 		iccSetAt = instrs
@@ -658,6 +687,14 @@ loop:
 			stepNext = true
 			break loop
 		}
+		if rec != nil && uint64(idx)-instrs != rec.key {
+			// A new run starts here (trace.go).
+			if len(rec.ev) >= recChunk {
+				rec.decode()
+			}
+			rec.key = uint64(idx) - instrs
+			rec.ev = append(rec.ev, recEvent{num: instrs, arg: uint32(idx)})
+		}
 
 		// Superblock dispatch: a compiled head reached in sequential
 		// context executes its whole plan (and chains into compiled
@@ -686,12 +723,30 @@ loop:
 							(f.flags&fgReadsRd != 0 && c.hazardIndex(f.rd) == hazard) {
 							fb.interlocks++
 							extra += c.loadInterlock
+							if rec != nil {
+								rec.ev = append(rec.ev, recEvent{num: instrs, kind: flagInterlock})
+							}
 						}
 						hazard = noHazard
 					}
 				chain:
 					for {
 						sbHits++
+						if rec != nil {
+							if uint64(blk.head)-instrs != rec.key {
+								if len(rec.ev) >= recChunk {
+									rec.decode()
+								}
+								rec.key = uint64(blk.head) - instrs
+								rec.ev = append(rec.ev, recEvent{num: instrs, arg: blk.head})
+							}
+							if blk.ilk != 0 {
+								rec.ev = append(rec.ev, recEvent{num: instrs, arg: uint32(blk.ilk), kind: evInterlocks})
+								if blk.ilk>>32 != 0 {
+									rec.ev = append(rec.ev, recEvent{num: instrs + 32, arg: uint32(blk.ilk >> 32), kind: evInterlocks})
+								}
+							}
+						}
 						ops := blk.ops
 						for k := 0; k < len(ops); k++ {
 							op := ops[k]
@@ -859,6 +914,12 @@ loop:
 									b = rf[ri>>10&riMask]
 								}
 								addr := rf[ri>>20&riMask] + b
+								if rec != nil {
+									rec.addrs = append(rec.addrs, addr)
+									if addr < rec.hi && addr+4 > rec.lo {
+										rec.guard(addr, fastBytes(op.code))
+									}
+								}
 								if addr < deviceBase {
 									if line := addr >> dcShift; dcSkip && line == dcLine {
 										fb.dcHits++
@@ -942,6 +1003,12 @@ loop:
 									b = rf[ri>>10&riMask]
 								}
 								addr := rf[ri>>20&riMask] + b
+								if rec != nil {
+									rec.addrs = append(rec.addrs, addr)
+									if addr < rec.hi && addr+4 > rec.lo {
+										rec.guard(addr, fastBytes(op.code))
+									}
+								}
 								v := rf[ri&riMask]
 								if addr < deviceBase {
 									if line := addr >> dcShift; dcSkip && line == dcLine {
@@ -1123,6 +1190,9 @@ loop:
 						if blk.tInterlock {
 							fb.interlocks++
 							extra += c.loadInterlock
+							if rec != nil {
+								rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: flagInterlock})
+							}
 						}
 						tnpc := spc + 4
 						var nextPC, nextNPC uint32
@@ -1131,9 +1201,13 @@ loop:
 						var succPtr *int32
 						if blk.tCode == fBicc {
 							fb.branches++
-							if iccSetAt+1 == instrs && c.iccHold {
-								fb.iccHolds++
-								extra++
+							bfl := uint8(0) // the branch's flags, for a recording
+							if iccSetAt+1 == instrs {
+								if c.iccHold {
+									fb.iccHolds++
+									extra++
+								}
+								bfl = flagICC
 							}
 							taken := blk.tCondMask>>iccIdx&1 != 0
 							switch {
@@ -1154,6 +1228,10 @@ loop:
 								}
 								extra++
 								fb.annulled++
+								if rec != nil {
+									rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl | flagTaken}, recEvent{num: instrs, arg: tnpc, kind: evAnnul})
+									rec.key = noRun
+								}
 								nextPC, nextNPC = blk.tTarget, blk.tTarget+4
 								succPtr = &blk.succT
 							case taken:
@@ -1161,6 +1239,9 @@ loop:
 								extra += 1 + c.decodeExtra
 								if bbv != nil {
 									bbv[blk.tTarget>>bbvShift&bbvMask]++
+								}
+								if rec != nil {
+									rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl | flagTaken})
 								}
 								nextPC, nextNPC = tnpc, blk.tTarget
 								slotRuns = true
@@ -1178,9 +1259,19 @@ loop:
 								}
 								extra++
 								fb.annulled++
+								if rec != nil {
+									if bfl != 0 {
+										rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl})
+									}
+									rec.ev = append(rec.ev, recEvent{num: instrs, arg: tnpc, kind: evAnnul})
+									rec.key = noRun
+								}
 								nextPC, nextNPC = tnpc+4, tnpc+8
 								succPtr = &blk.succF
 							default:
+								if rec != nil && bfl != 0 {
+									rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl})
+								}
 								nextPC, nextNPC = tnpc, tnpc+4
 								slotRuns = true
 								slotCross = blk.sbf&sbfCross1 != 0
@@ -1233,6 +1324,7 @@ loop:
 								fb.iccHolds++
 								extra++
 							}
+							bfl := flagICC // the branch's flags, for a recording
 							taken := blk.tCondMask>>iccIdx&1 != 0
 							npc2 := pc2 + 4
 							switch {
@@ -1253,6 +1345,10 @@ loop:
 								}
 								extra++
 								fb.annulled++
+								if rec != nil {
+									rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl | flagTaken}, recEvent{num: instrs, arg: npc2, kind: evAnnul})
+									rec.key = noRun
+								}
 								nextPC, nextNPC = blk.tTarget, blk.tTarget+4
 								succPtr = &blk.succT
 							case taken:
@@ -1260,6 +1356,9 @@ loop:
 								extra += 1 + c.decodeExtra
 								if bbv != nil {
 									bbv[blk.tTarget>>bbvShift&bbvMask]++
+								}
+								if rec != nil {
+									rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl | flagTaken})
 								}
 								nextPC, nextNPC = npc2, blk.tTarget
 								slotRuns = true
@@ -1277,9 +1376,19 @@ loop:
 								}
 								extra++
 								fb.annulled++
+								if rec != nil {
+									if bfl != 0 {
+										rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl})
+									}
+									rec.ev = append(rec.ev, recEvent{num: instrs, arg: npc2, kind: evAnnul})
+									rec.key = noRun
+								}
 								nextPC, nextNPC = npc2+4, npc2+8
 								succPtr = &blk.succF
 							default:
+								if rec != nil && bfl != 0 {
+									rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl})
+								}
 								nextPC, nextNPC = npc2, npc2+4
 								slotRuns = true
 								slotCross = blk.sbf&sbfCross2 != 0
@@ -1470,6 +1579,9 @@ loop:
 				(f.flags&fgReadsRd != 0 && c.hazardIndex(f.rd) == hazard) {
 				fb.interlocks++
 				extra += c.loadInterlock
+				if rec != nil {
+					rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: flagInterlock})
+				}
 			}
 			hazard = noHazard
 		}
@@ -1681,6 +1793,12 @@ loop:
 				b = rf[ri>>10&riMask]
 			}
 			addr := rf[ri>>20&riMask] + b
+			if rec != nil {
+				rec.addrs = append(rec.addrs, addr)
+				if addr < rec.hi && addr+4 > rec.lo {
+					rec.guard(addr, fastBytes(f.code))
+				}
+			}
 			fb.loads++
 			extra++
 			if addr < deviceBase {
@@ -1760,6 +1878,12 @@ loop:
 				b = rf[ri>>10&riMask]
 			}
 			addr := rf[ri>>20&riMask] + b
+			if rec != nil {
+				rec.addrs = append(rec.addrs, addr)
+				if addr < rec.hi && addr+4 > rec.lo {
+					rec.guard(addr, fastBytes(f.code))
+				}
+			}
 			v := rf[ri&riMask]
 			fb.stores++
 			extra += 2
@@ -1834,9 +1958,13 @@ loop:
 
 		case fBicc:
 			fb.branches++
-			if iccSetAt+1 == instrs && c.iccHold {
-				fb.iccHolds++
-				extra++
+			bfl := uint8(0) // the branch's flags, for a recording
+			if iccSetAt+1 == instrs {
+				if c.iccHold {
+					fb.iccHolds++
+					extra++
+				}
+				bfl = flagICC
 			}
 			taken := f.condMask>>iccIdx&1 != 0
 			slotRuns := false
@@ -1845,6 +1973,9 @@ loop:
 				// ba,a: delay slot annulled even though taken.
 				fb.taken++
 				extra += 1 + c.decodeExtra
+				if rec != nil {
+					rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl | flagTaken})
+				}
 				if bbv != nil {
 					bbv[f.target>>bbvShift&bbvMask]++
 				}
@@ -1868,11 +1999,18 @@ loop:
 				}
 				extra++
 				fb.annulled++
+				if rec != nil {
+					rec.ev = append(rec.ev, recEvent{num: instrs, arg: npc, kind: evAnnul})
+					rec.key = noRun
+				}
 				hazard = noHazard
 				nextPC, nextNPC = f.target, f.target+4
 			case taken:
 				fb.taken++
 				extra += 1 + c.decodeExtra
+				if rec != nil {
+					rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl | flagTaken})
+				}
 				if bbv != nil {
 					bbv[f.target>>bbvShift&bbvMask]++
 				}
@@ -1899,9 +2037,19 @@ loop:
 				}
 				extra++
 				fb.annulled++
+				if rec != nil {
+					if bfl != 0 {
+						rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl})
+					}
+					rec.ev = append(rec.ev, recEvent{num: instrs, arg: npc, kind: evAnnul})
+					rec.key = noRun
+				}
 				hazard = noHazard
 				nextPC, nextNPC = npc+4, npc+8
 			default:
+				if rec != nil && bfl != 0 {
+					rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl})
+				}
 				// Untaken without annul: the "slot" is simply the next
 				// sequential instruction, equally safe to run inline.
 				slotRuns = true
@@ -2007,6 +2155,7 @@ loop:
 				fb.iccHolds++
 				extra++
 			}
+			bfl := flagICC // the branch's flags, for a recording
 			taken := f.condMask>>iccIdx&1 != 0
 			npc2 := pc2 + 4
 			slotRuns := false
@@ -2014,6 +2163,9 @@ loop:
 			case taken && f.flags&fgBAAnnul != 0:
 				fb.taken++
 				extra += 1 + c.decodeExtra
+				if rec != nil {
+					rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl | flagTaken})
+				}
 				if bbv != nil {
 					bbv[f.target>>bbvShift&bbvMask]++
 				}
@@ -2036,10 +2188,17 @@ loop:
 				}
 				extra++
 				fb.annulled++
+				if rec != nil {
+					rec.ev = append(rec.ev, recEvent{num: instrs, arg: npc2, kind: evAnnul})
+					rec.key = noRun
+				}
 				nextPC, nextNPC = f.target, f.target+4
 			case taken:
 				fb.taken++
 				extra += 1 + c.decodeExtra
+				if rec != nil {
+					rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl | flagTaken})
+				}
 				if bbv != nil {
 					bbv[f.target>>bbvShift&bbvMask]++
 				}
@@ -2065,8 +2224,18 @@ loop:
 				}
 				extra++
 				fb.annulled++
+				if rec != nil {
+					if bfl != 0 {
+						rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl})
+					}
+					rec.ev = append(rec.ev, recEvent{num: instrs, arg: npc2, kind: evAnnul})
+					rec.key = noRun
+				}
 				nextPC, nextNPC = npc2+4, npc2+8
 			default:
+				if rec != nil && bfl != 0 {
+					rec.ev = append(rec.ev, recEvent{num: instrs - 1, kind: bfl})
+				}
 				nextPC, nextNPC = npc2, npc2+4
 				slotRuns = true
 			}
@@ -2256,6 +2425,12 @@ loop:
 					sr = sl.imm
 				case fLd, fLdUB, fLdSB, fLdUH, fLdSH:
 					addr := sa + sb
+					if rec != nil {
+						rec.addrs = append(rec.addrs, addr)
+						if addr < rec.hi && addr+4 > rec.lo {
+							rec.guard(addr, fastBytes(sl.code))
+						}
+					}
 					fb.loads++
 					extra++
 					if addr < deviceBase {

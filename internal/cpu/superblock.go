@@ -159,6 +159,7 @@ type sbBlock struct {
 	nStores     uint32
 	nMults      uint32
 	nInterlocks uint32
+	ilk         uint64 // bit k set: ops[k] incurs the interlock (for recording)
 	icStatic    uint32 // interior fetches that are statically same-line hits
 	staticExtra uint64
 	// lastSetsCC records that the final interior op sets the condition
@@ -299,6 +300,7 @@ func (c *Core) compileSB(headIdx uint32) {
 		if lastLoadRd != 0 && sbReads(f, lastLoadRd) {
 			op.flags |= sbOpInterlock
 			blk.nInterlocks++
+			blk.ilk |= 1 << len(blk.ops)
 			blk.staticExtra += c.loadInterlock
 		}
 		lastLoadRd = 0

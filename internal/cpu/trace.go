@@ -1,9 +1,8 @@
 package cpu
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -20,7 +19,8 @@ import (
 // changes which instructions a program retires, only what each costs: the
 // caches, the write buffer, the interlocks, the mul/div latencies and the
 // window count are timing. A recording run executes the program once on
-// the reference Step path and writes a Trace of the stream; Trace.Time then
+// the fast loop (fast.go), which writes a Trace of the stream as it goes
+// and hands only its fallback opcodes to Step (recordStep); Trace.Time then
 // derives the exact profile of any other configuration from the trace
 // alone, replaying only the stateful timing structures (icache, dcache,
 // write buffer, window occupancy) and charging every static cost from
@@ -80,10 +80,16 @@ type Trace struct {
 	windowSensitive bool
 	unusable        bool
 
+	// stepped counts the instructions recorded through Step (a
+	// diagnostic: StepInstructions).
+	stepped uint64
+
 	// memo holds one walk per timing class, seeded with the recording
-	// run's own snapshots; walks counts the walks Time made.
+	// run's own snapshots; walks counts the walks Time made. skels holds
+	// the access skeletons, by dcache-free class (skeletonKey).
 	mu    sync.Mutex
 	memo  map[TimingClass]*classWalk
+	skels map[TimingClass]*skeleton
 	walks atomic.Int64
 }
 
@@ -136,6 +142,16 @@ func (t *Trace) Bytes() int {
 }
 
 // recorder is the per-core recording state behind StartRecording.
+//
+// The fast loop (fast.go) writes it as it runs, without a call on its
+// common paths: every data address goes straight to addrs, and ev logs
+// in program order the start of every run (a dispatch whose text index
+// does not continue the run the loop is in, which key tracks), the flags
+// of the few instructions that carry one and every annulled slot. The
+// fallback opcodes go through recordStep, which logs the same events
+// around one reference Step. decode folds the log into the run table and
+// the run sequence every recChunk events, at every cut and at
+// StopRecording.
 type recorder struct {
 	t *Trace
 
@@ -143,25 +159,77 @@ type recorder struct {
 	// recSave, recRestore, plus recWritesFP), decoded once.
 	class []uint8
 
-	// The open run.
-	open     bool
-	start, n uint32
-	cur      []uint8
+	// Written by the fast loop. key is idx-num of the run the loop is in:
+	// an instruction numbered num (the retired count before it) at text
+	// index idx continues that run iff idx-num == key; noRun when no run
+	// is open.
+	ev    []recEvent
+	key   uint64
+	addrs []uint32
+	// lo and hi bound the save areas (areas): the fast loop calls guard
+	// only for an access at addr with addr < hi and addr+4 > lo, 4 bytes
+	// being the widest access.
+	lo, hi uint32
 
-	last  int32   // id of the last closed run, -1 before the first
-	succ  []int32 // id that followed each run last time, -1 if none yet
-	index map[string]int32
-	key   []byte
+	// The open run of the decoded log: it starts at text index start with
+	// instruction number first, and cur lists its flagged instructions in
+	// order, each as offset<<8 | flags.
+	open  bool
+	start uint32
+	first uint64
+	cur   []uint64
+	seq   []int32
+
+	// info holds each interned run's flag list, hazard counts and
+	// successors. last is the id of the last closed run, -1 before the
+	// first; heads[idx] is 1 + the id of the latest run interned at text
+	// index idx, 0 for none.
+	info  []runInfo
+	last  int32
+	heads []int32
 
 	interlocks, iccHolds uint64
+	stepped              uint64 // instructions recorded through Step
 
 	// Window stack: frames[k] is the %sp that the frame at call depth k
 	// had when it executed its SAVE. areas are the distinct save-area
-	// bases ever recorded (sorted); lo and hi bound them.
+	// bases ever recorded, sorted.
 	depth  int
 	frames []uint32
 	areas  []uint32
-	lo, hi uint32
+}
+
+// recEvent is one entry of the recording log: a run starting at text
+// index arg with instruction num (kind 0), an annulled slot fetched at
+// arg that ends the open run before instruction num (evAnnul), the
+// interlocks of instructions num+k for every bit k set in arg
+// (evInterlocks), or the flags of instruction num (any other kind).
+type recEvent struct {
+	num  uint64
+	arg  uint32
+	kind uint8
+}
+
+const (
+	evAnnul      uint8 = 1 << 7
+	evInterlocks uint8 = 1 << 6
+	// noRun is the recorder key while no run is open: idx-num never takes
+	// it, as an instruction count stays far below 2^62.
+	noRun uint64 = 1 << 62
+	// recChunk is the log length at which the fast loop decodes it, at
+	// the next run start.
+	recChunk = 4096
+)
+
+// runInfo is what the recorder keeps of an interned run beside its
+// traceRun.
+type runInfo struct {
+	flags                []uint64 // flagged instructions, as in recorder.cur
+	interlocks, iccHolds uint64
+	// succ is the id of the run that followed this one last time, -1 if
+	// none yet; same is the id interned before it at the same text
+	// index, -1 if none.
+	succ, same int32
 }
 
 // Recording classes of a text word.
@@ -192,10 +260,11 @@ func recClass(in *isa.Instr) uint8 {
 	return c
 }
 
-// StartRecording makes every following run step of c execute on the
-// reference Step path and record into a new Trace, which is complete once
-// StopRecording returns. Call it after LoadText; recording covers every
-// instruction retired until StopRecording.
+// StartRecording makes every following run step of c record into a new
+// Trace, which is complete once StopRecording returns. Call it after
+// LoadText; recording covers every instruction retired until
+// StopRecording. The run executes on the fast loop as usual; a recording
+// core prints no execution trace (SetTrace).
 func (c *Core) StartRecording() *Trace {
 	t := &Trace{
 		text:     c.text,
@@ -203,12 +272,25 @@ func (c *Core) StartRecording() *Trace {
 		ramBytes: uint32(c.memory.Size()),
 		windows:  c.cfg.IU.RegWindows,
 		memo:     make(map[TimingClass]*classWalk),
+		skels:    make(map[TimingClass]*skeleton),
 	}
 	class := make([]uint8, len(c.text))
 	for i := range c.text {
 		class[i] = recClass(&c.text[i])
 	}
-	c.rec = &recorder{t: t, class: class, last: -1, index: make(map[string]int32), lo: ^uint32(0)}
+	c.rec = &recorder{
+		t:     t,
+		class: class,
+		ev:    make([]recEvent, 0, recChunk+2*sbMaxOps),
+		key:   noRun,
+		lo:    ^uint32(0),
+		last:  -1,
+		heads: make([]int32, len(c.text)),
+		// A pooled core records the same program again, so the last
+		// recording's stream lengths fit.
+		seq:   make([]int32, 0, c.recCap.seq),
+		addrs: make([]uint32, 0, c.recCap.addrs),
+	}
 	return t
 }
 
@@ -219,9 +301,22 @@ func (c *Core) StopRecording() {
 		return
 	}
 	c.rec = nil
-	r.closeRun(0, false)
+	r.decode()
+	r.closeAt(c.stats.Instructions, 0, false)
 	t := r.t
+	t.seq, t.addrs, t.stepped = r.seq, r.addrs, r.stepped
+	c.recCap.seq, c.recCap.addrs = len(t.seq), len(t.addrs)
 	t.fetched = fetchAddresses(t)
+	// A program that rewrites %fp moves the save area its caller's window
+	// spills to. Runs are interned, so checking each distinct run once
+	// covers every instruction the recording executed.
+	for _, run := range t.runs {
+		for i := run.start; i < run.start+run.n; i++ {
+			if r.class[i]&recWritesFP != 0 {
+				t.windowSensitive = true
+			}
+		}
+	}
 	if t.unusable {
 		return
 	}
@@ -235,80 +330,106 @@ func (c *Core) StopRecording() {
 	t.memo[k] = seed
 }
 
-// recordTo is runTo for a recording core: it single-steps the reference
-// path, noting each instruction's run, flags and data address, and marks a
-// cut when it stops.
-func (c *Core) recordTo(target uint64) error {
-	r := c.rec
-	t := r.t
-	for !c.halted && c.stats.Instructions < target {
-		pc := c.pc
-		idx := (pc - c.textBase) >> 2
-		if pc&3 != 0 || uint64(idx) >= uint64(len(c.text)) {
-			return c.Step() // reports the fault
-		}
-		in := &c.text[idx]
-		class := r.class[idx]
-		var fl uint8
-		if c.loadHazardReg != noHazard && c.readsReg(in, c.loadHazardReg) {
-			fl |= flagInterlock
-			r.interlocks++
-		}
-		if c.iccJustSet && in.Op == isa.OpBicc {
-			fl |= flagICC
-			r.iccHolds++
-		}
-		var addr uint32
-		switch class & recKind {
-		case recLoad, recStore:
-			addr = c.getReg(in.Rs1) + c.operand2(in)
-		case recSave:
-			addr = c.getReg(isa.RegSP)
-		case recRestore:
-			addr = c.getReg(isa.RegFP)
-		}
-		taken, annulled, npc := c.stats.TakenBranches, c.stats.AnnulledSlots, c.npc
-		if err := c.Step(); err != nil {
-			return err
-		}
-		if c.stats.TakenBranches != taken {
-			fl |= flagTaken
-		}
-		if r.open && idx == r.start+r.n {
-			r.cur = append(r.cur, fl)
-			r.n++
-		} else {
-			r.step(idx, fl)
-		}
-		if class != 0 {
-			switch class & recKind {
-			case recLoad, recStore:
-				t.addrs = append(t.addrs, addr)
-				if n := accessBytes(in.Op); addr+n > r.lo && addr < r.hi {
-					r.guard(addr, n)
-				}
-			case recSave:
-				t.addrs = append(t.addrs, addr)
-				r.save(addr)
-			case recRestore:
-				t.addrs = append(t.addrs, addr)
-				if r.depth == 0 {
-					// Returning past the initial frame fills a window nobody
-					// spilled: what it loads depends on the window count.
-					t.unusable = true
-				} else {
-					r.depth--
-				}
+// StepInstructions returns how many instructions the recording executed
+// on the reference Step path: the fallback opcodes the fast loop hands to
+// Step (SAVE, RESTORE, Ticc), not the common ones it records itself.
+func (t *Trace) StepInstructions() uint64 { return t.stepped }
+
+// decode folds the logged events into the run sequence and empties the
+// log.
+func (r *recorder) decode() {
+	for i := range r.ev {
+		e := &r.ev[i]
+		switch e.kind {
+		case 0:
+			r.closeAt(e.num, 0, false)
+			r.open, r.start, r.first = true, e.arg, e.num
+			r.cur = r.cur[:0]
+		case evAnnul:
+			r.closeAt(e.num, e.arg, true)
+		case evInterlocks:
+			for m := e.arg; m != 0; m &= m - 1 {
+				r.flag(e.num+uint64(bits.TrailingZeros32(m)), flagInterlock)
 			}
-			if class&recWritesFP != 0 {
-				t.windowSensitive = true
-			}
-		}
-		if c.stats.AnnulledSlots != annulled {
-			r.closeRun(npc, true)
+		default:
+			r.flag(e.num, e.kind)
 		}
 	}
-	r.cut(c)
+	r.ev = r.ev[:0]
+}
+
+// flag ORs fl into the flags of instruction num of the open run. Offsets
+// only grow within a run, but one instruction may be flagged twice.
+func (r *recorder) flag(num uint64, fl uint8) {
+	x := (num-r.first)<<8 | uint64(fl)
+	if k := len(r.cur) - 1; k >= 0 && r.cur[k]>>8 == x>>8 {
+		r.cur[k] |= x
+	} else {
+		r.cur = append(r.cur, x)
+	}
+}
+
+// recordStep executes the instruction at the pc on the reference Step
+// path and records it: the fast loop hands over its fallback opcodes.
+func (c *Core) recordStep() error {
+	r := c.rec
+	pc := c.pc
+	idx := (pc - c.textBase) >> 2
+	if pc&3 != 0 || uint64(idx) >= uint64(len(c.text)) {
+		return c.Step() // reports the fault
+	}
+	in := &c.text[idx]
+	class := r.class[idx]
+	num := c.stats.Instructions
+	var fl uint8
+	if c.loadHazardReg != noHazard && c.readsReg(in, c.loadHazardReg) {
+		fl |= flagInterlock
+	}
+	if c.iccJustSet && in.Op == isa.OpBicc {
+		fl |= flagICC
+	}
+	var addr uint32
+	switch class & recKind {
+	case recLoad, recStore:
+		addr = c.getReg(in.Rs1) + c.operand2(in)
+	case recSave:
+		addr = c.getReg(isa.RegSP)
+	case recRestore:
+		addr = c.getReg(isa.RegFP)
+	}
+	taken, annulled, npc := c.stats.TakenBranches, c.stats.AnnulledSlots, c.npc
+	if err := c.Step(); err != nil {
+		return err
+	}
+	r.stepped++
+	if c.stats.TakenBranches != taken {
+		fl |= flagTaken
+	}
+	if uint64(idx)-num != r.key {
+		if len(r.ev) >= recChunk {
+			r.decode()
+		}
+		r.key = uint64(idx) - num
+		r.ev = append(r.ev, recEvent{num: num, arg: idx})
+	}
+	if fl != 0 {
+		r.ev = append(r.ev, recEvent{num: num, kind: fl})
+	}
+	switch class & recKind {
+	case recLoad, recStore:
+		r.addrs = append(r.addrs, addr)
+		r.guard(addr, accessBytes(in.Op))
+	case recSave:
+		r.addrs = append(r.addrs, addr)
+		r.save(addr)
+	case recRestore:
+		r.addrs = append(r.addrs, addr)
+		r.restore()
+	}
+	if c.stats.AnnulledSlots != annulled {
+		r.ev = append(r.ev, recEvent{num: c.stats.Instructions, arg: npc, kind: evAnnul})
+		r.key = noRun
+	}
 	return nil
 }
 
@@ -332,72 +453,79 @@ func accessBytes(op isa.Opcode) uint32 {
 	return 4
 }
 
-// step appends instruction idx to the open run, or closes it and opens a
-// new one when idx does not follow it.
-func (r *recorder) step(idx uint32, fl uint8) {
-	if r.open && idx == r.start+r.n {
-		r.cur = append(r.cur, fl)
-		r.n++
-		return
-	}
-	r.closeRun(0, false)
-	r.open, r.start, r.n = true, idx, 1
-	r.cur = append(r.cur[:0], fl)
-}
-
-// closeRun ends the open run, interning it in the run table, and appends
-// its id to the sequence.
-func (r *recorder) closeRun(annul uint32, hasAnnul bool) {
+// closeAt ends the open run before instruction num and appends its id to
+// the sequence, interning it in the run table when it is new. hasAnnul
+// says the run ends with an annulled slot fetched at annul.
+func (r *recorder) closeAt(num uint64, annul uint32, hasAnnul bool) {
 	if !r.open {
 		return
 	}
 	r.open = false
-	t := r.t
+	n := uint32(num - r.first)
 	// Loops repeat: the run that followed the previous one last time is
-	// the likeliest match, and checking it avoids the map.
+	// the likeliest match.
+	id := int32(-1)
 	if r.last >= 0 {
-		if id := r.succ[r.last]; id >= 0 && r.matches(&t.runs[id], annul, hasAnnul) {
-			t.seq = append(t.seq, id)
-			r.last = id
-			return
+		if p := r.info[r.last].succ; p >= 0 && r.matches(p, n, annul, hasAnnul) {
+			id = p
 		}
 	}
-	r.key = binary.LittleEndian.AppendUint32(r.key[:0], r.start)
-	r.key = binary.LittleEndian.AppendUint32(r.key, r.n)
-	if hasAnnul {
-		r.key = append(r.key, 1)
-		r.key = binary.LittleEndian.AppendUint32(r.key, annul)
-	} else {
-		r.key = append(r.key, 0)
+	if id < 0 {
+		id = r.intern(n, annul, hasAnnul)
+		if r.last >= 0 {
+			r.info[r.last].succ = id
+		}
 	}
-	r.key = append(r.key, r.cur...)
-	id, ok := r.index[string(r.key)]
-	if !ok {
-		id = int32(len(t.runs))
-		t.runs = append(t.runs, traceRun{start: r.start, n: r.n, flagOff: uint32(len(t.flags)), annul: annul, hasAnnul: hasAnnul})
-		t.flags = append(t.flags, r.cur...)
-		r.succ = append(r.succ, -1)
-		r.index[string(r.key)] = id
-	}
-	if r.last >= 0 {
-		r.succ[r.last] = id
-	}
-	t.seq = append(t.seq, id)
+	r.seq = append(r.seq, id)
 	r.last = id
+	r.interlocks += r.info[id].interlocks
+	r.iccHolds += r.info[id].iccHolds
 }
 
-func (r *recorder) matches(run *traceRun, annul uint32, hasAnnul bool) bool {
-	return run.start == r.start && run.n == r.n && run.hasAnnul == hasAnnul &&
-		(!hasAnnul || run.annul == annul) &&
-		bytes.Equal(r.t.flags[run.flagOff:run.flagOff+run.n], r.cur)
+// matches reports whether run id is the open run of n instructions.
+func (r *recorder) matches(id int32, n, annul uint32, hasAnnul bool) bool {
+	run := &r.t.runs[id]
+	return run.start == r.start && run.n == n && run.hasAnnul == hasAnnul &&
+		(!hasAnnul || run.annul == annul) && slices.Equal(r.info[id].flags, r.cur)
+}
+
+// intern returns the id of the open run of n instructions, adding it to
+// the run table when it is new.
+func (r *recorder) intern(n, annul uint32, hasAnnul bool) int32 {
+	for id := r.heads[r.start] - 1; id >= 0; id = r.info[id].same {
+		if r.matches(id, n, annul, hasAnnul) {
+			return id
+		}
+	}
+	t := r.t
+	id := int32(len(t.runs))
+	t.runs = append(t.runs, traceRun{start: r.start, n: n, flagOff: uint32(len(t.flags)), annul: annul, hasAnnul: hasAnnul})
+	info := runInfo{flags: slices.Clone(r.cur), succ: -1, same: r.heads[r.start] - 1}
+	flags := make([]uint8, n)
+	for _, e := range r.cur {
+		fl := uint8(e)
+		flags[e>>8] = fl
+		if fl&flagInterlock != 0 {
+			info.interlocks++
+		}
+		if fl&flagICC != 0 {
+			info.iccHolds++
+		}
+	}
+	t.flags = append(t.flags, flags...)
+	r.info = append(r.info, info)
+	r.heads[r.start] = id + 1
+	return id
 }
 
 // cut closes the open run and marks the end of a recording step.
 func (r *recorder) cut(c *Core) {
-	r.closeRun(0, false)
+	r.decode()
+	r.closeAt(c.stats.Instructions, 0, false)
+	r.key = noRun
 	r.t.cuts = append(r.t.cuts, traceCut{
-		seq:        len(r.t.seq),
-		addrs:      len(r.t.addrs),
+		seq:        len(r.seq),
+		addrs:      len(r.addrs),
 		rec:        Snapshot{Stats: c.stats, ICache: c.icache.Stats(), DCache: c.dcache.Stats()},
 		interlocks: r.interlocks,
 		iccHolds:   r.iccHolds,
@@ -419,6 +547,17 @@ func (r *recorder) save(sp uint32) {
 	}
 	r.lo = min(r.lo, sp)
 	r.hi = max(r.hi, sp+saveArea)
+}
+
+// restore notes a RESTORE: the frame returns to its caller's depth.
+// Returning past the initial frame fills a window nobody spilled, whose
+// contents depend on the window count, so the trace is unusable.
+func (r *recorder) restore() {
+	if r.depth == 0 {
+		r.t.unusable = true
+	} else {
+		r.depth--
+	}
 }
 
 // guard flags the trace window-sensitive when a program access of n bytes
@@ -622,6 +761,14 @@ type timer struct {
 	depth, resid                        int
 	frames                              []uint32
 	ramLo, ramHi                        uint32
+	// sk, when not nil, receives the walk's skeleton.
+	sk *skeleton
+}
+
+// static is the part of the cycle count a skeleton keeps: all but the
+// dcache misses, the write-buffer stalls and the window traps.
+func (tm *timer) static() uint64 {
+	return tm.cyc - tm.dcStall - tm.wbStall - tm.winStall
 }
 
 // TimingClass is the projection of a configuration onto what one trace's
@@ -718,8 +865,24 @@ func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, shared, ok bool) {
 	k, holdsText := t.class(cfg)
 	t.mu.Lock()
 	w, shared := t.memo[k]
+	var sk *skeleton
+	build := false
 	if !shared {
 		w = &classWalk{done: make(chan struct{})}
+		// Of the classes that differ from one already in the memo only
+		// in the dcache, the first walked writes their skeleton and the
+		// others walk from it.
+		key := skeletonKey(k)
+		if sk = t.skels[key]; sk == nil {
+			for other := range t.memo {
+				if skeletonKey(other) == key {
+					sk = &skeleton{done: make(chan struct{})}
+					t.skels[key] = sk
+					build = true
+					break
+				}
+			}
+		}
 		t.memo[k] = w
 	}
 	t.mu.Unlock()
@@ -727,7 +890,20 @@ func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, shared, ok bool) {
 		<-w.done
 	} else {
 		t.walks.Add(1)
-		w.snaps, w.ok = t.walkClass(cfg, holdsText)
+		switch {
+		case build:
+			w.snaps, w.ok = t.walkClass(cfg, holdsText, sk)
+			sk.ok = w.ok
+			close(sk.done)
+		case sk != nil:
+			if <-sk.done; sk.ok {
+				w.snaps, w.ok = t.walkSkeleton(sk, cfg)
+			} else {
+				w.snaps, w.ok = t.walkClass(cfg, holdsText, nil)
+			}
+		default:
+			w.snaps, w.ok = t.walkClass(cfg, holdsText, nil)
+		}
 		close(w.done)
 	}
 	if !w.ok {
@@ -736,8 +912,9 @@ func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, shared, ok bool) {
 	return slices.Clone(w.snaps), shared, true
 }
 
-// walkClass times cfg by walking the whole trace.
-func (t *Trace) walkClass(cfg config.Config, holdsText bool) ([]Snapshot, bool) {
+// walkClass times cfg by walking the whole trace, writing its family's
+// skeleton into sk on the way when sk is not nil.
+func (t *Trace) walkClass(cfg config.Config, holdsText bool, sk *skeleton) ([]Snapshot, bool) {
 	ic, err := cache.New(cfg.ICache)
 	if err != nil {
 		return nil, false
@@ -755,6 +932,11 @@ func (t *Trace) walkClass(cfg config.Config, holdsText bool) ([]Snapshot, bool) 
 		l: l, ic: ic, dc: dc, wb: mem.NewWriteBuffer(mem.DefaultTiming()),
 		resid: 1,
 		ramLo: mem.RAMBase, ramHi: mem.RAMBase + t.ramBytes,
+		sk: sk,
+	}
+	if sk != nil {
+		sk.ev = make([]uint32, 0, len(t.addrs))
+		sk.cuts = make([]skelCut, len(t.cuts))
 	}
 	snaps := make([]Snapshot, len(t.cuts))
 	from := 0
@@ -767,7 +949,13 @@ func (t *Trace) walkClass(cfg config.Config, holdsText bool) ([]Snapshot, bool) 
 		if tm.ai != cut.addrs {
 			panic(fmt.Sprintf("cpu: trace address stream out of step at cut %d: %d != %d", k, tm.ai, cut.addrs))
 		}
-		snaps[k] = tm.snapshot(cut)
+		ics := tm.ic.Stats()
+		ics.ReadAccesses += tm.icHits
+		snaps[k] = tm.snapshot(cut, ics)
+		if sk != nil {
+			sk.cuts[k] = skelCut{ev: len(sk.ev), gap: tm.static() - sk.last, ic: ics, icStall: tm.icStall}
+			sk.last = tm.static()
+		}
 	}
 	return snaps, true
 }
@@ -784,6 +972,9 @@ func (tm *timer) walk(ops []timeOp, start, warm []uint32, seq []int32, addrs []u
 	var rdHits, rdMisses, wrHits, wrMisses uint64
 	cyc, ai, icHits := tm.cyc, tm.ai, tm.icHits
 	icStall, dcStall, wbStall := tm.icStall, tm.dcStall, tm.wbStall
+	// A skeleton notes the cycles charged before each event that are not
+	// the dcache's, the write buffer's or a window trap's.
+	sk := tm.sk
 	for _, id := range seq {
 		i := start[id]
 		start[id] = warm[id]
@@ -801,6 +992,9 @@ func (tm *timer) walk(ops []timeOp, start, warm []uint32, seq []int32, addrs []u
 					icStall += l.imiss
 				}
 			case opLoad:
+				if sk != nil {
+					sk.emit(skLoad, cyc-dcStall-wbStall-tm.winStall)
+				}
 				a := addrs[ai]
 				ai++
 				if a >= deviceBase {
@@ -820,6 +1014,9 @@ func (tm *timer) walk(ops []timeOp, start, warm []uint32, seq []int32, addrs []u
 				cyc += l.dmiss
 				dcStall += l.dmiss
 			case opStore:
+				if sk != nil {
+					sk.emit(skStore, cyc-dcStall-wbStall-tm.winStall)
+				}
 				a := addrs[ai]
 				ai++
 				if a >= deviceBase {
@@ -839,8 +1036,14 @@ func (tm *timer) walk(ops []timeOp, start, warm []uint32, seq []int32, addrs []u
 				tm.cyc = cyc
 				ok := false
 				if op.kind == opSave {
+					if sk != nil {
+						sk.emit(skSave, cyc-dcStall-wbStall-tm.winStall)
+					}
 					ok = tm.save(addrs[ai])
 				} else {
+					if sk != nil {
+						sk.emit(skRestore, cyc-dcStall-wbStall-tm.winStall)
+					}
 					ok = tm.restore(addrs[ai])
 				}
 				if !ok {
@@ -925,7 +1128,7 @@ func (tm *timer) restore(fp uint32) bool {
 // snapshot assembles the cumulative profile at a cut: the recorded
 // configuration-independent counts, the stalls that are a count times a
 // latency in closed form, and the replayed ones.
-func (tm *timer) snapshot(cut *traceCut) Snapshot {
+func (tm *timer) snapshot(cut *traceCut, ics cache.Stats) Snapshot {
 	l := tm.l
 	st := cut.rec.Stats
 	st.Cycles = tm.cyc
@@ -944,7 +1147,160 @@ func (tm *timer) snapshot(cut *traceCut) Snapshot {
 	st.DivStall = st.Divs * l.divExtra
 	st.JumpPenalty = st.Jumps * l.jumpExtra
 	st.DecodeStall = st.BranchPenalty * l.decodeExtra
-	ics := tm.ic.Stats()
-	ics.ReadAccesses += tm.icHits
 	return Snapshot{Stats: st, ICache: ics, DCache: tm.dc.Stats()}
+}
+
+// Access skeletons. The configurations of a class that differ only in the
+// dcache (its geometry, policy and line length, hence its miss penalty)
+// compile to the same ops and see the same icache, so every cycle their
+// walks charge, apart from dcache misses, write-buffer stalls and window
+// traps, falls at the same place in each. The first member of such a
+// family to be walked keeps, for every entry of the address stream, the
+// cycles charged since the entry before it; walkSkeleton then times each
+// later member by stepping the address stream alone, driving its own
+// dcache, write buffer and window stack. The model build's 11 dcache
+// variants share the recording configuration's family, whose first
+// member is the recording itself, so the first variant walked writes the
+// skeleton.
+
+// Skeleton event kinds, in the low bits of an event; the rest holds the
+// cycles charged since the previous event.
+const (
+	skLoad uint32 = iota
+	skStore
+	skSave
+	skRestore
+	skPad      // cycles only: a gap too long for one event
+	skKindBits = 3
+	skMaxGap   = 1<<(32-skKindBits) - 1
+)
+
+// skeleton is the dcache-independent part of the walks of one family,
+// written by the first member's walk: done closes when it is complete,
+// and ok is false if that walk stopped short (a spill or fill outside
+// RAM). last is the static cycle count at the latest event or cut.
+type skeleton struct {
+	done chan struct{}
+	ok   bool
+	ev   []uint32
+	cuts []skelCut
+	last uint64
+}
+
+// skelCut is the skeleton's state at a trace cut: the events before it,
+// the cycles charged after the last of them, and the icache's counters.
+type skelCut struct {
+	ev      int
+	gap     uint64
+	ic      cache.Stats
+	icStall uint64
+}
+
+// skeletonKey is k without what a skeleton leaves to its members.
+func skeletonKey(k TimingClass) TimingClass {
+	k.dc = config.CacheConfig{}
+	k.l.dmiss = 0
+	return k
+}
+
+// emit appends an event of the given kind, at static cycles since the
+// walk began.
+func (sk *skeleton) emit(kind uint32, static uint64) {
+	gap := static - sk.last
+	for ; gap > skMaxGap; gap -= skMaxGap {
+		sk.ev = append(sk.ev, skMaxGap<<skKindBits|skPad)
+	}
+	sk.ev = append(sk.ev, uint32(gap)<<skKindBits|kind)
+	sk.last = static
+}
+
+// walkSkeleton times cfg, a member of sk's family, from the skeleton: the
+// walk of walkClass with every cycle but the dcache's, the write buffer's
+// and the window traps' read off the skeleton.
+func (t *Trace) walkSkeleton(sk *skeleton, cfg config.Config) ([]Snapshot, bool) {
+	dc, err := cache.New(cfg.DCache)
+	if err != nil {
+		return nil, false
+	}
+	tm := &timer{
+		l: latenciesOf(cfg), dc: dc, wb: mem.NewWriteBuffer(mem.DefaultTiming()),
+		resid: 1,
+		ramLo: mem.RAMBase, ramHi: mem.RAMBase + t.ramBytes,
+	}
+	dmiss, wb, addrs := tm.l.dmiss, tm.wb, t.addrs
+	tags, lineShift, tagShift, mask, direct := dc.Direct()
+	var rdHits, rdMisses, wrHits, wrMisses uint64
+	var cyc, dcStall, wbStall uint64
+	snaps := make([]Snapshot, len(t.cuts))
+	e, ai := 0, 0
+	for k := range t.cuts {
+		sc := &sk.cuts[k]
+		for ; e < sc.ev; e++ {
+			x := sk.ev[e]
+			cyc += uint64(x >> skKindBits)
+			switch x & (1<<skKindBits - 1) {
+			case skLoad:
+				a := addrs[ai]
+				ai++
+				if a >= deviceBase {
+					continue
+				}
+				if direct {
+					j := a >> lineShift & mask
+					if tags[j] == a>>tagShift {
+						rdHits++
+						continue
+					}
+					tags[j] = a >> tagShift
+					rdMisses++
+				} else if dc.Read(a) {
+					continue
+				}
+				cyc += dmiss
+				dcStall += dmiss
+			case skStore:
+				a := addrs[ai]
+				ai++
+				if a >= deviceBase {
+					continue
+				}
+				if !direct {
+					dc.Write(a)
+				} else if tags[a>>lineShift&mask] == a>>tagShift {
+					wrHits++
+				} else {
+					wrMisses++
+				}
+				s := wb.Store(cyc)
+				cyc += s
+				wbStall += s
+			case skSave, skRestore:
+				tm.cyc = cyc
+				ok := false
+				if x&(1<<skKindBits-1) == skSave {
+					ok = tm.save(addrs[ai])
+				} else {
+					ok = tm.restore(addrs[ai])
+				}
+				if !ok {
+					return nil, false
+				}
+				ai++
+				cyc = tm.cyc
+			}
+		}
+		cyc += sc.gap
+		cut := &t.cuts[k]
+		if ai != cut.addrs {
+			panic(fmt.Sprintf("cpu: skeleton out of step with the address stream at cut %d: %d != %d", k, ai, cut.addrs))
+		}
+		dc.AddReadHits(rdHits)
+		dc.AddDirectReadMisses(rdMisses)
+		dc.AddWriteHits(wrHits)
+		dc.AddDirectWriteMisses(wrMisses)
+		rdHits, rdMisses, wrHits, wrMisses = 0, 0, 0, 0
+		tm.cyc, tm.icStall, tm.dcStall, tm.wbStall = cyc, sc.icStall, dcStall, wbStall
+		snaps[k] = tm.snapshot(cut, sc.ic)
+	}
+	return snaps, true
 }

@@ -3,9 +3,11 @@ package measure
 import (
 	"context"
 	"sync"
+	"time"
 
 	"liquidarch/internal/asm"
 	"liquidarch/internal/config"
+	"liquidarch/internal/obs"
 	"liquidarch/internal/platform"
 )
 
@@ -56,8 +58,21 @@ func WithTraceScope(ctx context.Context) context.Context {
 // recording and time their configuration from it. A configuration the
 // trace declines, or any configuration after a failed recording, runs
 // in full, so every error is RunWith's own.
+//
+// How the run was answered goes onto the caller's measure span as its
+// "sim" attribute: record, walk (timed by a walk of the trace), shared
+// (timed from a walk already made, or from the recording itself) or full.
+// A caller that waited for another's recording also gets sim_wait_ns, so
+// that a traced build splits into recording and walking time. Only a
+// measure span is annotated: a span is its owner's alone, and callers
+// without one of their own may share a parent.
 func (s *traceScope) measure(ctx context.Context, prog *asm.Program, cfg config.Config, opts platform.Options) (*platform.RunReport, error) {
+	span := obs.Current(ctx)
+	if span.Name() != "measure" {
+		span = nil
+	}
 	if cfg.Validate() != nil {
+		span.Set(obs.String("sim", "full"))
 		return platform.RunWith(prog, cfg, opts) // reports the invalid configuration
 	}
 	opts = opts.Normalized()
@@ -72,21 +87,35 @@ func (s *traceScope) measure(ctx context.Context, prog *asm.Program, cfg config.
 		e = &scopedTrace{done: make(chan struct{})}
 		s.entries[key] = e
 		s.mu.Unlock()
+		span.Set(obs.String("sim", "record"))
 		tr, rep, err := platform.Record(prog, cfg, opts)
 		e.tr = tr
 		close(e.done)
 		return rep, err
 	}
 	s.mu.Unlock()
+	var t0 time.Time
+	if span != nil {
+		t0 = time.Now()
+	}
 	select {
 	case <-e.done:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+	if span != nil {
+		span.Set(obs.Int("sim_wait_ns", time.Since(t0).Nanoseconds()))
+	}
 	if e.tr != nil {
-		if rep, ok := e.tr.Time(cfg); ok {
+		if rep, shared, ok := e.tr.Time(cfg); ok {
+			if shared {
+				span.Set(obs.String("sim", "shared"))
+			} else {
+				span.Set(obs.String("sim", "walk"))
+			}
 			return rep, nil
 		}
 	}
+	span.Set(obs.String("sim", "full"))
 	return platform.RunWith(prog, cfg, opts)
 }

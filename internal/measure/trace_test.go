@@ -3,10 +3,13 @@ package measure
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"liquidarch/internal/config"
+	"liquidarch/internal/obs"
 	"liquidarch/internal/platform"
 )
 
@@ -105,5 +108,37 @@ func TestTraceScopeFailedRecordFallsBack(t *testing.T) {
 	}
 	if d := platform.Counters().TraceRecords - before.TraceRecords; d != 1 {
 		t.Errorf("%d recordings, want 1", d)
+	}
+}
+
+// TestTraceScopeAnnotatesSpans: under a tracer, every measure span says
+// how its run was answered. The first configuration records, a second
+// of another timing class walks the trace, a repeat of the recording's
+// class is shared, and an invalid configuration runs in full; the
+// callers that waited on the recording carry the wait.
+func TestTraceScopeAnnotatesSpans(t *testing.T) {
+	prog := mustAssemble(t, strideSource)
+	tracer := obs.NewTracer(obs.TracerOptions{})
+	ctx := WithTraceScope(obs.WithTracer(context.Background(), tracer))
+	c := NewCache(Simulator{}, 64)
+	windows := config.Default()
+	windows.IU.RegWindows = 16 // the program never saves: the recording's class
+	bad := config.Default()
+	bad.DCache.Sets = 7
+	for _, cfg := range []config.Config{config.Default(), cfgWithSetKB(1), windows, bad} {
+		c.Measure(ctx, prog, cfg, platform.Options{})
+	}
+	tracer.Finish()
+	var got []string
+	for _, rec := range tracer.Snapshot().Spans {
+		if rec.Name != "measure" {
+			continue
+		}
+		sim, _ := rec.Attr("sim")
+		_, waited := rec.Attr("sim_wait_ns")
+		got = append(got, fmt.Sprintf("%s/%v", sim.Str, waited))
+	}
+	if want := []string{"record/false", "walk/true", "shared/true", "full/false"}; !slices.Equal(got, want) {
+		t.Errorf("measure spans say %v, want %v", got, want)
 	}
 }

@@ -171,6 +171,14 @@ next:
 // Enabled reports whether the span is live (tracing enabled).
 func (s *Span) Enabled() bool { return s != nil }
 
+// Name returns the span's name, "" for a nil span.
+func (s *Span) Name() string {
+	if s == nil {
+		return ""
+	}
+	return s.name
+}
+
 // End closes the span and records it. No-op on a nil span; a second
 // End is ignored, so `defer span.End()` composes with an explicit End
 // on the happy path.

@@ -25,6 +25,7 @@ var (
 	ctrTraceShared   atomic.Uint64
 	ctrTraceRecordNs atomic.Uint64
 	ctrTraceTimeNs   atomic.Uint64
+	ctrTraceStepped  atomic.Uint64
 )
 
 // TuningCounters is a point-in-time snapshot of the process-wide
@@ -60,12 +61,17 @@ type TuningCounters struct {
 	// timing class already walked or seeded by the recording run, so
 	// TraceTimed-TraceShared is the number of walks. TraceRecordNs and
 	// TraceTimeNs are the wall time spent recording and timing.
-	TraceRecords  uint64 `json:"trace_records"`
-	TraceTimed    uint64 `json:"trace_timed"`
-	TraceDeclined uint64 `json:"trace_declined"`
-	TraceShared   uint64 `json:"trace_shared"`
-	TraceRecordNs uint64 `json:"trace_record_ns"`
-	TraceTimeNs   uint64 `json:"trace_time_ns"`
+	// TraceStepInstrs counts the instructions recordings executed on the
+	// reference Step path: only the opcodes the fast loop hands to Step
+	// (SAVE, RESTORE, Ticc), so a recording that fell back to
+	// single-stepping shows as a jump here.
+	TraceRecords    uint64 `json:"trace_records"`
+	TraceTimed      uint64 `json:"trace_timed"`
+	TraceDeclined   uint64 `json:"trace_declined"`
+	TraceShared     uint64 `json:"trace_shared"`
+	TraceRecordNs   uint64 `json:"trace_record_ns"`
+	TraceTimeNs     uint64 `json:"trace_time_ns"`
+	TraceStepInstrs uint64 `json:"trace_step_instrs"`
 }
 
 // Counters returns the current tuning-counter snapshot.
@@ -84,6 +90,7 @@ func Counters() TuningCounters {
 		TraceShared:        ctrTraceShared.Load(),
 		TraceRecordNs:      ctrTraceRecordNs.Load(),
 		TraceTimeNs:        ctrTraceTimeNs.Load(),
+		TraceStepInstrs:    ctrTraceStepped.Load(),
 	}
 	if total := c.SuperblockHits + c.SuperblockDeopts; total > 0 {
 		c.SuperblockHitRatePct = 100 * float64(c.SuperblockHits) / float64(total)

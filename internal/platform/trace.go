@@ -42,6 +42,7 @@ func Record(prog *asm.Program, cfg config.Config, opts Options) (*Trace, *RunRep
 	rep, err := e.Run()
 	e.core.StopRecording()
 	releaseEngine(e)
+	ctrTraceStepped.Add(rec.StepInstructions())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -68,14 +69,16 @@ func (t *Trace) Walks() int { return t.rec.Walks() }
 // on cfg would return, derived from the trace without executing the
 // program. ok is false when the trace cannot stand in for that run (see
 // cpu.Trace.Time); the caller then runs it in full. Time is safe for
-// concurrent use, and walks the trace once per timing class.
-func (t *Trace) Time(cfg config.Config) (rep *RunReport, ok bool) {
+// concurrent use, and walks the trace once per timing class; shared
+// reports that this call did not walk, because the recording run or an
+// earlier walk covered cfg's class.
+func (t *Trace) Time(cfg config.Config) (rep *RunReport, shared, ok bool) {
 	t0 := time.Now()
 	defer func() { ctrTraceTimeNs.Add(uint64(time.Since(t0))) }()
 	snaps, shared, ok := t.rec.Time(cfg)
 	if !ok {
 		ctrTraceDeclined.Add(1)
-		return nil, false
+		return nil, false, false
 	}
 	ctrTraceTimed.Add(1)
 	if shared {
@@ -94,7 +97,7 @@ func (t *Trace) Time(cfg config.Config) (rep *RunReport, ok bool) {
 		Sampled:  ref.Sampled,
 	}
 	if ref.Intervals == nil {
-		return rep, true
+		return rep, shared, true
 	}
 	// The interval stepper cuts once per step and keeps the steps that
 	// retired instructions; the partition is functional, so the kept cuts
@@ -115,5 +118,5 @@ func (t *Trace) Time(cfg config.Config) (rep *RunReport, ok bool) {
 		}
 		prev = s
 	}
-	return rep, true
+	return rep, shared, true
 }

@@ -250,7 +250,7 @@ func TestFunctionalOutcomeIsConfigInvariant(t *testing.T) {
 // checkTimed demands that tr.Time(cfg) reproduce want byte for byte.
 func checkTimed(t *testing.T, tr *platform.Trace, cfg config.Config, want *platform.RunReport) {
 	t.Helper()
-	got, ok := tr.Time(cfg)
+	got, _, ok := tr.Time(cfg)
 	if !ok {
 		t.Errorf("%v: trace declined", cfg)
 		return
@@ -405,7 +405,7 @@ func TestTraceClassSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if rep, ok := tr.Time(cfg); ok {
+			if rep, _, ok := tr.Time(cfg); ok {
 				reps[i] = rep
 			} else {
 				t.Errorf("%v declined", cfg)
@@ -456,7 +456,7 @@ func TestTraceDeclinesInvalidConfig(t *testing.T) {
 	}
 	cfg := config.Default()
 	cfg.DCache.Sets = 7
-	if _, ok := tr.Time(cfg); ok {
+	if _, _, ok := tr.Time(cfg); ok {
 		t.Error("invalid configuration timed")
 	}
 }
@@ -482,7 +482,7 @@ func TestTimedProfileBalances(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range modelBuildConfigs(t) {
-		rep, ok := tr.Time(cfg)
+		rep, _, ok := tr.Time(cfg)
 		if !ok {
 			t.Fatalf("%v declined", cfg)
 		}

@@ -54,6 +54,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -61,6 +62,7 @@ import (
 	"log"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"liquidarch/internal/config"
@@ -328,6 +330,8 @@ type Server struct {
 	session  *core.Session  // the unified tuning pipeline every job runs through
 	stages   *obs.Stages    // per-stage latency histograms across every flight
 	logf     func(format string, args ...any)
+	// encodeErrors counts the responses that could not be encoded.
+	encodeErrors atomic.Uint64
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -979,15 +983,19 @@ type Metrics struct {
 	// flight: count, total and p50/p95/p99 per pipeline stage name
 	// ("tune", "model", "measure", "solve", ...).
 	Stages map[string]obs.StageStats `json:"stages,omitempty"`
+	// EncodeErrors counts the responses and stream lines the server could
+	// not encode as JSON, each answered with an error instead.
+	EncodeErrors uint64 `json:"encode_errors"`
 }
 
 // MetricsSnapshot assembles the current counters.
 func (s *Server) MetricsSnapshot() Metrics {
 	m := Metrics{
-		Pool:   platform.PoolSnapshot(),
-		Jobs:   map[string]int{},
-		Tuning: platform.Counters(),
-		Stages: s.stages.Snapshot(),
+		Pool:         platform.PoolSnapshot(),
+		Jobs:         map[string]int{},
+		Tuning:       platform.Counters(),
+		Stages:       s.stages.Snapshot(),
+		EncodeErrors: s.encodeErrors.Load(),
 	}
 	models := s.session.ModelStats()
 	m.Models = &models
@@ -1031,20 +1039,71 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.msg }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// bodies recycles the buffers responses are encoded into.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON answers with v as indented JSON. v is encoded before the
+// header goes out, so a value JSON cannot hold (a non-finite float)
+// becomes a 500 with an error body instead of a 200 with none; the
+// failure is logged and counted (Metrics.EncodeErrors).
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer bodies.Put(buf)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		s.encodeFailed(err)
+		code = http.StatusInternalServerError
+		_ = enc.Encode(map[string]string{"error": "encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
-func writeErr(w http.ResponseWriter, err error) {
+func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	if ae, ok := err.(*apiError); ok {
 		code = ae.code
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	s.writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// lineWriter writes the lines of one ndjson stream, each encoded whole
+// before it is written.
+type lineWriter struct {
+	s   *Server
+	w   http.ResponseWriter
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+func (s *Server) newLineWriter(w http.ResponseWriter) *lineWriter {
+	lw := &lineWriter{s: s, w: w}
+	lw.enc = json.NewEncoder(&lw.buf)
+	return lw
+}
+
+// write writes v as one line. A value JSON cannot hold ends the stream
+// with an {"error": ...} line, logged and counted as in writeJSON. It
+// reports whether the stream may go on.
+func (lw *lineWriter) write(v any) bool {
+	lw.buf.Reset()
+	if err := lw.enc.Encode(v); err != nil {
+		lw.s.encodeFailed(err)
+		_ = lw.enc.Encode(map[string]string{"error": "encoding the stream: " + err.Error()})
+		_, _ = lw.w.Write(lw.buf.Bytes())
+		return false
+	}
+	_, err := lw.w.Write(lw.buf.Bytes())
+	return err == nil
+}
+
+// encodeFailed logs and counts a response the server could not encode.
+func (s *Server) encodeFailed(err error) {
+	s.encodeErrors.Add(1)
+	s.logf("serve: encoding a response: %v", err)
 }
 
 // MaxRequestBytes caps a POST /v1/jobs or /v1/batch body. The largest
@@ -1074,63 +1133,63 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req JobRequest
 		if err := decodeBody(w, r, &req); err != nil {
-			writeErr(w, err)
+			s.writeErr(w, err)
 			return
 		}
 		st, err := s.Submit(req)
 		if err != nil {
-			writeErr(w, err)
+			s.writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, st)
+		s.writeJSON(w, http.StatusAccepted, st)
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Jobs())
+		s.writeJSON(w, http.StatusOK, s.Jobs())
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, ok := s.Job(r.PathValue("id"))
 		if !ok {
-			writeErr(w, &apiError{http.StatusNotFound, "no such job"})
+			s.writeErr(w, &apiError{http.StatusNotFound, "no such job"})
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		s.writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.streamJob)
 	mux.HandleFunc("GET /v1/trace/{id}", func(w http.ResponseWriter, r *http.Request) {
 		doc, err := s.Trace(r.PathValue("id"))
 		if err != nil {
-			writeErr(w, err)
+			s.writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, doc)
+		s.writeJSON(w, http.StatusOK, doc)
 	})
 	mux.HandleFunc("GET /v1/trace/{id}/stream", s.streamTrace)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.Cancel(r.PathValue("id"))
 		if err != nil {
-			writeErr(w, err)
+			s.writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		s.writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchRequest
 		if err := decodeBody(w, r, &req); err != nil {
-			writeErr(w, err)
+			s.writeErr(w, err)
 			return
 		}
 		st, err := s.SubmitBatch(req)
 		if err != nil {
-			writeErr(w, err)
+			s.writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, st)
+		s.writeJSON(w, http.StatusAccepted, st)
 	})
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.MetricsSnapshot())
+		s.writeJSON(w, http.StatusOK, s.MetricsSnapshot())
 	})
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return mux
 }
@@ -1181,7 +1240,7 @@ func (s *Server) streamTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if !ok || j.trace == nil {
-		writeErr(w, &apiError{http.StatusNotFound, "no such job"})
+		s.writeErr(w, &apiError{http.StatusNotFound, "no such job"})
 		return
 	}
 	ch, cancel := j.trace.Subscribe(64)
@@ -1189,14 +1248,14 @@ func (s *Server) streamTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	lines := s.newLineWriter(w)
 	for {
 		select {
 		case rec, open := <-ch:
 			if !open {
 				return
 			}
-			if err := enc.Encode(rec); err != nil {
+			if !lines.write(rec) {
 				return
 			}
 			if flusher != nil {
@@ -1216,13 +1275,13 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if !ok {
-		writeErr(w, &apiError{http.StatusNotFound, "no such job"})
+		s.writeErr(w, &apiError{http.StatusNotFound, "no such job"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	lines := s.newLineWriter(w)
 	for {
 		// Snapshot and watch channel must come from the same critical
 		// section, or a state change between them would be missed.
@@ -1230,7 +1289,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request) {
 		st := j.status
 		ch := j.updated
 		j.mu.Unlock()
-		if err := enc.Encode(st); err != nil {
+		if !lines.write(st) {
 			return
 		}
 		if flusher != nil {
