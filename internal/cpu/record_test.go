@@ -15,7 +15,7 @@ import (
 
 // A recording core runs the fast loop (superblocks included), which
 // writes the trace as it goes. These tests hold its trace to the one the
-// reference recorder writes by single-stepping Step (StepRecordFor),
+// reference recorder writes by single-stepping Step (StepRecorder),
 // field by field: the run table and flags, the run sequence, the address
 // stream, every cut with its snapshot and hazard counts, the fetch set,
 // the call depth and the window guards.
@@ -59,9 +59,9 @@ func recordBoth(t *testing.T, newCore func() *cpu.Core, sample, interval uint64)
 	if err != nil {
 		t.Fatalf("fast recording: %v (pc=%#x)", err, fast.PC())
 	}
-	want := ref.StartRecording()
-	err = recordSchedule(ref.StepRecordFor, sample, interval)
-	ref.StopRecording()
+	sr := ref.StartStepRecording()
+	err = recordSchedule(sr.RunFor, sample, interval)
+	want := sr.Stop()
 	if err != nil {
 		t.Fatalf("Step recording: %v (pc=%#x)", err, ref.PC())
 	}
@@ -201,10 +201,10 @@ func TestRecordInstructionLimit(t *testing.T) {
 	prog := []isa.Instr{{Op: isa.OpBicc, Cond: isa.CondA, Disp: 0}, nop()}
 	fast, ref := buildCore(t, config.Default(), prog), buildCore(t, config.Default(), prog)
 	fast.StartRecording()
-	ref.StartRecording()
-	errFast, errRef := fast.Run(1000), ref.StepRecordRun(1000)
+	sr := ref.StartStepRecording()
+	errFast, errRef := fast.Run(1000), sr.Run(1000)
 	fast.StopRecording()
-	ref.StopRecording()
+	sr.Stop()
 	if errFast == nil || errRef == nil || errFast.Error() != errRef.Error() {
 		t.Fatalf("fast: %v, Step: %v", errFast, errRef)
 	}

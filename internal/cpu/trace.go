@@ -85,11 +85,9 @@ type Trace struct {
 	stepped uint64
 
 	// memo holds one walk per timing class, seeded with the recording
-	// run's own snapshots; walks counts the walks Time made. skels holds
-	// the access skeletons, by dcache-free class (skeletonKey).
+	// run's own snapshots; walks counts the walks Time made.
 	mu    sync.Mutex
 	memo  map[TimingClass]*classWalk
-	skels map[TimingClass]*skeleton
 	walks atomic.Int64
 }
 
@@ -272,7 +270,6 @@ func (c *Core) StartRecording() *Trace {
 		ramBytes: uint32(c.memory.Size()),
 		windows:  c.cfg.IU.RegWindows,
 		memo:     make(map[TimingClass]*classWalk),
-		skels:    make(map[TimingClass]*skeleton),
 	}
 	class := make([]uint8, len(c.text))
 	for i := range c.text {
@@ -287,7 +284,8 @@ func (c *Core) StartRecording() *Trace {
 		last:  -1,
 		heads: make([]int32, len(c.text)),
 		// A pooled core records the same program again, so the last
-		// recording's stream lengths fit.
+		// recording's stream lengths fit; growing these multi-megabyte
+		// streams by append costs 10-15% of a recording (record-x).
 		seq:   make([]int32, 0, c.recCap.seq),
 		addrs: make([]uint32, 0, c.recCap.addrs),
 	}
@@ -761,14 +759,6 @@ type timer struct {
 	depth, resid                        int
 	frames                              []uint32
 	ramLo, ramHi                        uint32
-	// sk, when not nil, receives the walk's skeleton.
-	sk *skeleton
-}
-
-// static is the part of the cycle count a skeleton keeps: all but the
-// dcache misses, the write-buffer stalls and the window traps.
-func (tm *timer) static() uint64 {
-	return tm.cyc - tm.dcStall - tm.wbStall - tm.winStall
 }
 
 // TimingClass is the projection of a configuration onto what one trace's
@@ -865,24 +855,8 @@ func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, shared, ok bool) {
 	k, holdsText := t.class(cfg)
 	t.mu.Lock()
 	w, shared := t.memo[k]
-	var sk *skeleton
-	build := false
 	if !shared {
 		w = &classWalk{done: make(chan struct{})}
-		// Of the classes that differ from one already in the memo only
-		// in the dcache, the first walked writes their skeleton and the
-		// others walk from it.
-		key := skeletonKey(k)
-		if sk = t.skels[key]; sk == nil {
-			for other := range t.memo {
-				if skeletonKey(other) == key {
-					sk = &skeleton{done: make(chan struct{})}
-					t.skels[key] = sk
-					build = true
-					break
-				}
-			}
-		}
 		t.memo[k] = w
 	}
 	t.mu.Unlock()
@@ -890,20 +864,7 @@ func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, shared, ok bool) {
 		<-w.done
 	} else {
 		t.walks.Add(1)
-		switch {
-		case build:
-			w.snaps, w.ok = t.walkClass(cfg, holdsText, sk)
-			sk.ok = w.ok
-			close(sk.done)
-		case sk != nil:
-			if <-sk.done; sk.ok {
-				w.snaps, w.ok = t.walkSkeleton(sk, cfg)
-			} else {
-				w.snaps, w.ok = t.walkClass(cfg, holdsText, nil)
-			}
-		default:
-			w.snaps, w.ok = t.walkClass(cfg, holdsText, nil)
-		}
+		w.snaps, w.ok = t.walkClass(cfg, holdsText)
 		close(w.done)
 	}
 	if !w.ok {
@@ -912,9 +873,8 @@ func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, shared, ok bool) {
 	return slices.Clone(w.snaps), shared, true
 }
 
-// walkClass times cfg by walking the whole trace, writing its family's
-// skeleton into sk on the way when sk is not nil.
-func (t *Trace) walkClass(cfg config.Config, holdsText bool, sk *skeleton) ([]Snapshot, bool) {
+// walkClass times cfg by walking the whole trace.
+func (t *Trace) walkClass(cfg config.Config, holdsText bool) ([]Snapshot, bool) {
 	ic, err := cache.New(cfg.ICache)
 	if err != nil {
 		return nil, false
@@ -932,11 +892,6 @@ func (t *Trace) walkClass(cfg config.Config, holdsText bool, sk *skeleton) ([]Sn
 		l: l, ic: ic, dc: dc, wb: mem.NewWriteBuffer(mem.DefaultTiming()),
 		resid: 1,
 		ramLo: mem.RAMBase, ramHi: mem.RAMBase + t.ramBytes,
-		sk: sk,
-	}
-	if sk != nil {
-		sk.ev = make([]uint32, 0, len(t.addrs))
-		sk.cuts = make([]skelCut, len(t.cuts))
 	}
 	snaps := make([]Snapshot, len(t.cuts))
 	from := 0
@@ -949,13 +904,7 @@ func (t *Trace) walkClass(cfg config.Config, holdsText bool, sk *skeleton) ([]Sn
 		if tm.ai != cut.addrs {
 			panic(fmt.Sprintf("cpu: trace address stream out of step at cut %d: %d != %d", k, tm.ai, cut.addrs))
 		}
-		ics := tm.ic.Stats()
-		ics.ReadAccesses += tm.icHits
-		snaps[k] = tm.snapshot(cut, ics)
-		if sk != nil {
-			sk.cuts[k] = skelCut{ev: len(sk.ev), gap: tm.static() - sk.last, ic: ics, icStall: tm.icStall}
-			sk.last = tm.static()
-		}
+		snaps[k] = tm.snapshot(cut)
 	}
 	return snaps, true
 }
@@ -972,9 +921,6 @@ func (tm *timer) walk(ops []timeOp, start, warm []uint32, seq []int32, addrs []u
 	var rdHits, rdMisses, wrHits, wrMisses uint64
 	cyc, ai, icHits := tm.cyc, tm.ai, tm.icHits
 	icStall, dcStall, wbStall := tm.icStall, tm.dcStall, tm.wbStall
-	// A skeleton notes the cycles charged before each event that are not
-	// the dcache's, the write buffer's or a window trap's.
-	sk := tm.sk
 	for _, id := range seq {
 		i := start[id]
 		start[id] = warm[id]
@@ -992,9 +938,6 @@ func (tm *timer) walk(ops []timeOp, start, warm []uint32, seq []int32, addrs []u
 					icStall += l.imiss
 				}
 			case opLoad:
-				if sk != nil {
-					sk.emit(skLoad, cyc-dcStall-wbStall-tm.winStall)
-				}
 				a := addrs[ai]
 				ai++
 				if a >= deviceBase {
@@ -1014,9 +957,6 @@ func (tm *timer) walk(ops []timeOp, start, warm []uint32, seq []int32, addrs []u
 				cyc += l.dmiss
 				dcStall += l.dmiss
 			case opStore:
-				if sk != nil {
-					sk.emit(skStore, cyc-dcStall-wbStall-tm.winStall)
-				}
 				a := addrs[ai]
 				ai++
 				if a >= deviceBase {
@@ -1036,14 +976,8 @@ func (tm *timer) walk(ops []timeOp, start, warm []uint32, seq []int32, addrs []u
 				tm.cyc = cyc
 				ok := false
 				if op.kind == opSave {
-					if sk != nil {
-						sk.emit(skSave, cyc-dcStall-wbStall-tm.winStall)
-					}
 					ok = tm.save(addrs[ai])
 				} else {
-					if sk != nil {
-						sk.emit(skRestore, cyc-dcStall-wbStall-tm.winStall)
-					}
 					ok = tm.restore(addrs[ai])
 				}
 				if !ok {
@@ -1128,7 +1062,7 @@ func (tm *timer) restore(fp uint32) bool {
 // snapshot assembles the cumulative profile at a cut: the recorded
 // configuration-independent counts, the stalls that are a count times a
 // latency in closed form, and the replayed ones.
-func (tm *timer) snapshot(cut *traceCut, ics cache.Stats) Snapshot {
+func (tm *timer) snapshot(cut *traceCut) Snapshot {
 	l := tm.l
 	st := cut.rec.Stats
 	st.Cycles = tm.cyc
@@ -1147,160 +1081,7 @@ func (tm *timer) snapshot(cut *traceCut, ics cache.Stats) Snapshot {
 	st.DivStall = st.Divs * l.divExtra
 	st.JumpPenalty = st.Jumps * l.jumpExtra
 	st.DecodeStall = st.BranchPenalty * l.decodeExtra
+	ics := tm.ic.Stats()
+	ics.ReadAccesses += tm.icHits
 	return Snapshot{Stats: st, ICache: ics, DCache: tm.dc.Stats()}
-}
-
-// Access skeletons. The configurations of a class that differ only in the
-// dcache (its geometry, policy and line length, hence its miss penalty)
-// compile to the same ops and see the same icache, so every cycle their
-// walks charge, apart from dcache misses, write-buffer stalls and window
-// traps, falls at the same place in each. The first member of such a
-// family to be walked keeps, for every entry of the address stream, the
-// cycles charged since the entry before it; walkSkeleton then times each
-// later member by stepping the address stream alone, driving its own
-// dcache, write buffer and window stack. The model build's 11 dcache
-// variants share the recording configuration's family, whose first
-// member is the recording itself, so the first variant walked writes the
-// skeleton.
-
-// Skeleton event kinds, in the low bits of an event; the rest holds the
-// cycles charged since the previous event.
-const (
-	skLoad uint32 = iota
-	skStore
-	skSave
-	skRestore
-	skPad      // cycles only: a gap too long for one event
-	skKindBits = 3
-	skMaxGap   = 1<<(32-skKindBits) - 1
-)
-
-// skeleton is the dcache-independent part of the walks of one family,
-// written by the first member's walk: done closes when it is complete,
-// and ok is false if that walk stopped short (a spill or fill outside
-// RAM). last is the static cycle count at the latest event or cut.
-type skeleton struct {
-	done chan struct{}
-	ok   bool
-	ev   []uint32
-	cuts []skelCut
-	last uint64
-}
-
-// skelCut is the skeleton's state at a trace cut: the events before it,
-// the cycles charged after the last of them, and the icache's counters.
-type skelCut struct {
-	ev      int
-	gap     uint64
-	ic      cache.Stats
-	icStall uint64
-}
-
-// skeletonKey is k without what a skeleton leaves to its members.
-func skeletonKey(k TimingClass) TimingClass {
-	k.dc = config.CacheConfig{}
-	k.l.dmiss = 0
-	return k
-}
-
-// emit appends an event of the given kind, at static cycles since the
-// walk began.
-func (sk *skeleton) emit(kind uint32, static uint64) {
-	gap := static - sk.last
-	for ; gap > skMaxGap; gap -= skMaxGap {
-		sk.ev = append(sk.ev, skMaxGap<<skKindBits|skPad)
-	}
-	sk.ev = append(sk.ev, uint32(gap)<<skKindBits|kind)
-	sk.last = static
-}
-
-// walkSkeleton times cfg, a member of sk's family, from the skeleton: the
-// walk of walkClass with every cycle but the dcache's, the write buffer's
-// and the window traps' read off the skeleton.
-func (t *Trace) walkSkeleton(sk *skeleton, cfg config.Config) ([]Snapshot, bool) {
-	dc, err := cache.New(cfg.DCache)
-	if err != nil {
-		return nil, false
-	}
-	tm := &timer{
-		l: latenciesOf(cfg), dc: dc, wb: mem.NewWriteBuffer(mem.DefaultTiming()),
-		resid: 1,
-		ramLo: mem.RAMBase, ramHi: mem.RAMBase + t.ramBytes,
-	}
-	dmiss, wb, addrs := tm.l.dmiss, tm.wb, t.addrs
-	tags, lineShift, tagShift, mask, direct := dc.Direct()
-	var rdHits, rdMisses, wrHits, wrMisses uint64
-	var cyc, dcStall, wbStall uint64
-	snaps := make([]Snapshot, len(t.cuts))
-	e, ai := 0, 0
-	for k := range t.cuts {
-		sc := &sk.cuts[k]
-		for ; e < sc.ev; e++ {
-			x := sk.ev[e]
-			cyc += uint64(x >> skKindBits)
-			switch x & (1<<skKindBits - 1) {
-			case skLoad:
-				a := addrs[ai]
-				ai++
-				if a >= deviceBase {
-					continue
-				}
-				if direct {
-					j := a >> lineShift & mask
-					if tags[j] == a>>tagShift {
-						rdHits++
-						continue
-					}
-					tags[j] = a >> tagShift
-					rdMisses++
-				} else if dc.Read(a) {
-					continue
-				}
-				cyc += dmiss
-				dcStall += dmiss
-			case skStore:
-				a := addrs[ai]
-				ai++
-				if a >= deviceBase {
-					continue
-				}
-				if !direct {
-					dc.Write(a)
-				} else if tags[a>>lineShift&mask] == a>>tagShift {
-					wrHits++
-				} else {
-					wrMisses++
-				}
-				s := wb.Store(cyc)
-				cyc += s
-				wbStall += s
-			case skSave, skRestore:
-				tm.cyc = cyc
-				ok := false
-				if x&(1<<skKindBits-1) == skSave {
-					ok = tm.save(addrs[ai])
-				} else {
-					ok = tm.restore(addrs[ai])
-				}
-				if !ok {
-					return nil, false
-				}
-				ai++
-				cyc = tm.cyc
-			}
-		}
-		cyc += sc.gap
-		cut := &t.cuts[k]
-		if ai != cut.addrs {
-			panic(fmt.Sprintf("cpu: skeleton out of step with the address stream at cut %d: %d != %d", k, ai, cut.addrs))
-		}
-		dc.AddReadHits(rdHits)
-		dc.AddDirectReadMisses(rdMisses)
-		dc.AddWriteHits(wrHits)
-		dc.AddDirectWriteMisses(wrMisses)
-		rdHits, rdMisses, wrHits, wrMisses = 0, 0, 0, 0
-		tm.cyc, tm.icStall, tm.dcStall, tm.wbStall = cyc, sc.icStall, dcStall, wbStall
-		snaps[k] = tm.snapshot(cut, sc.ic)
-	}
-	return snaps, true
 }

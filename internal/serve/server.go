@@ -1039,18 +1039,13 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.msg }
 
-// bodies recycles the buffers responses are encoded into.
-var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // writeJSON answers with v as indented JSON. v is encoded before the
 // header goes out, so a value JSON cannot hold (a non-finite float)
 // becomes a 500 with an error body instead of a 200 with none; the
 // failure is logged and counted (Metrics.EncodeErrors).
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	buf := bodies.Get().(*bytes.Buffer)
-	defer bodies.Put(buf)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
 		s.encodeFailed(err)
