@@ -13,11 +13,13 @@
 // The daemon is deployable as a long-lived, multi-replica service:
 // identical in-flight jobs coalesce onto one execution, terminal jobs
 // are retained only up to -job-retain / -job-ttl, the on-disk store is
-// garbage-collected to -store-max-bytes / -store-max-age, and several
-// replicas may share one -cache-dir (writes are atomic, corrupt entries
-// are read-repaired, a store-version manifest keeps mixed fleets from
-// clobbering each other, and -store-lease dedupes concurrent
-// simulations of one key across replicas with a TTL claim file). With
+// garbage-collected to -store-max-bytes / -store-max-age (at startup,
+// then every 64 spills), and several replicas may share one -cache-dir
+// (writes are atomic, corrupt entries are read-repaired, a
+// store-version manifest keeps mixed fleets from clobbering each other,
+// and -store-lease dedupes concurrent simulations of one key across
+// replicas with a TTL claim file). The platform's engine and memory
+// pools have fixed bounds, reported under /v1/metrics "pool". With
 // -model-dir, completed model sets additionally spill to durable
 // artifacts, so a restarted or sibling replica serves a previously
 // modeled application without a single simulation or model rebuild.
@@ -34,8 +36,7 @@
 //	autoarchd [-addr :8723] [-jobs 2] [-queue 256] [-bulk-queue 256]
 //	          [-cache-entries 4096] [-model-cache 128] [-cache-dir DIR]
 //	          [-model-dir DIR] [-job-retain 1024] [-job-ttl 0]
-//	          [-store-max-bytes 0] [-store-max-age 0] [-store-gc-every 64]
-//	          [-store-lease 0] [-engine-pool N] [-mem-pool N]
+//	          [-store-max-bytes 0] [-store-max-age 0] [-store-lease 0]
 //	          [-pprof] [-slow-job 1m]
 //
 // Endpoints: POST/GET /v1/jobs, POST /v1/batch, GET /v1/jobs/{id}, GET
@@ -64,7 +65,6 @@ import (
 
 	"liquidarch/internal/core"
 	"liquidarch/internal/measure"
-	"liquidarch/internal/platform"
 	"liquidarch/internal/serve"
 )
 
@@ -82,16 +82,11 @@ func main() {
 		jobTTL        = flag.Duration("job-ttl", 0, "drop terminal jobs older than this (0 = no age bound)")
 		storeMaxBytes = flag.Int64("store-max-bytes", 0, "GC the -cache-dir store down to this many bytes (0 = unbounded)")
 		storeMaxAge   = flag.Duration("store-max-age", 0, "GC -cache-dir entries not used within this window (0 = no age bound)")
-		storeGCEvery  = flag.Int("store-gc-every", measure.DefaultGCEvery, "run a store GC sweep every N spills")
 		storeLease    = flag.Duration("store-lease", 0, "cross-replica measurement claim TTL for the shared -cache-dir (0 = off)")
-		enginePool    = flag.Int("engine-pool", 0, "platform engine pool size (0 = default)")
-		memPool       = flag.Int("mem-pool", 0, "platform loaded-memory pool size (0 = default)")
 		pprofOn       = flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the service listener")
 		slowJob       = flag.Duration("slow-job", time.Minute, "log a warning for jobs slower than this, with their slowest pipeline stages (0 = off)")
 	)
 	flag.Parse()
-
-	platform.SetPoolLimits(*enginePool, *memPool)
 
 	// The provider stack, leaf to root: simulator → optional persistent
 	// spill (GC'd to the configured bounds) → bounded LRU. The cache is
@@ -108,7 +103,7 @@ func main() {
 		persistent := measure.NewPersistent(provider, store)
 		gc := measure.GCPolicy{MaxBytes: *storeMaxBytes, MaxAge: *storeMaxAge}
 		if gc.Enabled() {
-			persistent.EnableGC(gc, *storeGCEvery)
+			persistent.EnableGC(gc)
 		}
 		if *storeLease > 0 {
 			persistent.EnableLease(*storeLease)

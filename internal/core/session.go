@@ -1,16 +1,14 @@
 package core
 
 import (
-	"container/list"
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"liquidarch/internal/config"
 	"liquidarch/internal/fpga"
 	"liquidarch/internal/measure"
+	"liquidarch/internal/memo"
 	"liquidarch/internal/obs"
 	"liquidarch/internal/phase"
 	"liquidarch/internal/progs"
@@ -31,7 +29,8 @@ import (
 type Session struct {
 	provider     measure.Provider
 	workers      int
-	models       *modelCache
+	models       *memo.Cache[modelKey, *modelSet]
+	builds       atomic.Uint64 // model builds completed (disk loads excluded)
 	store        *ModelStore
 	measureStore *measure.Store
 }
@@ -78,10 +77,14 @@ func NewSession(opts SessionOptions) *Session {
 	if p == nil {
 		p = measure.Default()
 	}
+	capacity := opts.ModelCacheEntries
+	if capacity <= 0 {
+		capacity = DefaultModelCacheEntries
+	}
 	return &Session{
 		provider:     p,
 		workers:      opts.Workers,
-		models:       newModelCache(opts.ModelCacheEntries),
+		models:       memo.New[modelKey, *modelSet](capacity),
 		store:        opts.ModelStore,
 		measureStore: opts.MeasureStore,
 	}
@@ -95,7 +98,14 @@ func (s *Session) Provider() measure.Provider { return s.provider }
 // ModelStats returns a snapshot of the shared model layer's counters,
 // including the durable tier's disk traffic when a ModelStore is wired.
 func (s *Session) ModelStats() ModelCacheStats {
-	st := s.models.stats()
+	ms := s.models.Stats()
+	st := ModelCacheStats{
+		Hits:     ms.Hits,
+		Misses:   ms.Misses,
+		Builds:   s.builds.Load(),
+		Entries:  ms.Entries,
+		Capacity: ms.Capacity,
+	}
 	if s.store != nil {
 		st.DiskHits = s.store.hits.Load()
 		st.DiskMisses = s.store.misses.Load()
@@ -179,16 +189,16 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 			key.interval = popts.IntervalInstructions
 			key.threshold = popts.threshold()
 		}
-		var shared bool
-		var fromDisk atomic.Bool
-		set, shared, err = s.models.get(mctx, key, func() (*modelSet, bool, error) {
+		fromDisk := false
+		var out memo.Outcome
+		set, out, err = s.models.Do(mctx, key, func() (*modelSet, error) {
 			// Disk before rebuild: a completed build spilled by an earlier
 			// incarnation (or a sibling replica) answers the miss without
 			// a single measurement — and without counting as a build.
 			if s.store != nil {
 				if ds, ok := s.store.load(key); ok {
-					fromDisk.Store(true)
-					return ds, false, nil
+					fromDisk = true
+					return ds, nil
 				}
 			}
 			bt := *tn
@@ -204,13 +214,13 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 			if phased {
 				ps, perr := bt.buildPhaseSet(mctx, b, popts)
 				if perr != nil {
-					return nil, false, perr
+					return nil, perr
 				}
 				built = ps
 			} else {
 				m, merr := bt.buildModel(mctx, b)
 				if merr != nil {
-					return nil, false, merr
+					return nil, merr
 				}
 				built = &modelSet{models: []*Model{m}, baseRes: m.BaseResources}
 			}
@@ -220,15 +230,17 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 					_ = s.measureStore.SaveSet(key.artifactID(), rec.Keys())
 				}
 			}
-			return built, true, nil
+			s.builds.Add(1)
+			return built, nil
 		})
+		shared := out != memo.Miss
 		if modelSpan != nil {
 			switch {
 			case err != nil:
 				modelSpan.Set(obs.Bool("error", true))
 			case shared:
 				modelSpan.Set(obs.String("source", "shared"))
-			case fromDisk.Load():
+			case fromDisk:
 				modelSpan.Set(obs.String("source", "disk"))
 			default:
 				modelSpan.Set(obs.String("source", "build"))
@@ -241,7 +253,7 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if shared || fromDisk.Load() {
+		if shared || fromDisk {
 			// The build's measurements were already performed (by an
 			// earlier request, a concurrent one we joined, or a finished
 			// incarnation whose artifact we loaded): account them to this
@@ -412,9 +424,6 @@ type modelKey struct {
 // runs the per-phase models plus the detection artifacts the report
 // needs (models[1+p] is phase p's).
 type modelSet struct {
-	done chan struct{}
-	err  error
-
 	models       []*Model
 	baseRes      fpga.Resources
 	trace        *phase.Trace
@@ -442,127 +451,6 @@ type ModelCacheStats struct {
 	DiskHits   uint64 `json:"disk_hits,omitempty"`
 	DiskMisses uint64 `json:"disk_misses,omitempty"`
 	Spills     uint64 `json:"spills,omitempty"`
-}
-
-// modelCache is the shared model layer: a bounded, singleflighted LRU
-// of built model sets, mirroring measure.Cache one level up the stack.
-// The first request of a given key builds through the session's tuner;
-// concurrent same-key requests wait for that one build; later requests
-// get the resident set. Failed builds are not cached, and a waiter
-// whose flight owner was cancelled retries with its own live context.
-type modelCache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List                 // front = most recently used
-	entries map[modelKey]*list.Element // value: *modelEntry
-	hits    uint64
-	misses  uint64
-	builds  uint64
-}
-
-// modelEntry is one cache slot: the key rides along so eviction can
-// unmap in O(1).
-type modelEntry struct {
-	key modelKey
-	set *modelSet
-}
-
-func newModelCache(capacity int) *modelCache {
-	if capacity <= 0 {
-		capacity = DefaultModelCacheEntries
-	}
-	return &modelCache{
-		cap:     capacity,
-		ll:      list.New(),
-		entries: make(map[modelKey]*list.Element),
-	}
-}
-
-func (c *modelCache) stats() ModelCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ModelCacheStats{
-		Hits:     c.hits,
-		Misses:   c.misses,
-		Builds:   c.builds,
-		Entries:  c.ll.Len(),
-		Capacity: c.cap,
-	}
-}
-
-// get returns the model set for key, building it with build on a miss.
-// shared is true when the set came from the cache (resident or joined
-// in-flight) — i.e. this caller performed no measurements. build
-// additionally reports whether it actually performed a build (false
-// when it answered from the durable tier), which is what keeps Builds
-// an honest count of measurement work.
-func (c *modelCache) get(ctx context.Context, key modelKey, build func() (*modelSet, bool, error)) (set *modelSet, shared bool, err error) {
-	for {
-		set, shared, err, retry := c.getOnce(ctx, key, build)
-		if retry && ctx.Err() == nil {
-			continue
-		}
-		return set, shared, err
-	}
-}
-
-// getOnce performs one lookup-or-build round. retry is true when the
-// caller waited on another caller's flight that failed with that
-// owner's context error.
-func (c *modelCache) getOnce(ctx context.Context, key modelKey, build func() (*modelSet, bool, error)) (set *modelSet, shared bool, err error, retry bool) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		c.ll.MoveToFront(el)
-		ent := el.Value.(*modelEntry).set
-		c.mu.Unlock()
-		select {
-		case <-ent.done:
-		case <-ctx.Done():
-			return nil, false, ctx.Err(), false
-		}
-		if ent.err != nil {
-			retry := errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)
-			return nil, false, ent.err, retry
-		}
-		return ent, true, nil, false
-	}
-	c.misses++
-	ent := &modelSet{done: make(chan struct{})}
-	c.entries[key] = c.ll.PushFront(&modelEntry{key: key, set: ent})
-	for c.ll.Len() > c.cap {
-		el := c.ll.Back()
-		delete(c.entries, c.ll.Remove(el).(*modelEntry).key)
-	}
-	c.mu.Unlock()
-
-	built, didBuild, err := build()
-	if err == nil {
-		ent.models = built.models
-		ent.baseRes = built.baseRes
-		ent.trace = built.trace
-		ent.baseProfiles = built.baseProfiles
-	} else {
-		ent.err = err
-		// Do not memoize failures: drop the key so the next request
-		// retries (the entry may already have been evicted — fine).
-		c.mu.Lock()
-		if el, ok := c.entries[key]; ok && el.Value.(*modelEntry).set == ent {
-			c.ll.Remove(el)
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
-	}
-	if err == nil && didBuild {
-		c.mu.Lock()
-		c.builds++
-		c.mu.Unlock()
-	}
-	close(ent.done)
-	if err != nil {
-		return nil, false, err, false
-	}
-	return ent, false, nil, false
 }
 
 // buildPhaseSet performs the measurement half of a phase-aware run:

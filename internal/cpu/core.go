@@ -333,9 +333,6 @@ func (c *Core) setReg(r uint8, v uint32) {
 // extraction.
 func (c *Core) Reg(r uint8) uint32 { return c.getReg(r) }
 
-// SetReg pokes a register; used by tests and loaders.
-func (c *Core) SetReg(r uint8, v uint32) { c.setReg(r, v) }
-
 // SetTrace enables an execution trace: the first limit instructions are
 // disassembled to w as they execute. Pass nil to disable.
 func (c *Core) SetTrace(w io.Writer, limit uint64) {

@@ -127,9 +127,6 @@ func (o Opcode) IsStore() bool {
 	return false
 }
 
-// IsBranch reports whether the opcode is a conditional branch (Bicc).
-func (o Opcode) IsBranch() bool { return o == OpBicc }
-
 // IsControlTransfer reports whether the opcode can change control flow.
 func (o Opcode) IsControlTransfer() bool {
 	switch o {

@@ -1,13 +1,11 @@
 package measure
 
 import (
-	"container/list"
 	"context"
-	"errors"
-	"sync"
 
 	"liquidarch/internal/asm"
 	"liquidarch/internal/config"
+	"liquidarch/internal/memo"
 	"liquidarch/internal/obs"
 	"liquidarch/internal/platform"
 )
@@ -25,38 +23,22 @@ type CacheStats struct {
 	Capacity int `json:"capacity"`
 }
 
-// cacheEntry is one memoized measurement. done is closed when the
-// computation finishes; until then concurrent same-key callers wait on it
-// (singleflight).
-type cacheEntry struct {
-	key  Key
-	done chan struct{}
-	rep  *platform.RunReport
-	err  error
-}
-
-// Cache is a bounded, singleflighted LRU over any Provider. The first
-// caller of a given key measures through the inner provider; concurrent
-// callers of the same key wait for that one computation; later callers
-// get a copy of the resident report. When the entry count exceeds the
-// capacity, the least recently used entries are evicted, so a long-lived
-// server's memory stays bounded no matter how many (program,
-// configuration) pairs pass through.
+// Cache is a bounded, singleflighted LRU (internal/memo) over any
+// Provider. The first caller of a given key measures through the inner
+// provider; concurrent callers of the same key wait for that one
+// computation; later callers get a copy of the resident report. When
+// the entry count exceeds the capacity, the least recently used entries
+// are evicted, so a long-lived server's memory stays bounded no matter
+// how many (program, configuration) pairs pass through.
 //
-// Failed measurements are not cached: an error (including a context
-// cancellation observed by the measuring caller) is propagated to every
+// Failed measurements are not cached: an error is propagated to every
 // waiter of that flight and the key is removed, so the next caller
-// retries cleanly.
+// retries cleanly. A waiter whose flight owner was cancelled retries
+// with its own live context: two jobs sharing a measurement must not
+// fail together when only one of them is cancelled.
 type Cache struct {
 	inner Provider
-
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List            // front = most recently used
-	entries map[Key]*list.Element // value: *cacheEntry
-	hits    uint64
-	misses  uint64
-	evicted uint64
+	memo  *memo.Cache[Key, *platform.RunReport]
 }
 
 // NewCache wraps inner with a bounded LRU of at most capacity entries.
@@ -65,146 +47,59 @@ func NewCache(inner Provider, capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheEntries
 	}
-	return &Cache{
-		inner:   inner,
-		cap:     capacity,
-		ll:      list.New(),
-		entries: make(map[Key]*list.Element),
-	}
+	return &Cache{inner: inner, memo: memo.New[Key, *platform.RunReport](capacity)}
 }
 
 // Stats returns a snapshot of the hit/miss/eviction counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.memo.Stats()
 	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evicted,
-		Entries:   c.ll.Len(),
-		Capacity:  c.cap,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
+		Capacity:  st.Capacity,
 	}
 }
 
 // Measure implements Provider. Traced runs bypass the cache entirely —
 // their purpose is the side effect, and their reports are not reusable.
-//
-// A waiter whose flight owner was cancelled retries with its own live
-// context instead of inheriting the owner's context error: two jobs
-// sharing a measurement must not fail together when only one of them is
-// cancelled. Each retry either becomes the new flight owner or joins a
-// fresher flight, so the loop terminates.
 func (c *Cache) Measure(ctx context.Context, prog *asm.Program, cfg config.Config, opts platform.Options) (*platform.RunReport, error) {
 	if opts.TraceWriter != nil {
 		return c.inner.Measure(ctx, prog, cfg, opts)
 	}
 	// One observability span per measurement, with the cache outcome
-	// attributed (hit / wait / miss) and the store layers below
-	// annotating theirs. When tracing is disabled span is nil and every
-	// call on it is a zero-cost no-op.
+	// attributed (hit: answered by a resident entry; wait: joined another
+	// caller's in-flight measurement; miss: this caller measured) and the
+	// store layers below annotating theirs. When tracing is disabled span
+	// is nil and every call on it is a zero-cost no-op.
 	sctx, span := obs.Start(ctx, "measure")
 	if span != nil {
 		ctx = sctx
 		span.Set(obs.String("config", ConfigHash(cfg)))
 		defer span.End()
 	}
-	for {
-		rep, err, retry := c.measureOnce(ctx, prog, cfg, opts, span)
-		if retry && ctx.Err() == nil {
-			continue
+	rep, out, err := c.memo.Do(ctx, KeyFor(prog, cfg, opts), func() (*platform.RunReport, error) {
+		// Attributed before the inner layers annotate the span.
+		span.Set(obs.String("outcome", "miss"))
+		return c.inner.Measure(ctx, prog, cfg, opts)
+	})
+	if span != nil {
+		if out != memo.Miss {
+			span.Set(obs.String("outcome", out.String()))
 		}
-		if span != nil {
-			if err == nil {
-				span.Set(
-					obs.Int("instructions", int64(rep.Stats.Instructions)),
-					obs.Int("cycles", int64(rep.Stats.Cycles)))
-			} else {
-				span.Set(obs.Bool("error", true))
-			}
+		if err == nil {
+			span.Set(
+				obs.Int("instructions", int64(rep.Stats.Instructions)),
+				obs.Int("cycles", int64(rep.Stats.Cycles)))
+		} else {
+			span.Set(obs.Bool("error", true))
 		}
-		return rep, err
 	}
-}
-
-// measureOnce performs one lookup-or-measure round, attributing the
-// cache outcome onto span (hit: answered by a resident entry; wait:
-// joined another caller's in-flight measurement; miss: this caller
-// measured). retry is true when the caller waited on another caller's
-// flight that failed with that owner's context error.
-func (c *Cache) measureOnce(ctx context.Context, prog *asm.Program, cfg config.Config, opts platform.Options, span *obs.Span) (rep *platform.RunReport, err error, retry bool) {
-	key := KeyFor(prog, cfg, opts)
-
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		c.ll.MoveToFront(el)
-		ent := el.Value.(*cacheEntry)
-		c.mu.Unlock()
-		if span != nil {
-			select {
-			case <-ent.done:
-				span.Set(obs.String("outcome", "hit"))
-			default:
-				span.Set(obs.String("outcome", "wait"))
-			}
-		}
-		return c.wait(ctx, ent, cfg)
+	if err != nil {
+		return nil, err
 	}
-	c.misses++
-	ent := &cacheEntry{key: key, done: make(chan struct{})}
-	c.entries[key] = c.ll.PushFront(ent)
-	c.evictLocked()
-	c.mu.Unlock()
-	span.Set(obs.String("outcome", "miss"))
-
-	ent.rep, ent.err = c.inner.Measure(ctx, prog, cfg, opts)
-	if ent.err != nil {
-		// Do not memoize failures: drop the key so the next caller
-		// retries (the entry may already have been evicted — fine).
-		c.mu.Lock()
-		if el, ok := c.entries[key]; ok && el.Value.(*cacheEntry) == ent {
-			c.ll.Remove(el)
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
-	}
-	close(ent.done)
-	if ent.err != nil {
-		return nil, ent.err, false
-	}
-	return copyReport(ent.rep, cfg), nil, false
-}
-
-// wait blocks until the entry's flight completes (or ctx is cancelled)
-// and hands out a copy of the report. A flight that failed with a
-// context error is reported as retryable — the error belongs to the
-// flight owner's context, not necessarily the waiter's.
-func (c *Cache) wait(ctx context.Context, ent *cacheEntry, cfg config.Config) (*platform.RunReport, error, bool) {
-	select {
-	case <-ent.done:
-	case <-ctx.Done():
-		return nil, ctx.Err(), false
-	}
-	if ent.err != nil {
-		retry := errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)
-		return nil, ent.err, retry
-	}
-	return copyReport(ent.rep, cfg), nil, false
-}
-
-// evictLocked drops LRU-tail entries until the cache is within capacity.
-// In-flight entries can be evicted too: their waiters hold the entry
-// pointer directly and still get the result; only future callers re-measure.
-func (c *Cache) evictLocked() {
-	for c.ll.Len() > c.cap {
-		el := c.ll.Back()
-		if el == nil {
-			return
-		}
-		ent := c.ll.Remove(el).(*cacheEntry)
-		delete(c.entries, ent.key)
-		c.evicted++
-	}
+	return copyReport(rep, cfg), nil
 }
 
 // copyReport hands out a private copy with the caller's configuration

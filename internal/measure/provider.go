@@ -8,6 +8,7 @@
 //	Simulator            – executes the run on the platform (the leaf)
 //	Persistent           – spills/loads reports via a versioned on-disk store
 //	Cache                – bounded LRU with singleflight and eviction stats
+//	                       (internal/memo, shared with core's model layer)
 //
 // A caller composes the stack it needs; Default() is the process-wide
 // stack (Cache over Simulator) that the library consumers share, so the

@@ -814,8 +814,7 @@ type Persistent struct {
 	store *Store
 
 	gcPolicy GCPolicy
-	gcEvery  uint64
-	saven    atomic.Uint64 // saves since the last sweep
+	saven    atomic.Uint64 // spills, for the sweep cadence
 
 	leaseTTL time.Duration
 }
@@ -825,22 +824,17 @@ func NewPersistent(inner Provider, store *Store) *Persistent {
 	return &Persistent{inner: inner, store: store}
 }
 
-// DefaultGCEvery is how many spills elapse between GC sweeps when
-// EnableGC does not say otherwise. A sweep is one readdir + stats, so
-// amortizing over a few dozen writes keeps it invisible next to even a
-// single simulation.
+// DefaultGCEvery is how many spills elapse between GC sweeps. A sweep
+// is one readdir + stats, so amortizing over a few dozen writes keeps it
+// invisible next to even a single simulation.
 const DefaultGCEvery = 64
 
 // EnableGC makes the provider sweep its store to within policy after
-// every `every` spills (<= 0 means DefaultGCEvery), and once immediately
-// so a long-dormant oversized directory is bounded at startup. Returns
-// the receiver for chaining.
-func (p *Persistent) EnableGC(policy GCPolicy, every int) *Persistent {
-	if every <= 0 {
-		every = DefaultGCEvery
-	}
+// every DefaultGCEvery spills, and once immediately so a long-dormant
+// oversized directory is bounded at startup. Returns the receiver for
+// chaining.
+func (p *Persistent) EnableGC(policy GCPolicy) *Persistent {
 	p.gcPolicy = policy
-	p.gcEvery = uint64(every)
 	if policy.Enabled() {
 		p.store.GC(policy)
 	}
@@ -909,7 +903,7 @@ func (p *Persistent) Measure(ctx context.Context, prog *asm.Program, cfg config.
 	}
 	// Spill best-effort: a full disk must not fail the measurement.
 	_ = p.store.Save(key, rep)
-	if p.gcPolicy.Enabled() && p.saven.Add(1)%p.gcEvery == 0 {
+	if p.gcPolicy.Enabled() && p.saven.Add(1)%DefaultGCEvery == 0 {
 		p.store.GC(p.gcPolicy)
 	}
 	return rep, nil

@@ -328,15 +328,15 @@ func TestPersistentEnableGCBoundsTheStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	policy := GCPolicy{MaxBytes: 1500}
-	p := NewPersistent(&fakeProvider{}, store).EnableGC(policy, 2)
+	p := NewPersistent(&fakeProvider{}, store).EnableGC(policy)
 	ctx := context.Background()
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 2*DefaultGCEvery; i++ {
 		if _, err := p.Measure(ctx, testProgram(t, i), config.Default(), platform.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The last sweep ran at save 20; at most one un-swept save (~300 B)
-	// can sit above the bound between sweeps.
+	// The last sweep ran at save 2*DefaultGCEvery; at most one un-swept
+	// save (~300 B) can sit above the bound between sweeps.
 	st := store.Stats()
 	if st.Bytes > policy.MaxBytes+1024 {
 		t.Fatalf("store at %d bytes despite periodic GC to %d", st.Bytes, policy.MaxBytes)

@@ -355,75 +355,28 @@ type memKey struct {
 	ram  int
 }
 
-// DefaultEnginePoolSize and DefaultMemoryPoolSize are the pool bounds a
-// fresh process starts with; SetPoolLimits retunes them for a specific
-// deployment (e.g. the autoarchd daemon sizing pools to its worker count).
+// DefaultEnginePoolSize and DefaultMemoryPoolSize bound the engine and
+// loaded-memory pools.
 const DefaultEnginePoolSize = 8
 
 func DefaultMemoryPoolSize() int { return max(8, runtime.NumCPU()) }
 
 var pool = struct {
 	sync.Mutex
-	engines    map[engineKey][]*Engine
-	nEng       int
-	mems       map[memKey][]*mem.Memory
-	nMem       int
-	maxEngines int
-	maxMems    int
+	engines map[engineKey][]*Engine
+	nEng    int
+	mems    map[memKey][]*mem.Memory
+	nMem    int
 }{
-	engines:    make(map[engineKey][]*Engine),
-	mems:       make(map[memKey][]*mem.Memory),
-	maxEngines: DefaultEnginePoolSize,
-	maxMems:    DefaultMemoryPoolSize(),
-}
-
-// SetPoolLimits bounds the engine and loaded-memory pools. Nonpositive
-// values keep the corresponding current limit. Shrinking releases the
-// excess pooled objects immediately.
-func SetPoolLimits(engines, memories int) {
-	pool.Lock()
-	defer pool.Unlock()
-	if engines > 0 {
-		pool.maxEngines = engines
-	}
-	if memories > 0 {
-		pool.maxMems = memories
-	}
-	trimPoolLocked()
-}
-
-// trimPoolLocked drops pooled objects until both pools are within their
-// limits.
-func trimPoolLocked() {
-	for k, es := range pool.engines {
-		for pool.nEng > pool.maxEngines && len(es) > 0 {
-			es = es[:len(es)-1]
-			pool.nEng--
-		}
-		if len(es) == 0 {
-			delete(pool.engines, k)
-		} else {
-			pool.engines[k] = es
-		}
-	}
-	for k, ms := range pool.mems {
-		for pool.nMem > pool.maxMems && len(ms) > 0 {
-			ms = ms[:len(ms)-1]
-			pool.nMem--
-		}
-		if len(ms) == 0 {
-			delete(pool.mems, k)
-		} else {
-			pool.mems[k] = ms
-		}
-	}
+	engines: make(map[engineKey][]*Engine),
+	mems:    make(map[memKey][]*mem.Memory),
 }
 
 // PoolStats is a point-in-time snapshot of the engine/memory pools, for
 // the daemon's metrics endpoint.
 type PoolStats struct {
 	// Engines and Memories are the pooled object counts; the limits are
-	// the caps SetPoolLimits configured.
+	// DefaultEnginePoolSize and DefaultMemoryPoolSize.
 	Engines     int `json:"engines"`
 	EngineLimit int `json:"engine_limit"`
 	Memories    int `json:"memories"`
@@ -436,9 +389,9 @@ func PoolSnapshot() PoolStats {
 	defer pool.Unlock()
 	return PoolStats{
 		Engines:     pool.nEng,
-		EngineLimit: pool.maxEngines,
+		EngineLimit: DefaultEnginePoolSize,
 		Memories:    pool.nMem,
-		MemoryLimit: pool.maxMems,
+		MemoryLimit: DefaultMemoryPoolSize(),
 	}
 }
 
@@ -471,14 +424,14 @@ func releaseEngine(e *Engine) {
 	ek := keyOf(e.prog, e.cfg, e.opts)
 	pool.Lock()
 	defer pool.Unlock()
-	if pool.nEng < pool.maxEngines {
+	if pool.nEng < DefaultEnginePoolSize {
 		pool.engines[ek] = append(pool.engines[ek], e)
 		pool.nEng++
 		return
 	}
 	// Engine pool full: keep the expensive part (the loaded 8 MiB memory
 	// plus its snapshot) if there is room, drop the rest.
-	if pool.nMem < pool.maxMems {
+	if pool.nMem < DefaultMemoryPoolSize() {
 		mk := memKey{prog: e.prog, ram: e.opts.RAMBytes}
 		pool.mems[mk] = append(pool.mems[mk], e.m)
 		pool.nMem++

@@ -606,7 +606,7 @@ func TestTwoReplicasShareOneStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		counting := &countingProvider{inner: measure.Simulator{}}
-		persistent := measure.NewPersistent(counting, store).EnableGC(gc, 8)
+		persistent := measure.NewPersistent(counting, store).EnableGC(gc)
 		s := serve.New(serve.Options{
 			Workers:    1,
 			Provider:   measure.NewCache(persistent, 256),

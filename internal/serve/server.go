@@ -19,7 +19,13 @@
 // execution (a flight) with every attached job streaming the same
 // progress, terminal jobs are retained only up to a configured
 // count/age, and the measurement store a fleet shares over one
-// directory is swept by the measure layer's GC.
+// directory is swept by the measure layer's GC. Below the flights, the
+// measurement cache and the session's model layer are both bounded
+// singleflight LRUs (internal/memo): one simulation per measurement key
+// and one build per model key within a process. Across replicas
+// sharing a store nothing is coordinated unless the daemon opts into
+// the claim lease; replicas racing one key both measure it and the
+// atomic spill leaves one identical entry.
 //
 // API (all JSON):
 //
@@ -273,13 +279,6 @@ func (j *job) mutateLocked(fn func(*JobStatus)) {
 	fn(&j.status)
 	close(j.updated)
 	j.updated = make(chan struct{})
-}
-
-// watch returns the channel that is closed at the next status change.
-func (j *job) watch() <-chan struct{} {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.updated
 }
 
 // flight is one shared execution of identical JobRequests: the job-layer
