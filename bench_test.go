@@ -174,9 +174,12 @@ func BenchmarkTraceTime(b *testing.B) {
 			// The configurations are the ones a model build asks for.
 			keys := measure.NewKeyRecorder(measure.Simulator{})
 			benchTune(b, keys, core.Request{App: app, Scale: benchScale, SkipValidation: true})
+			base := config.Default()
 			var cfgs []config.Config
-			for _, k := range keys.Keys()[1:] { // [0] is the base
-				cfgs = append(cfgs, k.Cfg)
+			for _, k := range keys.Keys() {
+				if k.Cfg != base.TimingKey() {
+					cfgs = append(cfgs, k.Cfg)
+				}
 			}
 			var record, run time.Duration
 			var walks int
@@ -189,7 +192,7 @@ func BenchmarkTraceTime(b *testing.B) {
 					b.Fatal(err)
 				}
 				t1 := time.Now()
-				tr, _, err = platform.Record(prog, config.Default(), platform.Options{})
+				tr, _, err = platform.Record(prog, config.Default(), platform.Options{}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -315,12 +315,15 @@ func printTrace(t *obs.Tracer, w io.Writer) {
 		fmt.Fprintf(w, "  measurements: %d total (%d simulated, %d cache hits, %d joined in-flight)\n",
 			n, misses, hits, waits)
 	}
-	// How the simulated runs were answered: the recording, walks of its
-	// trace, runs shared with a walk or the recording, and full runs. The
-	// time a run spent waiting for the recording is left out of its own.
-	kinds := []string{"record", "walk", "shared", "full"}
+	// How the simulated runs were answered: the recording, the run that
+	// walked the dcache classes behind it (and how many walks it carried),
+	// walks of its trace, runs shared with a walk or the recording, and
+	// full runs. The time a run spent waiting for the recording is left
+	// out of its own.
+	kinds := []string{"record", "follow", "walk", "shared", "full"}
 	count := map[string]int{}
 	spent := map[string]time.Duration{}
+	followed := int64(0)
 	for _, rec := range tr.Spans {
 		a, found := rec.Attr("sim")
 		if rec.Name != "measure" || !found {
@@ -330,13 +333,20 @@ func printTrace(t *obs.Tracer, w io.Writer) {
 		if wait, found := rec.Attr("sim_wait_ns"); found {
 			d -= time.Duration(wait.Int)
 		}
+		if n, found := rec.Attr("sim_followed"); found {
+			followed += n.Int
+		}
 		count[a.Str]++
 		spent[a.Str] += d
 	}
 	var parts []string
 	for _, k := range kinds {
 		if count[k] > 0 {
-			parts = append(parts, fmt.Sprintf("%s x%d %v", k, count[k], spent[k].Round(time.Microsecond)))
+			part := fmt.Sprintf("%s x%d %v", k, count[k], spent[k].Round(time.Microsecond))
+			if k == "follow" {
+				part += fmt.Sprintf(" (%d walks behind the recording)", followed)
+			}
+			parts = append(parts, part)
 		}
 	}
 	if len(parts) > 0 {

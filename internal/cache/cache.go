@@ -64,8 +64,12 @@ func (s Stats) MissRate() float64 {
 // tagShift >= 6, so no 32-bit address can produce it.
 const invalidTag uint32 = ^uint32(0)
 
-// Cache is one set-associative timing cache.
+// Cache is one set-associative timing cache. A multi-way cache writes its
+// counters and LRU clock on every access; the padding keeps them off the
+// cache lines of a Cache allocated next to it that another goroutine
+// drives (trace walks run concurrently, cpu.Trace.Follow).
 type Cache struct {
+	_         [64]byte
 	ways      int
 	lineBytes uint32
 	numLines  uint32 // lines per way
@@ -82,6 +86,7 @@ type Cache struct {
 	clock uint32
 	rng   uint32
 	stats Stats
+	_     [64]byte
 }
 
 // rngSeed is the reset state of the xorshift random-replacement generator.
@@ -272,10 +277,10 @@ func (c *Cache) victim(line uint32) int {
 // Read performs a read access for addr and reports whether it hit. On a
 // miss the line is filled.
 func (c *Cache) Read(addr uint32) (hit bool) {
-	c.stats.ReadAccesses++
 	if c.ways == 1 {
 		// Direct-mapped fast path: one load + compare, no way loop, no
 		// replacement state.
+		c.stats.ReadAccesses++
 		i := (addr >> c.lineShift) & (c.numLines - 1)
 		tag := addr >> c.tagShift
 		if c.tags[i] == tag {
@@ -286,17 +291,42 @@ func (c *Cache) Read(addr uint32) (hit bool) {
 		c.stats.Fills++
 		return false
 	}
-	line, tag := c.index(addr)
-	if w := c.lookup(line, tag); w >= 0 {
-		c.touch(w, line)
+	if c.ReadHit(addr) {
 		return true
 	}
+	c.ReadMiss(addr)
+	return false
+}
+
+// ReadHit is the hit half of a read, small enough to inline into a
+// caller's loop: when addr hits, it counts and ages the access as Read
+// does and reports true; on a miss it changes nothing, and the caller
+// completes the read with ReadMiss.
+func (c *Cache) ReadHit(addr uint32) bool {
+	tag := addr >> c.tagShift
+	for i := addr >> c.lineShift & (c.numLines - 1); i < uint32(len(c.tags)); i += c.numLines {
+		if c.tags[i] == tag {
+			c.stats.ReadAccesses++
+			if c.policy == config.LRU {
+				c.clock++
+				c.age[i] = c.clock
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// ReadMiss completes a read of addr that ReadHit found missing: it counts
+// the miss and fills a victim way that the replacement policy chooses.
+func (c *Cache) ReadMiss(addr uint32) {
+	c.stats.ReadAccesses++
 	c.stats.ReadMisses++
+	line, tag := c.index(addr)
 	w := c.victim(line)
 	c.tags[uint32(w)*c.numLines+line] = tag
 	c.stats.Fills++
 	c.touch(w, line)
-	return false
 }
 
 // Write performs a write access (write-through, no-allocate) and reports

@@ -460,29 +460,27 @@ type ModelCacheStats struct {
 // weight-independent, which is what makes it cacheable in the shared
 // model layer.
 func (t *tuner) buildPhaseSet(ctx context.Context, b *progs.Benchmark, opts PhaseOptions) (*modelSet, error) {
-	baseRep, baseRes, err := t.run(ctx, b, config.Default(), opts.IntervalInstructions)
+	runs, err := t.measureModel(ctx, b, opts.IntervalInstructions)
 	if err != nil {
-		return nil, fmt.Errorf("core: base measurement: %w", err)
+		return nil, err
 	}
 	_, detectSpan := obs.Start(ctx, "phase.detect")
-	trace := phase.Detect(baseRep.Intervals, opts.IntervalInstructions, phase.Options{Threshold: opts.Threshold})
+	trace := phase.Detect(runs.base.Intervals, opts.IntervalInstructions, phase.Options{Threshold: opts.Threshold})
 	if detectSpan != nil {
 		detectSpan.Set(
 			obs.Int("phases", int64(trace.Phases)),
 			obs.Int("segments", int64(len(trace.Segments))))
 		detectSpan.End()
 	}
-	base := resolveObservation(baseRep, baseRes, trace)
-
-	models, err := t.buildModels(ctx, b, opts.IntervalInstructions, trace, base)
+	models, err := t.buildModels(b, runs, trace)
 	if err != nil {
 		return nil, err
 	}
 	return &modelSet{
 		models:       models,
-		baseRes:      baseRes,
+		baseRes:      runs.baseRes,
 		trace:        trace,
-		baseProfiles: trace.Profiles(baseRep.Intervals),
+		baseProfiles: trace.Profiles(runs.base.Intervals),
 	}, nil
 }
 

@@ -66,7 +66,7 @@ func TestColdTuneRecordsOnce(t *testing.T) {
 		}
 		// The recording run seeds its own class; every other class is
 		// walked once and serves the rest of its members.
-		tr, _, err := platform.Record(leaf.prog, config.Default(), leaf.opts)
+		tr, _, err := platform.Record(leaf.prog, config.Default(), leaf.opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,8 +75,13 @@ func TestColdTuneRecordsOnce(t *testing.T) {
 			k, _ := tr.Class(cfg)
 			classes[k] = true
 		}
-		if walks := timed - (after.TraceShared - before.TraceShared); walks != uint64(len(classes)-1) {
+		walks := timed - (after.TraceShared - before.TraceShared)
+		if walks != uint64(len(classes)-1) {
 			t.Errorf("%s: %d walks for %d configurations in %d classes, want one per class but the recording's", req.App, walks, sims, len(classes))
+		}
+		// Walks made behind the recording are among them.
+		if d := after.TraceFollowed - before.TraceFollowed; d > walks {
+			t.Errorf("%s: %d walks followed the recording, of %d", req.App, d, walks)
 		}
 	}
 }
@@ -100,5 +105,50 @@ func TestSharedModelValidatesWithoutRecording(t *testing.T) {
 	}
 	if d := platform.Counters().TraceRecords - before.TraceRecords; d != 0 {
 		t.Errorf("validation on a shared model recorded %d traces", d)
+	}
+}
+
+// inFlight wraps a leaf and records the most measurements it ever had in
+// flight at once.
+type inFlight struct {
+	mu       sync.Mutex
+	now, max int
+}
+
+func (f *inFlight) Measure(ctx context.Context, prog *asm.Program, cfg config.Config, opts platform.Options) (*platform.RunReport, error) {
+	f.mu.Lock()
+	f.now++
+	f.max = max(f.max, f.now)
+	f.mu.Unlock()
+	defer func() {
+		f.mu.Lock()
+		f.now--
+		f.mu.Unlock()
+	}()
+	return measure.Simulator{}.Measure(ctx, prog, cfg, opts)
+}
+
+// TestFollowerStaysWithinWorkers: the caller that walks behind the
+// recording is one of the request's workers. No build has more
+// measurements in flight than its worker bound, and with one worker the
+// recording is over before any other measurement starts, so nothing
+// follows it.
+func TestFollowerStaysWithinWorkers(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		leaf := &inFlight{}
+		sess := core.NewSession(core.SessionOptions{Provider: measure.NewCache(leaf, 512)})
+		before := platform.Counters()
+		req := core.Request{App: "blastn", Scale: workload.Tiny, Workers: workers}
+		if _, err := sess.Tune(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		followed := platform.Counters().TraceFollowed - before.TraceFollowed
+		if leaf.max > workers {
+			t.Errorf("workers %d: %d measurements in flight", workers, leaf.max)
+		}
+		if workers == 1 && followed != 0 {
+			t.Errorf("one worker: %d walks followed the recording", followed)
+		}
+		t.Logf("workers %d: %d walks followed the recording", workers, followed)
 	}
 }

@@ -34,6 +34,12 @@ type tuner struct {
 	sample uint64
 }
 
+// options are the run options of the tuner's measurements,
+// interval-profiled when interval is nonzero.
+func (t *tuner) options(interval uint64) platform.Options {
+	return platform.Options{SampleInstructions: t.sample, IntervalInstructions: interval}
+}
+
 // run runs the application once on cfg, interval-profiled when interval
 // is nonzero, and synthesizes cfg. The assembled program is memoized per
 // (benchmark, scale) by package progs, and the simulation goes through
@@ -49,8 +55,7 @@ func (t *tuner) run(ctx context.Context, b *progs.Benchmark, cfg config.Config, 
 	if err != nil {
 		return nil, fpga.Resources{}, err
 	}
-	opts := platform.Options{SampleInstructions: t.sample, IntervalInstructions: interval}
-	rep, err := t.provider.Measure(ctx, prog, cfg, opts)
+	rep, err := t.provider.Measure(ctx, prog, cfg, t.options(interval))
 	if err != nil {
 		return nil, fpga.Resources{}, err
 	}
@@ -101,41 +106,48 @@ func companionFor(v config.Var) (string, bool) {
 	return "", false
 }
 
+// modelRuns are the measurements one model build consumes: the base run
+// and one run per variable of the space, with their synthesized
+// resources.
+type modelRuns struct {
+	base    *platform.RunReport
+	baseRes fpga.Resources
+	reps    []*platform.RunReport
+	res     []fpga.Resources
+}
+
 // buildModel builds a plain run's whole-program model: buildModels over
 // a trace with no phases.
 func (t *tuner) buildModel(ctx context.Context, b *progs.Benchmark) (*Model, error) {
-	plain := &phase.Trace{}
-	rep, res, err := t.run(ctx, b, config.Default(), 0)
+	runs, err := t.measureModel(ctx, b, 0)
 	if err != nil {
-		return nil, fmt.Errorf("core: base measurement: %w", err)
+		return nil, err
 	}
-	models, err := t.buildModels(ctx, b, 0, plain, resolveObservation(rep, res, plain))
+	models, err := t.buildModels(b, runs, &phase.Trace{})
 	if err != nil {
 		return nil, err
 	}
 	return models[0], nil
 }
 
-// buildModels performs the paper's Section 3 procedure against the
-// measured base: measure every single-change configuration (and, for the
-// replacement-policy variables that LEON forbids on a 1-way cache, the
-// minimal companion pair sets=2 + policy, attributing the difference
-// over the sets=2 measurement), interval-profiled at interval, and
-// assemble 1+trace.Phases models over the shared observations: models[0]
-// is the whole-program model, models[1+p] phase p's. Measurements run in
-// parallel on the shared worker pool; results are deterministic.
-// Cancelling ctx aborts the build promptly (between measurement runs)
-// with the context's error.
-func (t *tuner) buildModels(ctx context.Context, b *progs.Benchmark, interval uint64, trace *phase.Trace, base observation) ([]*Model, error) {
+// measureModel performs the measurements of the paper's Section 3
+// procedure, interval-profiled at interval: the base and every
+// single-change configuration, and, for the replacement-policy variables
+// that LEON forbids on a 1-way cache, the minimal companion pair sets=2 +
+// policy. It plans them on the request's trace scope and measures them in
+// one round on the shared worker pool, the base first: while the base
+// records, a second worker walks the dcache variants behind it
+// (measure.Plan). Results are deterministic. Cancelling ctx aborts the
+// build promptly (between measurement runs) with the context's error.
+func (t *tuner) measureModel(ctx context.Context, b *progs.Benchmark, interval uint64) (*modelRuns, error) {
 	space := t.space
 	baseCfg := config.Default()
 	vars := space.Vars()
-	obs := make([]observation, len(vars))
 
 	// A replacement-policy variable is measured on top of its companion's
 	// configuration. That configuration comes from the space alone, so
-	// every variable is measured in one round: only the attribution below
-	// reads the companion's observation.
+	// every variable is measured in one round: only the attribution in
+	// buildModels reads the companion's observation.
 	for _, v := range vars {
 		if companion, ok := companionFor(v); ok {
 			if _, exists := space.ByName(companion); !exists {
@@ -143,22 +155,61 @@ func (t *tuner) buildModels(ctx context.Context, b *progs.Benchmark, interval ui
 			}
 		}
 	}
-	cfgFor := func(v config.Var) config.Config {
+	cfgs := make([]config.Config, 1+len(vars))
+	cfgs[0] = baseCfg
+	for i, v := range vars {
 		if companion, ok := companionFor(v); ok {
 			compVar, _ := space.ByName(companion)
-			return v.Apply(compVar.Apply(baseCfg))
+			cfgs[1+i] = v.Apply(compVar.Apply(baseCfg))
+		} else {
+			cfgs[1+i] = v.Apply(baseCfg)
 		}
-		return v.Apply(baseCfg)
 	}
-	if err := measure.ForEach(ctx, len(vars), t.workers, func(i int) error {
-		rep, res, err := t.run(ctx, b, cfgFor(vars[i]), interval)
-		if err != nil {
-			return fmt.Errorf("core: measuring %s: %w", vars[i].Name, err)
+	prog, err := b.Assemble(t.scale)
+	if err != nil {
+		return nil, fmt.Errorf("core: base measurement: %w", err)
+	}
+	measure.Plan(ctx, prog, t.options(interval), cfgs)
+
+	reps := make([]*platform.RunReport, len(cfgs))
+	res := make([]fpga.Resources, len(cfgs))
+	var baseErr error
+	err = measure.ForEach(ctx, len(cfgs), t.workers, func(i int) error {
+		rep, r, err := t.run(ctx, b, cfgs[i], interval)
+		switch {
+		case err == nil:
+			reps[i], res[i] = rep, r
+			return nil
+		case i == 0:
+			baseErr = fmt.Errorf("core: base measurement: %w", err)
+			return baseErr
+		default:
+			return fmt.Errorf("core: measuring %s: %w", vars[i-1].Name, err)
 		}
-		obs[i] = resolveObservation(rep, res, trace)
-		return nil
-	}); err != nil {
+	})
+	// A failing base fails the build as such, whichever failure the pool
+	// met first.
+	if baseErr != nil {
+		return nil, baseErr
+	}
+	if err != nil {
 		return nil, err
+	}
+	return &modelRuns{base: reps[0], baseRes: res[0], reps: reps[1:], res: res[1:]}, nil
+}
+
+// buildModels assembles the paper's Section 3 models from a build's runs:
+// 1+trace.Phases models over the shared observations, models[0] the
+// whole-program model and models[1+p] phase p's. A replacement-policy
+// variable's difference is attributed over its sets=2 companion's
+// measurement, every other variable's over the base.
+func (t *tuner) buildModels(b *progs.Benchmark, runs *modelRuns, trace *phase.Trace) ([]*Model, error) {
+	space := t.space
+	vars := space.Vars()
+	base := resolveObservation(runs.base, runs.baseRes, trace)
+	obs := make([]observation, len(vars))
+	for i := range vars {
+		obs[i] = resolveObservation(runs.reps[i], runs.res[i], trace)
 	}
 
 	// A replacement-policy variable is attributed against its companion's

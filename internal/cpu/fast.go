@@ -689,7 +689,7 @@ loop:
 		}
 		if rec != nil && uint64(idx)-instrs != rec.key {
 			// A new run starts here (trace.go).
-			if len(rec.ev) >= recChunk {
+			if len(rec.ev) >= rec.chunk {
 				rec.decode()
 			}
 			rec.key = uint64(idx) - instrs
@@ -734,7 +734,7 @@ loop:
 						sbHits++
 						if rec != nil {
 							if uint64(blk.head)-instrs != rec.key {
-								if len(rec.ev) >= recChunk {
+								if len(rec.ev) >= rec.chunk {
 									rec.decode()
 								}
 								rec.key = uint64(blk.head) - instrs

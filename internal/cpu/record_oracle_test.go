@@ -51,13 +51,7 @@ type StepRecorder struct {
 // returned recorder's RunFor and Run step c and record into a new Trace,
 // which Stop seals. Call it after LoadText.
 func (c *Core) StartStepRecording() *StepRecorder {
-	t := &Trace{
-		text:     c.text,
-		textBase: c.textBase,
-		ramBytes: uint32(c.memory.Size()),
-		windows:  c.cfg.IU.RegWindows,
-		memo:     make(map[TimingClass]*classWalk),
-	}
+	t := newTrace(c)
 	class := make([]uint8, len(c.text))
 	for i := range c.text {
 		class[i] = recClass(&c.text[i])
@@ -68,20 +62,8 @@ func (c *Core) StartStepRecording() *StepRecorder {
 // Stop seals the trace and returns it.
 func (r *StepRecorder) Stop() *Trace {
 	r.closeRun(0, false)
-	t := r.t
-	t.fetched = fetchAddresses(t)
-	if t.unusable {
-		return t
-	}
-	// The recording run is its own configuration's walk.
-	seed := &classWalk{done: make(chan struct{}), snaps: make([]Snapshot, len(t.cuts)), ok: true}
-	for k := range t.cuts {
-		seed.snaps[k] = t.cuts[k].rec
-	}
-	close(seed.done)
-	k, _ := t.class(r.c.cfg)
-	t.memo[k] = seed
-	return t
+	r.t.seal()
+	return r.t
 }
 
 // RunFor is Core.RunFor on the reference recorder.
@@ -292,7 +274,7 @@ func TraceDiff(a, b *Trace) string {
 		{"text", a.text, b.text},
 		{"textBase", a.textBase, b.textBase},
 		{"ramBytes", a.ramBytes, b.ramBytes},
-		{"windows", a.windows, b.windows},
+		{"cfg", a.cfg, b.cfg},
 		{"maxDepth", a.maxDepth, b.maxDepth},
 		{"windowSensitive", a.windowSensitive, b.windowSensitive},
 		{"unusable", a.unusable, b.unusable},

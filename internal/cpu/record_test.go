@@ -1,7 +1,9 @@
 package cpu_test
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"liquidarch/internal/config"
@@ -55,7 +57,7 @@ func recordBoth(t *testing.T, newCore func() *cpu.Core, sample, interval uint64)
 	fast, ref := newCore(), newCore()
 	got := fast.StartRecording()
 	err := recordSchedule(fast.RunFor, sample, interval)
-	fast.StopRecording()
+	fast.StopRecording(err)
 	if err != nil {
 		t.Fatalf("fast recording: %v (pc=%#x)", err, fast.PC())
 	}
@@ -150,6 +152,89 @@ func TestFastRecordMatchesStep(t *testing.T) {
 	}
 }
 
+// TestFollowMatchesSealedWalk: walks made behind a recording that
+// publishes every few events time every dcache variant of the recording
+// configuration, at every cut, exactly as the sealed trace does without
+// them. It covers every benchmark program recorded whole, to a sample
+// limit and in interval steps, and a recursion program whose window
+// traps go through the dcache.
+func TestFollowMatchesSealedWalk(t *testing.T) {
+	prev := cpu.SetRecordChunk(37)
+	defer cpu.SetRecordChunk(prev)
+	var cfgs []config.Config
+	for _, dc := range []config.CacheConfig{
+		{Sets: 1, SetSizeKB: 1, LineWords: 4},
+		{Sets: 2, SetSizeKB: 2, LineWords: 8, Replacement: config.LRU},
+		{Sets: 2, SetSizeKB: 1, LineWords: 4, Replacement: config.LRR},
+		{Sets: 4, SetSizeKB: 1, LineWords: 4},
+	} {
+		cfg := config.Default()
+		cfg.DCache = dc
+		cfgs = append(cfgs, cfg)
+	}
+	record := func(t *testing.T, newCore func() *cpu.Core, sample, interval uint64, follow bool) *cpu.Trace {
+		c := newCore()
+		tr := c.StartRecording()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if follow {
+				tr.Follow(context.Background(), cfgs)
+			}
+		}()
+		err := recordSchedule(c.RunFor, sample, interval)
+		c.StopRecording(err)
+		<-done
+		if err != nil {
+			t.Fatalf("recording: %v (pc=%#x)", err, c.PC())
+		}
+		return tr
+	}
+	followed := 0
+	check := func(t *testing.T, newCore func() *cpu.Core, sample, interval uint64) {
+		sealed := record(t, newCore, sample, interval, false)
+		tr := record(t, newCore, sample, interval, true)
+		followed += tr.Followed()
+		for _, cfg := range cfgs {
+			want, _, ok := sealed.Time(cfg)
+			got, _, gotOK := tr.Time(cfg)
+			if !ok || !gotOK || !slices.Equal(got, want) {
+				t.Errorf("%v: followed walk differs from the sealed trace's:\n got %+v\nwant %+v", cfg, got, want)
+			}
+		}
+	}
+	for _, b := range progs.All() {
+		n := tinyInstructions(t, b)
+		for _, mode := range []struct {
+			name             string
+			sample, interval uint64
+		}{
+			{"whole", 0, 0},
+			{"sample", n/2 + 7, 0},
+			{"interval", 0, n/9 + 3},
+		} {
+			t.Run(fmt.Sprintf("%s/%s", b.Name, mode.name), func(t *testing.T) {
+				check(t, benchCore(t, b, workload.Tiny, config.Default(), mode.interval), mode.sample, mode.interval)
+			})
+		}
+	}
+	t.Run("recursion", func(t *testing.T) {
+		check(t, func() *cpu.Core { return buildCore(t, config.Default(), recursionProgram(25)) }, 0, 97)
+	})
+	if followed == 0 {
+		t.Error("no walk was made behind a recording")
+	}
+}
+
+// tinyInstructions returns the instruction count of b's Tiny run.
+func tinyInstructions(t *testing.T, b *progs.Benchmark) uint64 {
+	c := benchCore(t, b, workload.Tiny, config.Default(), 0)()
+	if err := c.Run(1 << 32); err != nil {
+		t.Fatal(err)
+	}
+	return c.Stats().Instructions
+}
+
 // TestRecordingStepsOnlyFallbacks: a Small recording of each benchmark
 // program executes on Step only the opcodes the fast loop hands over
 // (SAVE, RESTORE, Ticc), so a recorder that silently fell back to
@@ -163,7 +248,7 @@ func TestRecordingStepsOnlyFallbacks(t *testing.T) {
 		c := benchCore(t, b, scale, config.Default(), 0)()
 		tr := c.StartRecording()
 		err := c.Run(1 << 32)
-		c.StopRecording()
+		c.StopRecording(err)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -203,7 +288,7 @@ func TestRecordInstructionLimit(t *testing.T) {
 	fast.StartRecording()
 	sr := ref.StartStepRecording()
 	errFast, errRef := fast.Run(1000), sr.Run(1000)
-	fast.StopRecording()
+	fast.StopRecording(errFast)
 	sr.Stop()
 	if errFast == nil || errRef == nil || errFast.Error() != errRef.Error() {
 		t.Fatalf("fast: %v, Step: %v", errFast, errRef)

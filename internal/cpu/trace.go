@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -37,7 +38,10 @@ import (
 // Most configurations of a model build change a latency the trace never
 // charges or a structure it never stresses, so Time walks once per timing
 // class (TimingClass) and answers every other member of the class from
-// that walk's snapshots.
+// that walk's snapshots. A walk is resumable: the recording publishes its
+// growing trace, and Follow walks the classes that differ from the
+// recording configuration in the dcache alone behind it, on another core,
+// while the program still runs.
 
 // Per-instruction trace flags.
 const (
@@ -54,15 +58,51 @@ const saveArea = 64
 // runs of text executed in which order, the data addresses they touched,
 // and the configuration-independent counts at every cut. It holds no
 // register or memory values. A Trace is immutable once its recording core
-// stops, apart from its memo of timed classes, and Time may then be called
-// concurrently.
+// stops (it is sealed), apart from its memo of timed classes, and Time may
+// then be called concurrently. While the recording runs, the trace
+// publishes its growing prefix, and Follow walks dcache classes behind it.
 type Trace struct {
 	text     []isa.Instr
 	textBase uint32
 	ramBytes uint32
-	windows  int // RegWindows of the recording configuration
-	maxDepth int // the deepest call depth any SAVE reached
+	cfg      config.Config // the recording configuration
+	maxDepth int           // the deepest call depth any SAVE reached
 
+	// The whole trace, set when it is sealed.
+	published
+	// fetched lists the distinct instruction-fetch addresses, ascending.
+	fetched []uint32
+
+	windowSensitive bool
+	unusable        bool
+
+	// stepped counts the instructions recorded through Step (a
+	// diagnostic: StepInstructions).
+	stepped uint64
+
+	// pub is the prefix the recording has published, next closes at the
+	// next publication, and sealed once the trace is complete.
+	pubMu  sync.Mutex
+	pub    published
+	next   chan struct{}
+	sealed chan struct{}
+
+	// memo holds one walk per timing class, seeded with the recording
+	// run's own snapshots. early lists the walks Follow started behind the
+	// recording; the seal files them into memo and sets filed. walks
+	// counts the walks made, followed those of them filed from behind the
+	// recording.
+	mu       sync.Mutex
+	memo     map[TimingClass]*classWalk
+	early    []*classWalk
+	filed    bool
+	walks    atomic.Int64
+	followed atomic.Int64
+}
+
+// published is a prefix of a growing trace. The recorder only appends
+// past what it has published, so a reader walks a prefix without a copy.
+type published struct {
 	// runs is the table of distinct runs; flags holds every run's
 	// per-instruction flags back to back.
 	runs  []traceRun
@@ -74,29 +114,19 @@ type Trace struct {
 	addrs []uint32
 	// cuts marks the end of every recording step (Run, RunFor).
 	cuts []traceCut
-	// fetched lists the distinct instruction-fetch addresses, ascending.
-	fetched []uint32
-
-	windowSensitive bool
-	unusable        bool
-
-	// stepped counts the instructions recorded through Step (a
-	// diagnostic: StepInstructions).
-	stepped uint64
-
-	// memo holds one walk per timing class, seeded with the recording
-	// run's own snapshots; walks counts the walks Time made.
-	mu    sync.Mutex
-	memo  map[TimingClass]*classWalk
-	walks atomic.Int64
 }
 
-// classWalk is the outcome of timing one class: done closes once snaps
-// and ok are set.
-type classWalk struct {
-	done  chan struct{}
-	snaps []Snapshot
-	ok    bool
+// newTrace returns the empty trace of a recording on c.
+func newTrace(c *Core) *Trace {
+	return &Trace{
+		text:     c.text,
+		textBase: c.textBase,
+		ramBytes: uint32(c.memory.Size()),
+		cfg:      c.cfg,
+		next:     make(chan struct{}),
+		sealed:   make(chan struct{}),
+		memo:     make(map[TimingClass]*classWalk),
+	}
 }
 
 // traceRun is one straight-line run: n instructions at consecutive text
@@ -148,10 +178,15 @@ func (t *Trace) Bytes() int {
 // of the few instructions that carry one and every annulled slot. The
 // fallback opcodes go through recordStep, which logs the same events
 // around one reference Step. decode folds the log into the run table and
-// the run sequence every recChunk events, at every cut and at
-// StopRecording.
+// the run sequence every chunk events, at every cut and at
+// StopRecording, and publishes the grown trace each time (publish).
 type recorder struct {
 	t *Trace
+
+	// The trace under construction, which the trace gets at
+	// StopRecording; t.pub is a prefix of it. The fast loop appends every
+	// data address to addrs.
+	published
 
 	// class holds each text word's recording class (recLoad, recStore,
 	// recSave, recRestore, plus recWritesFP), decoded once.
@@ -162,8 +197,8 @@ type recorder struct {
 	// index idx continues that run iff idx-num == key; noRun when no run
 	// is open.
 	ev    []recEvent
+	chunk int // the log length at which the fast loop decodes
 	key   uint64
-	addrs []uint32
 	// lo and hi bound the save areas (areas): the fast loop calls guard
 	// only for an access at addr with addr < hi and addr+4 > lo, 4 bytes
 	// being the widest access.
@@ -176,7 +211,6 @@ type recorder struct {
 	start uint32
 	first uint64
 	cur   []uint64
-	seq   []int32
 
 	// info holds each interned run's flag list, hazard counts and
 	// successors. last is the id of the last closed run, -1 before the
@@ -214,10 +248,23 @@ const (
 	// noRun is the recorder key while no run is open: idx-num never takes
 	// it, as an instruction count stays far below 2^62.
 	noRun uint64 = 1 << 62
-	// recChunk is the log length at which the fast loop decodes it, at
-	// the next run start.
-	recChunk = 4096
+	// maxRecChunk is the longest log the fast loop decodes at, at the next
+	// run start; a recording publishes its trace at every decode.
+	maxRecChunk = 4096
 )
+
+// recChunk is the decode length of the next recording (SetRecordChunk).
+var recChunk atomic.Int64
+
+func init() { recChunk.Store(maxRecChunk) }
+
+// SetRecordChunk sets the log length at which later recordings decode and
+// publish their trace, from 1 to 4096 (the default), and returns the
+// previous length. Tests shrink it so that Follow walks many short
+// prefixes.
+func SetRecordChunk(n int) int {
+	return int(recChunk.Swap(int64(min(max(n, 1), maxRecChunk))))
+}
 
 // runInfo is what the recorder keeps of an interned run beside its
 // traceRun.
@@ -259,18 +306,12 @@ func recClass(in *isa.Instr) uint8 {
 }
 
 // StartRecording makes every following run step of c record into a new
-// Trace, which is complete once StopRecording returns. Call it after
+// Trace, which is sealed once StopRecording returns. Call it after
 // LoadText; recording covers every instruction retired until
 // StopRecording. The run executes on the fast loop as usual; a recording
 // core prints no execution trace (SetTrace).
 func (c *Core) StartRecording() *Trace {
-	t := &Trace{
-		text:     c.text,
-		textBase: c.textBase,
-		ramBytes: uint32(c.memory.Size()),
-		windows:  c.cfg.IU.RegWindows,
-		memo:     make(map[TimingClass]*classWalk),
-	}
+	t := newTrace(c)
 	class := make([]uint8, len(c.text))
 	for i := range c.text {
 		class[i] = recClass(&c.text[i])
@@ -278,7 +319,8 @@ func (c *Core) StartRecording() *Trace {
 	c.rec = &recorder{
 		t:     t,
 		class: class,
-		ev:    make([]recEvent, 0, recChunk+2*sbMaxOps),
+		ev:    make([]recEvent, 0, maxRecChunk+2*sbMaxOps),
+		chunk: int(recChunk.Load()),
 		key:   noRun,
 		lo:    ^uint32(0),
 		last:  -1,
@@ -286,25 +328,28 @@ func (c *Core) StartRecording() *Trace {
 		// A pooled core records the same program again, so the last
 		// recording's stream lengths fit; growing these multi-megabyte
 		// streams by append costs 10-15% of a recording (record-x).
-		seq:   make([]int32, 0, c.recCap.seq),
-		addrs: make([]uint32, 0, c.recCap.addrs),
+		published: published{
+			seq:   make([]int32, 0, c.recCap.seq),
+			addrs: make([]uint32, 0, c.recCap.addrs),
+		},
 	}
 	return t
 }
 
-// StopRecording detaches the recorder and seals its trace.
-func (c *Core) StopRecording() {
+// StopRecording detaches the recorder and seals its trace. err is the
+// recorded run's outcome: a trace whose run failed declines every
+// configuration, so its followers run in full and meet the same error.
+func (c *Core) StopRecording(err error) {
 	r := c.rec
 	if r == nil {
 		return
 	}
 	c.rec = nil
-	r.decode()
+	r.fold()
 	r.closeAt(c.stats.Instructions, 0, false)
 	t := r.t
-	t.seq, t.addrs, t.stepped = r.seq, r.addrs, r.stepped
+	t.published, t.stepped = r.published, r.stepped
 	c.recCap.seq, c.recCap.addrs = len(t.seq), len(t.addrs)
-	t.fetched = fetchAddresses(t)
 	// A program that rewrites %fp moves the save area its caller's window
 	// spills to. Runs are interned, so checking each distinct run once
 	// covers every instruction the recording executed.
@@ -315,17 +360,48 @@ func (c *Core) StopRecording() {
 			}
 		}
 	}
-	if t.unusable {
-		return
+	if err != nil {
+		t.unusable = true
 	}
-	// The recording run is its own configuration's walk.
-	seed := &classWalk{done: make(chan struct{}), snaps: make([]Snapshot, len(t.cuts)), ok: true}
-	for k := range t.cuts {
-		seed.snaps[k] = t.cuts[k].rec
+	t.seal()
+}
+
+// seal completes the trace: the recording run becomes its own
+// configuration's walk, the walks Follow made behind the recording are
+// filed under their classes, and the whole trace is published. A walk
+// the trace turns out to decline, or whose icache elision the fetched
+// text does not license, is discarded.
+func (t *Trace) seal() {
+	t.fetched = fetchAddresses(t)
+	t.mu.Lock()
+	early := t.early
+	t.early, t.filed = nil, true
+	if !t.unusable {
+		seed := &classWalk{snaps: make([]Snapshot, len(t.cuts)), ok: true, done: true, claimed: true}
+		for k := range t.cuts {
+			seed.snaps[k] = t.cuts[k].rec
+		}
+		k, _ := t.class(t.cfg)
+		t.memo[k] = seed
+		for _, w := range early {
+			if t.declines(w.cfg) {
+				continue
+			}
+			k, holdsText := t.class(w.cfg)
+			if _, dup := t.memo[k]; dup || (w.elide && !holdsText) {
+				continue
+			}
+			t.memo[k] = w
+			t.walks.Add(1)
+			t.followed.Add(1)
+		}
 	}
-	close(seed.done)
-	k, _ := t.class(c.cfg)
-	t.memo[k] = seed
+	t.mu.Unlock()
+	t.pubMu.Lock()
+	t.pub = t.published
+	close(t.next)
+	t.pubMu.Unlock()
+	close(t.sealed)
 }
 
 // StepInstructions returns how many instructions the recording executed
@@ -333,9 +409,25 @@ func (c *Core) StopRecording() {
 // Step (SAVE, RESTORE, Ticc), not the common ones it records itself.
 func (t *Trace) StepInstructions() uint64 { return t.stepped }
 
-// decode folds the logged events into the run sequence and empties the
-// log.
+// decode folds the logged events into the run sequence and publishes the
+// grown trace.
 func (r *recorder) decode() {
+	r.fold()
+	r.publish()
+}
+
+// publish makes the trace recorded so far readable to Follow.
+func (r *recorder) publish() {
+	t := r.t
+	t.pubMu.Lock()
+	t.pub = r.published
+	close(t.next)
+	t.next = make(chan struct{})
+	t.pubMu.Unlock()
+}
+
+// fold folds the logged events into the run sequence and empties the log.
+func (r *recorder) fold() {
 	for i := range r.ev {
 		e := &r.ev[i]
 		switch e.kind {
@@ -404,7 +496,7 @@ func (c *Core) recordStep() error {
 		fl |= flagTaken
 	}
 	if uint64(idx)-num != r.key {
-		if len(r.ev) >= recChunk {
+		if len(r.ev) >= r.chunk {
 			r.decode()
 		}
 		r.key = uint64(idx) - num
@@ -482,7 +574,7 @@ func (r *recorder) closeAt(num uint64, annul uint32, hasAnnul bool) {
 
 // matches reports whether run id is the open run of n instructions.
 func (r *recorder) matches(id int32, n, annul uint32, hasAnnul bool) bool {
-	run := &r.t.runs[id]
+	run := &r.runs[id]
 	return run.start == r.start && run.n == n && run.hasAnnul == hasAnnul &&
 		(!hasAnnul || run.annul == annul) && slices.Equal(r.info[id].flags, r.cur)
 }
@@ -495,9 +587,8 @@ func (r *recorder) intern(n, annul uint32, hasAnnul bool) int32 {
 			return id
 		}
 	}
-	t := r.t
-	id := int32(len(t.runs))
-	t.runs = append(t.runs, traceRun{start: r.start, n: n, flagOff: uint32(len(t.flags)), annul: annul, hasAnnul: hasAnnul})
+	id := int32(len(r.runs))
+	r.runs = append(r.runs, traceRun{start: r.start, n: n, flagOff: uint32(len(r.flags)), annul: annul, hasAnnul: hasAnnul})
 	info := runInfo{flags: slices.Clone(r.cur), succ: -1, same: r.heads[r.start] - 1}
 	flags := make([]uint8, n)
 	for _, e := range r.cur {
@@ -510,24 +601,26 @@ func (r *recorder) intern(n, annul uint32, hasAnnul bool) int32 {
 			info.iccHolds++
 		}
 	}
-	t.flags = append(t.flags, flags...)
+	r.flags = append(r.flags, flags...)
 	r.info = append(r.info, info)
 	r.heads[r.start] = id + 1
 	return id
 }
 
-// cut closes the open run and marks the end of a recording step.
+// cut closes the open run, marks the end of a recording step and
+// publishes the trace up to it.
 func (r *recorder) cut(c *Core) {
-	r.decode()
+	r.fold()
 	r.closeAt(c.stats.Instructions, 0, false)
 	r.key = noRun
-	r.t.cuts = append(r.t.cuts, traceCut{
+	r.cuts = append(r.cuts, traceCut{
 		seq:        len(r.seq),
 		addrs:      len(r.addrs),
 		rec:        Snapshot{Stats: c.stats, ICache: c.icache.Stats(), DCache: c.dcache.Stats()},
 		interlocks: r.interlocks,
 		iccHolds:   r.iccHolds,
 	})
+	r.publish()
 }
 
 // save notes a SAVE executed with %sp == sp: the frame at the current
@@ -642,27 +735,10 @@ func latenciesOf(cfg config.Config) latencies {
 	return l
 }
 
-// compile builds every run's op lists for one configuration and returns
-// the ops with each run's cold list (probes every fetch) and warm list
-// (skips the fetch probes, for runs the icache provably holds).
-func (t *Trace) compile(l latencies) (ops []timeOp, cold, warm []uint32) {
-	ops = make([]timeOp, 0, len(t.runs)*4)
-	cold = make([]uint32, len(t.runs))
-	warm = make([]uint32, len(t.runs))
-	for id := range t.runs {
-		run := &t.runs[id]
-		cold[id] = uint32(len(ops))
-		ops = t.compileRun(ops, run, l, false)
-		warm[id] = uint32(len(ops))
-		ops = t.compileRun(ops, run, l, true)
-	}
-	return ops, cold, warm
-}
-
 // compileRun appends one run's op list, charging each instruction as
 // Step does (§6). A warm list leaves out the fetch probes and counts
 // them on its opEnd.
-func (t *Trace) compileRun(ops []timeOp, run *traceRun, l latencies, warm bool) []timeOp {
+func (t *Trace) compileRun(ops []timeOp, run *traceRun, flags []uint8, l latencies, warm bool) []timeOp {
 	var static uint32
 	emit := func(kind uint8, addr uint32) {
 		ops = append(ops, timeOp{pre: static, kind: kind, addr: addr})
@@ -679,7 +755,7 @@ func (t *Trace) compileRun(ops []timeOp, run *traceRun, l latencies, warm bool) 
 	for i := uint32(0); i < run.n; i++ {
 		idx := run.start + i
 		in := &t.text[idx]
-		fl := t.flags[run.flagOff+i]
+		fl := flags[run.flagOff+i]
 		fetch(t.textBase + idx*4)
 		static++
 		if fl&flagInterlock != 0 {
@@ -721,17 +797,18 @@ func (t *Trace) compileRun(ops []timeOp, run *traceRun, l latencies, warm bool) 
 	return ops
 }
 
-// icacheHoldsText reports whether every line the trace fetches fits its
-// set without exceeding the associativity: then no fetch ever evicts, a
-// line once filled always hits, and a run's second and later executions
-// can skip their probes. A set never full never consults the replacement
-// policy, so the skipped probes change no later decision either.
-func (t *Trace) icacheHoldsText(cfg config.CacheConfig) bool {
+// holdsLines reports whether every line of the ascending fetch addresses
+// fits its set of cfg without exceeding the associativity: then no fetch
+// ever evicts, a line once filled always hits, and a run's second and
+// later executions can skip their probes. A set never full never consults
+// the replacement policy, so the skipped probes change no later decision
+// either.
+func holdsLines(cfg config.CacheConfig, addrs []uint32) bool {
 	lineBytes := uint32(cfg.LineWords * 4)
 	numLines := uint32(cfg.SetSizeKB) * 1024 / lineBytes
 	perSet := make(map[uint32]int)
 	last := ^uint32(0)
-	for _, a := range t.fetched { // ascending, so equal lines are adjacent
+	for _, a := range addrs { // ascending, so equal lines are adjacent
 		line := a / lineBytes
 		if line == last {
 			continue
@@ -746,11 +823,32 @@ func (t *Trace) icacheHoldsText(cfg config.CacheConfig) bool {
 	return true
 }
 
-// timer is one configuration's timing state.
+// icacheHoldsText reports whether cfg holds every line the trace fetches
+// (holdsLines).
+func (t *Trace) icacheHoldsText(cfg config.CacheConfig) bool { return holdsLines(cfg, t.fetched) }
+
+// textFits reports whether cfg holds the whole static text, which a walk
+// behind the recording can decide before the fetched lines are known. It
+// implies icacheHoldsText unless the run fetched an annulled slot past
+// the text, which the seal checks.
+func (t *Trace) textFits(cfg config.CacheConfig) bool {
+	addrs := make([]uint32, len(t.text))
+	for i := range addrs {
+		addrs[i] = t.textBase + uint32(i)*4
+	}
+	return holdsLines(cfg, addrs)
+}
+
+// timer is one configuration's timing state. The walks Follow starts are
+// allocated together, and after the seal two workers may finish two of
+// them at once, so the padding keeps the state a walk writes on every
+// store (the write buffer, held by value) off the cache lines of the
+// timer allocated next to it.
 type timer struct {
+	_      [64]byte
 	l      latencies
 	ic, dc *cache.Cache
-	wb     *mem.WriteBuffer
+	wb     mem.WriteBuffer
 
 	cyc, icHits                         uint64
 	icStall, dcStall, wbStall, winStall uint64
@@ -759,6 +857,7 @@ type timer struct {
 	depth, resid                        int
 	frames                              []uint32
 	ramLo, ramHi                        uint32
+	_                                   [64]byte
 }
 
 // TimingClass is the projection of a configuration onto what one trace's
@@ -824,7 +923,7 @@ func (t *Trace) class(cfg config.Config) (k TimingClass, holdsText bool) {
 // count, or the recorded program returned past its initial frame.
 func (t *Trace) declines(cfg config.Config) bool {
 	return cfg.Validate() != nil || t.unusable ||
-		(t.windowSensitive && cfg.IU.RegWindows != t.windows)
+		(t.windowSensitive && cfg.IU.RegWindows != t.cfg.IU.RegWindows)
 }
 
 // Class returns cfg's timing class on this trace, or false when Time
@@ -837,76 +936,228 @@ func (t *Trace) Class(cfg config.Config) (TimingClass, bool) {
 	return k, true
 }
 
-// Walks returns the number of walks Time has made over the trace: one per
-// timing class it was asked for, except the recording configuration's.
+// Walks returns the number of walks made over the trace: one per timing
+// class Time was asked for, except the recording configuration's, and
+// one per walk Follow made behind the recording.
 func (t *Trace) Walks() int { return int(t.walks.Load()) }
 
+// Followed returns how many of the trace's walks were made behind the
+// recording (Follow) and filed at the seal.
+func (t *Trace) Followed() int { return int(t.followed.Load()) }
+
 // Time derives the run's cumulative profile at every cut on cfg, exactly
-// as a fresh run of the program on cfg would report it. The first call for
-// a timing class walks the trace, concurrent callers of that class wait
-// for it, and later ones reuse it; shared reports that the snapshots came
-// from an earlier walk or the recording run itself. ok is false when the
-// trace cannot stand in for such a run: Class declines cfg, or cfg would
-// spill or fill a window outside RAM where the recording run did not.
+// as a fresh run of the program on cfg would report it. It waits for the
+// seal. The first call for a timing class walks the trace, or finishes
+// the walk Follow began; concurrent callers of that class wait for it,
+// and later ones reuse it. shared reports that the snapshots came from a
+// walk an earlier call claimed or from the recording run itself. ok is
+// false when the trace cannot stand in for such a run: Class declines
+// cfg, or cfg would spill or fill a window outside RAM where the
+// recording run did not.
 func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, shared, ok bool) {
+	<-t.sealed
 	if t.declines(cfg) {
 		return nil, false, false
 	}
 	k, holdsText := t.class(cfg)
 	t.mu.Lock()
-	w, shared := t.memo[k]
-	if !shared {
-		w = &classWalk{done: make(chan struct{})}
+	w := t.memo[k]
+	if w == nil {
+		w = t.newWalk(cfg, holdsText)
 		t.memo[k] = w
-	}
-	t.mu.Unlock()
-	if shared {
-		<-w.done
-	} else {
 		t.walks.Add(1)
-		w.snaps, w.ok = t.walkClass(cfg, holdsText)
-		close(w.done)
 	}
-	if !w.ok {
+	shared = w.claimed
+	w.claimed = true
+	t.mu.Unlock()
+	w.mu.Lock()
+	if !w.done {
+		w.advance(t, &t.published, true, 0)
+	}
+	snaps, ok = w.snaps, w.ok
+	w.mu.Unlock()
+	if !ok {
 		return nil, false, false
 	}
-	return slices.Clone(w.snaps), shared, true
+	return slices.Clone(snaps), shared, true
 }
 
-// walkClass times cfg by walking the whole trace.
-func (t *Trace) walkClass(cfg config.Config, holdsText bool) ([]Snapshot, bool) {
+// classWalk is one timing class's walk of the trace: a timer and its
+// position in the run sequence, advanced under mu over published
+// prefixes. Once it has walked the sealed trace to its end it is done,
+// and snaps and ok are final.
+type classWalk struct {
+	mu  sync.Mutex
+	cfg config.Config
+	// elide says the icache holds the text, so a run's later executions
+	// take its warm op list.
+	elide bool
+	tm    *timer
+	// ops holds every compiled run's op lists; start[id] is the list the
+	// next execution of run id takes, warm[id] the one after it.
+	ops         []timeOp
+	start, warm []uint32
+	seq, cut    int // next run-sequence position and cut
+	snaps       []Snapshot
+	ok, done    bool
+	// claimed is set, under Trace.mu, by the first Time of the class.
+	claimed bool
+}
+
+// newWalk starts a walk of cfg at the beginning of the trace.
+func (t *Trace) newWalk(cfg config.Config, elide bool) *classWalk {
+	w := &classWalk{cfg: cfg, elide: elide}
 	ic, err := cache.New(cfg.ICache)
 	if err != nil {
-		return nil, false
+		w.done = true
+		return w
 	}
 	dc, err := cache.New(cfg.DCache)
 	if err != nil {
-		return nil, false
+		w.done = true
+		return w
 	}
-	l := latenciesOf(cfg)
-	ops, start, warm := t.compile(l)
-	if !holdsText {
-		warm = start // every execution probes every fetch
-	}
-	tm := &timer{
-		l: l, ic: ic, dc: dc, wb: mem.NewWriteBuffer(mem.DefaultTiming()),
+	w.tm = &timer{
+		l: latenciesOf(cfg), ic: ic, dc: dc, wb: *mem.NewWriteBuffer(mem.DefaultTiming()),
 		resid: 1,
 		ramLo: mem.RAMBase, ramHi: mem.RAMBase + t.ramBytes,
 	}
-	snaps := make([]Snapshot, len(t.cuts))
-	from := 0
-	for k := range t.cuts {
-		cut := &t.cuts[k]
-		if !tm.walk(ops, start, warm, t.seq[from:cut.seq], t.addrs) {
-			return nil, false
-		}
-		from = cut.seq
-		if tm.ai != cut.addrs {
-			panic(fmt.Sprintf("cpu: trace address stream out of step at cut %d: %d != %d", k, tm.ai, cut.addrs))
-		}
-		snaps[k] = tm.snapshot(cut)
+	return w
+}
+
+// advance walks w on over the published prefix p by at most budget runs
+// (0: no bound), taking the snapshot of every cut it reaches, and reports
+// whether p holds more for it. final says p is the sealed trace: walked
+// to its end, w is done and drops its timing state.
+func (w *classWalk) advance(t *Trace, p *published, final bool, budget int) (more bool) {
+	if w.done {
+		return false
 	}
-	return snaps, true
+	for id := len(w.start); id < len(p.runs); id++ {
+		run := &p.runs[id]
+		w.start = append(w.start, uint32(len(w.ops)))
+		w.ops = t.compileRun(w.ops, run, p.flags, w.tm.l, false)
+		if w.elide {
+			w.warm = append(w.warm, uint32(len(w.ops)))
+			w.ops = t.compileRun(w.ops, run, p.flags, w.tm.l, true)
+		} else {
+			w.warm = append(w.warm, w.start[id]) // every execution probes every fetch
+		}
+	}
+	limit := len(p.seq)
+	if budget > 0 {
+		limit = min(limit, w.seq+budget)
+	}
+	for {
+		cutAt := len(p.seq)
+		if w.cut < len(p.cuts) {
+			cutAt = p.cuts[w.cut].seq
+		}
+		if end := min(cutAt, limit); end > w.seq {
+			if !w.tm.walk(w.ops, w.start, w.warm, p.seq[w.seq:end], p.addrs) {
+				w.finish(false)
+				return false
+			}
+			w.seq = end
+		}
+		if w.cut == len(p.cuts) || w.seq != cutAt {
+			break
+		}
+		cut := &p.cuts[w.cut]
+		if w.tm.ai != cut.addrs {
+			panic(fmt.Sprintf("cpu: trace address stream out of step at cut %d: %d != %d", w.cut, w.tm.ai, cut.addrs))
+		}
+		w.snaps = append(w.snaps, w.tm.snapshot(cut))
+		w.cut++
+	}
+	if w.seq < len(p.seq) {
+		return true
+	}
+	if final {
+		w.finish(true)
+	}
+	return false
+}
+
+// finish ends the walk with outcome ok and drops its timing state.
+func (w *classWalk) finish(ok bool) {
+	w.ok, w.done = ok, true
+	if !ok {
+		w.snaps = nil
+	}
+	w.tm, w.ops, w.start, w.warm = nil, nil, nil, nil
+}
+
+// followStep is how many runs Follow walks one class on before it turns
+// to the next, so that every class keeps close behind the recording and
+// Follow notices the seal soon.
+const followStep = 8192
+
+// Follow walks, behind the recording, the timing classes of those cfgs
+// that differ from the recording configuration in the dcache alone, one
+// walk per distinct dcache: their class is the whole dcache, known before
+// the recording ends, and on a benchmark they are most of the walking.
+// It returns once the trace is sealed or ctx is done, with the number of
+// walks it started; the seal files them under their classes, and the
+// first Time of each class finishes its walk. Follow returns 0 at once
+// when the trace is already sealed or another Follow started them.
+func (t *Trace) Follow(ctx context.Context, cfgs []config.Config) int {
+	walks := t.startEarly(cfgs)
+	if len(walks) == 0 {
+		return 0
+	}
+	for {
+		t.pubMu.Lock()
+		p, next := t.pub, t.next
+		t.pubMu.Unlock()
+		more := false
+		for _, w := range walks {
+			select {
+			case <-t.sealed:
+				return len(walks)
+			default:
+			}
+			w.mu.Lock()
+			if w.advance(t, &p, false, followStep) {
+				more = true
+			}
+			w.mu.Unlock()
+		}
+		if more {
+			if ctx.Err() != nil {
+				return len(walks)
+			}
+			continue
+		}
+		select {
+		case <-next:
+		case <-ctx.Done():
+			return len(walks)
+		}
+	}
+}
+
+// startEarly starts the walks Follow makes for cfgs, unless the trace is
+// sealed or has them already.
+func (t *Trace) startEarly(cfgs []config.Config) []*classWalk {
+	base := t.cfg.TimingKey()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.filed || len(t.early) > 0 {
+		return nil
+	}
+	seen := map[config.CacheConfig]bool{base.DCache: true}
+	for _, cfg := range cfgs {
+		k := cfg.TimingKey()
+		dc := k.DCache
+		k.DCache = base.DCache
+		if k != base || seen[dc] || cfg.Validate() != nil {
+			continue
+		}
+		seen[dc] = true
+		t.early = append(t.early, t.newWalk(cfg, t.textFits(cfg.ICache)))
+	}
+	return t.early
 }
 
 // walk times the runs of seq in order. start[id] is the op list the
@@ -916,7 +1167,7 @@ func (t *Trace) walkClass(cfg config.Config, holdsText bool) ([]Snapshot, bool) 
 // credited in bulk when the walk ends.
 func (tm *timer) walk(ops []timeOp, start, warm []uint32, seq []int32, addrs []uint32) bool {
 	l := &tm.l
-	ic, dc, wb := tm.ic, tm.dc, tm.wb
+	ic, dc, wb := tm.ic, tm.dc, &tm.wb
 	tags, lineShift, tagShift, mask, direct := dc.Direct()
 	var rdHits, rdMisses, wrHits, wrMisses uint64
 	cyc, ai, icHits := tm.cyc, tm.ai, tm.icHits
@@ -951,8 +1202,10 @@ func (tm *timer) walk(ops []timeOp, start, warm []uint32, seq []int32, addrs []u
 					}
 					tags[j] = a >> tagShift
 					rdMisses++
-				} else if dc.Read(a) {
+				} else if dc.ReadHit(a) {
 					continue
+				} else {
+					dc.ReadMiss(a)
 				}
 				cyc += l.dmiss
 				dcStall += l.dmiss

@@ -1,7 +1,9 @@
 package cpu_test
 
 import (
+	"context"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"liquidarch/internal/asm"
@@ -39,7 +41,25 @@ func record(t *testing.T, c *cpu.Core) *cpu.Trace {
 	t.Helper()
 	tr := c.StartRecording()
 	err := c.Run(1 << 22)
-	c.StopRecording()
+	c.StopRecording(err)
+	if err != nil {
+		t.Fatalf("recording run: %v (pc=%#x)", err, c.PC())
+	}
+	return tr
+}
+
+// recordFollowed is record with Follow walking cfgs behind the recording.
+func recordFollowed(t *testing.T, c *cpu.Core, cfgs []config.Config) *cpu.Trace {
+	t.Helper()
+	tr := c.StartRecording()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tr.Follow(context.Background(), cfgs)
+	}()
+	err := c.Run(1 << 22)
+	c.StopRecording(err)
+	<-done
 	if err != nil {
 		t.Fatalf("recording run: %v (pc=%#x)", err, c.PC())
 	}
@@ -108,7 +128,10 @@ func fuzzConfig(bits uint64) config.Config {
 // FuzzTraceTiming records a gadget program on one configuration and times
 // it on another decoded from the fuzz input, in both directions: the
 // trace must either decline or reproduce a fresh full run's every cycle
-// and cache counter.
+// and cache counter. A second recording, publishing every few events as
+// the input says, is followed by a walk of the timed configuration's
+// dcache on the recording configuration, which must time to the same
+// profile as the sealed trace and a full run.
 func FuzzTraceTiming(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 24, 5, 6, 7, 12, 9, 10, 11}, uint64(0))
 	f.Add([]byte{20, 0, 17, 200, 24, 13, 16, 40, 8, 7, 31, 9, 16, 22, 5, 250}, uint64(0x9E3779B97F4A7C15))
@@ -148,6 +171,18 @@ func FuzzTraceTiming(f *testing.F) {
 				if declined && !(tr.WindowSensitive() && rec.IU.RegWindows != cfg.IU.RegWindows) {
 					t.Fatalf("trace recorded on %v declined %v", rec, cfg)
 				}
+			}
+			followed := rec
+			followed.DCache = pair[1].DCache
+			prev := cpu.SetRecordChunk(1 + int(bits>>58))
+			ftr := recordFollowed(t, buildCore(t, rec, prog), []config.Config{followed})
+			cpu.SetRecordChunk(prev)
+			if timedMatches(t, ftr, followed, buildCore(t, followed, prog)) {
+				t.Fatalf("followed trace declined %v", followed)
+			}
+			want, _, _ := tr.Time(followed)
+			if got, _, _ := ftr.Time(followed); !slices.Equal(got, want) {
+				t.Fatalf("%v: followed walk differs from the sealed trace's:\n got %+v\nwant %+v", followed, got, want)
 			}
 		}
 	})

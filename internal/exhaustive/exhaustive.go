@@ -41,9 +41,10 @@ func Sweep(ctx context.Context, b *progs.Benchmark, scale workload.Scale, cfgs [
 // program is the benchmark's memoized assembly for the scale, so every
 // sweep — including ones over caller-supplied custom spaces — shares the
 // provider's memoized runs with the model builder and across repeats.
-// A sweep of several configurations runs under one trace scope, so the
-// program executes once and every other configuration is timed from its
-// recording (DESIGN.md §22).
+// A sweep of several configurations runs under one trace scope and plans
+// them there, so the program executes once, on the first configuration,
+// the dcache variants among the others are walked behind that recording,
+// and every other configuration is timed from it (DESIGN.md §22).
 func SweepWith(ctx context.Context, p measure.Provider, b *progs.Benchmark, scale workload.Scale, cfgs []config.Config, workers int) ([]Result, error) {
 	prog, err := b.Assemble(scale)
 	if err != nil {
@@ -51,6 +52,7 @@ func SweepWith(ctx context.Context, p measure.Provider, b *progs.Benchmark, scal
 	}
 	if len(cfgs) > 1 {
 		ctx = measure.WithTraceScope(ctx)
+		measure.Plan(ctx, prog, platform.Options{}, cfgs)
 	}
 	results := make([]Result, len(cfgs))
 	err = measure.ForEach(ctx, len(cfgs), workers, func(i int) error {

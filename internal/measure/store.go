@@ -223,7 +223,9 @@ func (s *Store) Load(key Key) (*platform.RunReport, bool) {
 }
 
 // Save writes the report for key. Writes go through a temp file + rename
-// so concurrent readers never observe a partial entry.
+// so concurrent readers never observe a partial entry. Entries are compact
+// JSON: indenting a 49-interval entry cost three times its encoding. Load
+// reads indented entries of earlier versions all the same.
 func (s *Store) Save(key Key, rep *platform.RunReport) error {
 	out := storedReport{
 		Version:   StoreVersion,
@@ -237,7 +239,7 @@ func (s *Store) Save(key Key, rep *platform.RunReport) error {
 		Sampled:   rep.Sampled,
 		Intervals: rep.Intervals,
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	data, err := json.Marshal(out)
 	if err != nil {
 		return fmt.Errorf("measure: encoding report: %w", err)
 	}
@@ -279,7 +281,7 @@ func (s *Store) SaveSet(id string, keys []Key) error {
 		}
 	}
 	sort.Strings(names)
-	data, err := json.MarshalIndent(setManifest{Version: StoreVersion, Entries: names}, "", "  ")
+	data, err := json.Marshal(setManifest{Version: StoreVersion, Entries: names})
 	if err != nil {
 		return fmt.Errorf("measure: encoding set manifest: %w", err)
 	}

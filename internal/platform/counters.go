@@ -26,6 +26,7 @@ var (
 	ctrTraceRecordNs atomic.Uint64
 	ctrTraceTimeNs   atomic.Uint64
 	ctrTraceStepped  atomic.Uint64
+	ctrTraceFollowed atomic.Uint64
 )
 
 // TuningCounters is a point-in-time snapshot of the process-wide
@@ -64,7 +65,9 @@ type TuningCounters struct {
 	// TraceStepInstrs counts the instructions recordings executed on the
 	// reference Step path: only the opcodes the fast loop hands to Step
 	// (SAVE, RESTORE, Ticc), so a recording that fell back to
-	// single-stepping shows as a jump here.
+	// single-stepping shows as a jump here. TraceFollowed counts the
+	// walks made behind a recording while it ran (Trace.Follow), which
+	// are among the walks TraceTimed-TraceShared counts.
 	TraceRecords    uint64 `json:"trace_records"`
 	TraceTimed      uint64 `json:"trace_timed"`
 	TraceDeclined   uint64 `json:"trace_declined"`
@@ -72,6 +75,7 @@ type TuningCounters struct {
 	TraceRecordNs   uint64 `json:"trace_record_ns"`
 	TraceTimeNs     uint64 `json:"trace_time_ns"`
 	TraceStepInstrs uint64 `json:"trace_step_instrs"`
+	TraceFollowed   uint64 `json:"trace_followed"`
 }
 
 // Counters returns the current tuning-counter snapshot.
@@ -91,6 +95,7 @@ func Counters() TuningCounters {
 		TraceRecordNs:      ctrTraceRecordNs.Load(),
 		TraceTimeNs:        ctrTraceTimeNs.Load(),
 		TraceStepInstrs:    ctrTraceStepped.Load(),
+		TraceFollowed:      ctrTraceFollowed.Load(),
 	}
 	if total := c.SuperblockHits + c.SuperblockDeopts; total > 0 {
 		c.SuperblockHitRatePct = 100 * float64(c.SuperblockHits) / float64(total)

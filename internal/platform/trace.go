@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"time"
@@ -26,7 +27,12 @@ type Trace struct {
 // byte-identical to RunWith's. A run that faults or hits the instruction
 // limit returns RunWith's error and no trace. opts must not carry a
 // TraceWriter.
-func Record(prog *asm.Program, cfg config.Config, opts Options) (*Trace, *RunReport, error) {
+//
+// started, when not nil, gets the trace before the run starts, so that
+// Follow can walk behind the recording and Time can wait for it. A failed
+// run seals that trace as failed: it declines every configuration, and a
+// caller that falls back to RunWith meets the recording's error.
+func Record(prog *asm.Program, cfg config.Config, opts Options, started func(*Trace)) (*Trace, *RunReport, error) {
 	opts = opts.Normalized()
 	if opts.TraceWriter != nil {
 		return nil, nil, fmt.Errorf("platform: Record does not take a TraceWriter")
@@ -38,15 +44,20 @@ func Record(prog *asm.Program, cfg config.Config, opts Options) (*Trace, *RunRep
 	if err != nil {
 		return nil, nil, err
 	}
-	rec := e.core.StartRecording()
+	t := &Trace{rec: e.core.StartRecording()}
+	if started != nil {
+		started(t)
+	}
 	rep, err := e.Run()
-	e.core.StopRecording()
+	t.ref = rep // before the seal, which publishes it to Time
+	e.core.StopRecording(err)
 	releaseEngine(e)
-	ctrTraceStepped.Add(rec.StepInstructions())
+	ctrTraceStepped.Add(t.rec.StepInstructions())
+	ctrTraceFollowed.Add(uint64(t.rec.Followed()))
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Trace{rec: rec, ref: rep}, rep, nil
+	return t, rep, nil
 }
 
 // WindowSensitive reports whether the recorded program can observe the
@@ -61,14 +72,26 @@ func (t *Trace) Bytes() int { return t.rec.Bytes() }
 // differ only in Config (cpu.TimingClass).
 func (t *Trace) Class(cfg config.Config) (cpu.TimingClass, bool) { return t.rec.Class(cfg) }
 
-// Walks returns the number of walks Time has made over the trace, one per
-// timing class other than the recording configuration's.
+// Walks returns the number of walks made over the trace, one per timing
+// class other than the recording configuration's.
 func (t *Trace) Walks() int { return t.rec.Walks() }
+
+// Followed returns how many of the trace's walks were made behind the
+// recording and filed at its seal.
+func (t *Trace) Followed() int { return t.rec.Followed() }
+
+// Follow walks the dcache classes among cfgs behind the recording until
+// it is sealed or ctx is done, and returns how many walks it started
+// (cpu.Trace.Follow). Time finishes them.
+func (t *Trace) Follow(ctx context.Context, cfgs []config.Config) int {
+	return t.rec.Follow(ctx, cfgs)
+}
 
 // Time returns the report a RunWith of the recorded program and options
 // on cfg would return, derived from the trace without executing the
-// program. ok is false when the trace cannot stand in for that run (see
-// cpu.Trace.Time); the caller then runs it in full. Time is safe for
+// program. It waits for the recording to finish. ok is false when the
+// trace cannot stand in for that run (see cpu.Trace.Time), or the
+// recording failed; the caller then runs it in full. Time is safe for
 // concurrent use, and walks the trace once per timing class; shared
 // reports that this call did not walk, because the recording run or an
 // earlier walk covered cfg's class.

@@ -1,13 +1,16 @@
 package platform_test
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"liquidarch/internal/asm"
 	"liquidarch/internal/config"
+	"liquidarch/internal/cpu"
 	"liquidarch/internal/platform"
 	"liquidarch/internal/profiler"
 	"liquidarch/internal/progs"
@@ -274,7 +277,7 @@ func TestTraceTimingMatchesRunWith(t *testing.T) {
 					t.Parallel()
 					prog := benchProgram(t, app, scale)
 					reps := runGrid(t, prog, cfgs, g.opts)
-					tr, rec, err := platform.Record(prog, cfgs[0], g.opts)
+					tr, rec, err := platform.Record(prog, cfgs[0], g.opts, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -293,6 +296,97 @@ func TestTraceTimingMatchesRunWith(t *testing.T) {
 	}
 }
 
+// TestFollowedTimingMatchesRunWith is the parity suite of walking behind
+// the recording (DESIGN.md §22). For every program, scale and option set,
+// a recording that publishes every few events is followed by a walk of
+// every model-build configuration's dcache class; each configuration
+// must then time to the report of a sealed trace nobody followed, and to
+// RunWith's.
+func TestFollowedTimingMatchesRunWith(t *testing.T) {
+	prev := cpu.SetRecordChunk(61)
+	t.Cleanup(func() { cpu.SetRecordChunk(prev) })
+	cfgs := modelBuildConfigs(t)
+	var followed atomic.Int64
+	t.Run("grid", func(t *testing.T) {
+		for _, scale := range gridScales(t) {
+			for _, app := range progs.Names() {
+				for _, g := range gridOptions {
+					t.Run(fmt.Sprintf("%s/%s/%s", app, scale, g.name), func(t *testing.T) {
+						t.Parallel()
+						prog := benchProgram(t, app, scale)
+						reps := runGrid(t, prog, cfgs, g.opts)
+						sealed, _, err := platform.Record(prog, cfgs[0], g.opts, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						tr, rec, err := platform.Record(prog, cfgs[0], g.opts, followAll(cfgs))
+						if err != nil {
+							t.Fatal(err)
+						}
+						followed.Add(int64(tr.Followed()))
+						if g, w := marshalReport(t, rec), marshalReport(t, reps[0]); g != w {
+							t.Fatalf("followed recording run differs from RunWith:\n got %s\nwant %s", g, w)
+						}
+						for i, cfg := range cfgs {
+							want, _, ok := sealed.Time(cfg)
+							if !ok {
+								t.Fatalf("%v: sealed trace declined", cfg)
+							}
+							if g, w := marshalReport(t, want), marshalReport(t, reps[i]); g != w {
+								t.Fatalf("%v: sealed trace differs from RunWith:\n got %s\nwant %s", cfg, g, w)
+							}
+							checkTimed(t, tr, cfg, reps[i])
+						}
+					})
+				}
+			}
+		}
+	})
+	if followed.Load() == 0 {
+		t.Error("no walk was made behind a recording")
+	}
+}
+
+// followAll is Record's started hook for a follower of cfgs: it starts
+// Follow on another goroutine, which has begun before the run does.
+func followAll(cfgs []config.Config) func(*platform.Trace) {
+	return func(tr *platform.Trace) {
+		began := make(chan struct{})
+		go func() {
+			close(began)
+			tr.Follow(context.Background(), cfgs)
+		}()
+		<-began
+	}
+}
+
+// TestFollowFailedRecording: a recording that fails seals its trace as
+// failed. Its follower returns, every configuration is declined, and
+// Record fails as RunWith does.
+func TestFollowFailedRecording(t *testing.T) {
+	prog := benchProgram(t, "drr", workload.Tiny)
+	opts := platform.Options{MaxInstructions: 100_000} // of about 150k
+	cfgs := modelBuildConfigs(t)
+	_, werr := platform.RunWith(prog, cfgs[0], opts)
+	done := make(chan int)
+	tr, rep, err := platform.Record(prog, cfgs[0], opts, func(tr *platform.Trace) {
+		go func() {
+			done <- tr.Follow(context.Background(), cfgs)
+			for _, cfg := range cfgs {
+				if _, _, ok := tr.Time(cfg); ok {
+					t.Errorf("%v timed from a failed recording", cfg)
+				}
+			}
+			close(done)
+		}()
+	})
+	if werr == nil || err == nil || err.Error() != werr.Error() || tr != nil || rep != nil {
+		t.Errorf("Record = (%v, %v, %v), RunWith error %v", tr, rep, err, werr)
+	}
+	<-done
+	<-done
+}
+
 // TestTraceTimingWindows covers the window traps, which no benchmark
 // program executes: the recursion programs recorded at 8, 16 and 32
 // windows must time every window count, on two dcache geometries, to
@@ -309,7 +403,7 @@ func TestTraceTimingWindows(t *testing.T) {
 	for _, depth := range recursionDepths {
 		prog := mustAssemble(t, recursionSource(depth))
 		for _, recWin := range []int{8, 16, 32} {
-			tr, rec, err := platform.Record(prog, windowConfig(recWin), platform.Options{})
+			tr, rec, err := platform.Record(prog, windowConfig(recWin), platform.Options{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,7 +443,7 @@ func TestTraceTimingRecursionModelBuild(t *testing.T) {
 		t.Run(fmt.Sprint(depth), func(t *testing.T) {
 			t.Parallel()
 			prog := mustAssemble(t, recursionSource(depth))
-			tr, _, err := platform.Record(prog, cfgs[0], platform.Options{})
+			tr, _, err := platform.Record(prog, cfgs[0], platform.Options{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -376,7 +470,7 @@ func TestTraceTimingRecursionModelBuild(t *testing.T) {
 func TestTraceClassSingleflight(t *testing.T) {
 	prog := benchProgram(t, "arith", workload.Tiny)
 	opts := platform.Options{IntervalInstructions: 20_000}
-	tr, _, err := platform.Record(prog, config.Default(), opts)
+	tr, _, err := platform.Record(prog, config.Default(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +544,7 @@ func TestTraceClassSingleflight(t *testing.T) {
 // declined, so the caller's fallback reports RunWith's error.
 func TestTraceDeclinesInvalidConfig(t *testing.T) {
 	prog := benchProgram(t, "arith", workload.Tiny)
-	tr, _, err := platform.Record(prog, config.Default(), platform.Options{})
+	tr, _, err := platform.Record(prog, config.Default(), platform.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +561,7 @@ func TestRecordFailureMatchesRunWith(t *testing.T) {
 	prog := benchProgram(t, "arith", workload.Tiny)
 	opts := platform.Options{MaxInstructions: 1000}
 	_, werr := platform.RunWith(prog, config.Default(), opts)
-	tr, rep, err := platform.Record(prog, config.Default(), opts)
+	tr, rep, err := platform.Record(prog, config.Default(), opts, nil)
 	if werr == nil || err == nil || err.Error() != werr.Error() || tr != nil || rep != nil {
 		t.Errorf("Record = (%v, %v, %v), RunWith error %v", tr, rep, err, werr)
 	}
@@ -477,7 +571,7 @@ func TestRecordFailureMatchesRunWith(t *testing.T) {
 // intervals sum back to the whole run.
 func TestTimedProfileBalances(t *testing.T) {
 	prog := benchProgram(t, "frag", workload.Tiny)
-	tr, _, err := platform.Record(prog, config.Default(), platform.Options{IntervalInstructions: 50_000})
+	tr, _, err := platform.Record(prog, config.Default(), platform.Options{IntervalInstructions: 50_000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
