@@ -530,11 +530,15 @@ func BenchmarkAblationSolverBruteForce(b *testing.B) {
 }
 
 // BenchmarkExhaustiveDcacheSweep times the 19-configuration exhaustive
-// baseline itself.
+// baseline itself. Every iteration sweeps through a fresh provider stack,
+// as Default() is before its first sweep, so -benchtime Nx times N cold
+// sweeps rather than one sweep and N-1 cache hits.
 func BenchmarkExhaustiveDcacheSweep(b *testing.B) {
 	bench, _ := progs.ByName("blastn")
+	cfgs := exhaustive.DcacheGeometryConfigs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exhaustive.DcacheGeometry(context.Background(), bench, benchScale, 0); err != nil {
+		p := measure.NewCache(measure.Simulator{}, measure.DefaultCacheEntries)
+		if _, err := exhaustive.SweepWith(context.Background(), p, bench, benchScale, cfgs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,6 +68,7 @@ import (
 	"liquidarch/internal/config"
 	"liquidarch/internal/core"
 	"liquidarch/internal/obs"
+	"liquidarch/internal/platform"
 	"liquidarch/internal/progs"
 	"liquidarch/internal/workload"
 )
@@ -351,6 +352,23 @@ func printTrace(t *obs.Tracer, w io.Writer) {
 	}
 	if len(parts) > 0 {
 		fmt.Fprintf(w, "  simulation:   %s\n", strings.Join(parts, ", "))
+	}
+	// How the phase replays were answered: timed from the build's
+	// recording (walk), or in full with the reason the trace declined.
+	parts = parts[:0]
+	for _, rec := range tr.Spans {
+		a, found := rec.Attr("sim")
+		if (rec.Name != "replay" && rec.Name != "online") || !found {
+			continue
+		}
+		part := fmt.Sprintf("%s %s %v", rec.Name, a.Str, rec.Duration().Round(time.Microsecond))
+		if why, found := rec.Attr("sim_declined"); found {
+			part += " (" + why.Str + ")"
+		}
+		parts = append(parts, part)
+	}
+	if len(parts) > 0 {
+		fmt.Fprintf(w, "  replays:      %s; %d timed from the trace\n", strings.Join(parts, ", "), platform.Counters().ReplayTimed)
 	}
 }
 

@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 
+	"liquidarch/internal/asm"
 	"liquidarch/internal/config"
+	"liquidarch/internal/measure"
+	"liquidarch/internal/obs"
 	"liquidarch/internal/phase"
 	"liquidarch/internal/platform"
 	"liquidarch/internal/progs"
@@ -18,7 +21,10 @@ import (
 // conformance figures, not model inputs. Request.Replay and
 // Request.Online therefore never participate in modelKey or
 // measure.Key — a tuned session's caches are byte-identical with or
-// without them.
+// without them. When the request built its model, the simulation is a
+// walk of the build's recording (measure.Recording), which answers
+// exactly what the run would; otherwise, or when the trace declines, it
+// runs in full. The span says which (sim=walk|full, sim_declined).
 
 // replayInputs bundles what both modes need from a finished phase run.
 type replayInputs struct {
@@ -72,7 +78,9 @@ func attachReplay(ctx context.Context, rep *Report, b *progs.Benchmark, req Requ
 		}
 	}
 	steps[len(steps)-1].Intervals = -1 // the trace's final segment runs to completion
-	rr, err := platform.ReplaySchedule(prog, steps, in.opts)
+	rr, err := replayed(ctx, prog, in.opts,
+		func(tr *platform.Trace) (*platform.ReplayReport, string, error) { return tr.ReplaySchedule(steps) },
+		func() (*platform.ReplayReport, error) { return platform.ReplaySchedule(prog, steps, in.opts) })
 	if err != nil {
 		return err
 	}
@@ -116,10 +124,14 @@ func attachOnline(ctx context.Context, rep *Report, b *progs.Benchmark, req Requ
 	// picks the configuration for interval i+1 — a last-value predictor
 	// with one interval of reaction lag, the standard online phase
 	// assumption that the current behaviour persists.
+	// A walk that declines midway has decided a prefix of the run, so
+	// each run starts the decisions afresh.
 	first := in.trace.Segments[0].Phase
-	chosen := []int{first} // phase whose config interval i ran under
-	unclassified := 0
-	cur := first
+	var (
+		chosen       []int // phase whose config interval i ran under
+		unclassified int
+		cur          int
+	)
 	decide := func(i int, iv platform.Interval) config.Config {
 		p := cls.Classify(iv.Signature)
 		if p < 0 {
@@ -130,7 +142,17 @@ func attachOnline(ctx context.Context, rep *Report, b *progs.Benchmark, req Requ
 		chosen = append(chosen, p)
 		return in.recs[p].Config
 	}
-	rr, err := platform.ReplayOnline(prog, in.recs[first].Config, decide, in.opts)
+	restart := func() { chosen, unclassified, cur = []int{first}, 0, first }
+	rr, err := replayed(ctx, prog, in.opts,
+		func(tr *platform.Trace) (*platform.ReplayReport, string, error) {
+			restart()
+			rr, declined := tr.ReplayOnline(in.recs[first].Config, decide)
+			return rr, declined, nil
+		},
+		func() (*platform.ReplayReport, error) {
+			restart()
+			return platform.ReplayOnline(prog, in.recs[first].Config, decide, in.opts)
+		})
 	if err != nil {
 		return err
 	}
@@ -155,6 +177,30 @@ func attachOnline(ctx context.Context, rep *Report, b *progs.Benchmark, req Requ
 		Unclassified: unclassified,
 	}
 	return nil
+}
+
+// replayed answers one replay of prog under opts: timed from the
+// recording on ctx's trace scope when there is one and it stands in for
+// the run, in full otherwise. It notes which on ctx's span: sim=walk, or
+// sim=full with the reason in sim_declined.
+func replayed(ctx context.Context, prog *asm.Program, opts platform.Options,
+	walk func(*platform.Trace) (*platform.ReplayReport, string, error),
+	full func() (*platform.ReplayReport, error)) (*platform.ReplayReport, error) {
+	span := obs.Current(ctx)
+	declined := "no recording"
+	if tr, ok := measure.Recording(ctx, prog, opts); ok {
+		rr, why, err := walk(tr)
+		if err != nil {
+			return nil, err
+		}
+		if why == "" {
+			span.Set(obs.String("sim", "walk"))
+			return rr, nil
+		}
+		declined = why
+	}
+	span.Set(obs.String("sim", "full"), obs.String("sim_declined", declined))
+	return full()
 }
 
 // buildReplayBlock assembles the report block from a platform replay,

@@ -13,6 +13,7 @@ import (
 
 	"liquidarch/internal/config"
 	"liquidarch/internal/core"
+	"liquidarch/internal/platform"
 	"liquidarch/internal/workload"
 )
 
@@ -27,21 +28,58 @@ var updateGoldens = flag.Bool("update", false, "rewrite golden files")
 // that the model does not see.
 const replayErrorBoundPct = 2.0
 
+// tuneMixReplay tunes mix with a schedule replay, and an online run if
+// asked, twice on one session. The first tune builds the model and times
+// the replays from its recording; the second shares the model and runs
+// them in full. Both must report byte for byte the same replay blocks.
+// It returns the first report.
 func tuneMixReplay(t *testing.T, online bool) *core.Report {
 	t.Helper()
 	sess, _ := newCountedSession(t)
-	rep, err := sess.Tune(context.Background(), core.Request{
+	req := core.Request{
 		App:    "mix",
 		Scale:  workload.Tiny,
 		Space:  config.DcacheGeometrySpace(),
 		Phases: &core.PhaseOptions{IntervalInstructions: 20_000},
 		Replay: true,
 		Online: online,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return rep
+	replays := uint64(1)
+	if online {
+		replays++
+	}
+	var reps [2]*core.Report
+	for i := range reps {
+		before := platform.Counters()
+		rep, err := sess.Tune(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := platform.Counters()
+		timed := after.ReplayTimed - before.ReplayTimed
+		all := after.ReplayRuns + after.OnlineRuns - before.ReplayRuns - before.OnlineRuns
+		if want := replays * uint64(1-i); timed != want || all != replays {
+			t.Fatalf("tune %d: %d of %d replays timed from the trace, want %d of %d", i+1, timed, all, want, replays)
+		}
+		reps[i] = rep
+	}
+	for _, block := range []func(*core.Report) any{
+		func(r *core.Report) any { return r.Replay },
+		func(r *core.Report) any { return r.Online },
+	} {
+		walked, err := json.Marshal(block(reps[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := json.Marshal(block(reps[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(walked, full) {
+			t.Errorf("replay timed from the recording differs from the full replay:\nwalked %s\nfull   %s", walked, full)
+		}
+	}
+	return reps[0]
 }
 
 // TestReplayConformanceGolden is the conformance suite's anchor: replay
@@ -49,7 +87,9 @@ func tuneMixReplay(t *testing.T, online bool) *core.Report {
 // replayed whole-run cycles to agree within replayErrorBoundPct, and
 // pin the full replay block against a golden so any drift in segment
 // accounting, switch pricing or the error figure is a visible diff.
-// Regenerate with go test ./internal/core -run TestReplayConformanceGolden -update.
+// The replay runs both timed from the build's recording and in full
+// (tuneMixReplay). Regenerate with go test ./internal/core -run
+// TestReplayConformanceGolden -update.
 func TestReplayConformanceGolden(t *testing.T) {
 	rep := tuneMixReplay(t, false)
 	if rep.Replay == nil {

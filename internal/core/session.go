@@ -276,8 +276,15 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 		// they consume the decision (schedule + per-phase recommendations)
 		// and simulate directly, never through the measurement provider,
 		// so the model cache and measurement store above are untouched.
+		// When this request built the model they run under its trace
+		// scope and are timed from its recording. They run one after the
+		// other: their spans make one stage.
+		rctx := ctx
+		if ownBuild {
+			rctx = scoped
+		}
 		if req.Replay {
-			rctx, replaySpan := obs.Start(ctx, "replay")
+			rctx, replaySpan := obs.Start(rctx, "replay")
 			err := attachReplay(rctx, rep, b, req, popts)
 			replaySpan.End()
 			if err != nil {
@@ -285,7 +292,7 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 			}
 		}
 		if req.Online {
-			octx, onlineSpan := obs.Start(ctx, "online")
+			octx, onlineSpan := obs.Start(rctx, "online")
 			err := attachOnline(octx, rep, b, req, popts)
 			onlineSpan.End()
 			if err != nil {

@@ -35,11 +35,12 @@ func (l *leafLog) Measure(ctx context.Context, prog *asm.Program, cfg config.Con
 // other configuration, the validation included, is timed from that
 // recording without a single decline, walking the trace once per timing
 // class other than the recording configuration's. A phase tune, whose
-// measurements all carry interval profiling, records once too.
+// measurements all carry interval profiling, records once too, and times
+// its schedule replay and online run from that recording: no full run.
 func TestColdTuneRecordsOnce(t *testing.T) {
 	for _, req := range []core.Request{
 		{App: "arith", Scale: workload.Tiny},
-		{App: "mix", Scale: workload.Tiny, Phases: &core.PhaseOptions{IntervalInstructions: 20_000}},
+		{App: "mix", Scale: workload.Tiny, Phases: &core.PhaseOptions{IntervalInstructions: 20_000}, Replay: true, Online: true},
 	} {
 		leaf := &leafLog{}
 		sess := core.NewSession(core.SessionOptions{Provider: measure.NewCache(leaf, 512)})
@@ -83,6 +84,51 @@ func TestColdTuneRecordsOnce(t *testing.T) {
 		if d := after.TraceFollowed - before.TraceFollowed; d > walks {
 			t.Errorf("%s: %d walks followed the recording, of %d", req.App, d, walks)
 		}
+		if req.Replay {
+			timed := after.ReplayTimed - before.ReplayTimed
+			all := after.ReplayRuns + after.OnlineRuns - before.ReplayRuns - before.OnlineRuns
+			if timed != 2 || all != 2 {
+				t.Errorf("%s: %d of %d replays timed from the recording, want 2 of 2", req.App, timed, all)
+			}
+		}
+	}
+}
+
+// TestArtifactModelReplaysInFull: a phase tune whose model comes from a
+// durable artifact has no recording, so its schedule replay and online
+// run both run in full, and no trace is recorded for them.
+func TestArtifactModelReplaysInFull(t *testing.T) {
+	store, err := core.NewModelStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := core.Request{App: "mix", Scale: workload.Tiny, Space: config.DcacheGeometrySpace(),
+		Phases: &core.PhaseOptions{IntervalInstructions: 20_000}, Replay: true, Online: true}
+	var reps [2]*core.Report
+	for i := range reps {
+		sess := core.NewSession(core.SessionOptions{Provider: measure.NewCache(measure.Simulator{}, 512), ModelStore: store})
+		before := platform.Counters()
+		if reps[i], err = sess.Tune(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		after := platform.Counters()
+		if i == 0 {
+			continue
+		}
+		if d := sess.ModelStats().DiskHits; d != 1 {
+			t.Fatalf("second session loaded %d model artifacts, want 1", d)
+		}
+		timed := after.ReplayTimed - before.ReplayTimed
+		all := after.ReplayRuns + after.OnlineRuns - before.ReplayRuns - before.OnlineRuns
+		if timed != 0 || all != 2 {
+			t.Errorf("%d of %d replays timed from a trace, want 2 full runs", timed, all)
+		}
+		if d := after.TraceRecords - before.TraceRecords; d != 0 {
+			t.Errorf("a tune on an artifact model recorded %d traces", d)
+		}
+	}
+	if reps[0].Replay.SimulatedCycles != reps[1].Replay.SimulatedCycles || reps[0].Online.SimulatedCycles != reps[1].Online.SimulatedCycles {
+		t.Error("the full replays differ from the ones timed from the recording")
 	}
 }
 

@@ -321,6 +321,8 @@ func (t *Trace) FallbackInstructions() uint64 {
 
 // Instructions returns the number of instructions the recording retired.
 func (t *Trace) Instructions() uint64 {
-	st, _, _ := t.total()
-	return st.Instructions
+	if len(t.cuts) == 0 {
+		return 0
+	}
+	return t.cuts[len(t.cuts)-1].rec.Stats.Instructions
 }

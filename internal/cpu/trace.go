@@ -35,13 +35,15 @@ import (
 // window-sensitive, and Time then declines every configuration whose
 // window count differs from the recording one.
 //
-// Most configurations of a model build change a latency the trace never
-// charges or a structure it never stresses, so Time walks once per timing
-// class (TimingClass) and answers every other member of the class from
-// that walk's snapshots. A walk is resumable: the recording publishes its
-// growing trace, and Follow walks the classes that differ from the
-// recording configuration in the dcache alone behind it, on another core,
-// while the program still runs.
+// Most configurations of a model build change an IU latency, which moves
+// no timing event and is charged in closed form, or a structure the trace
+// never stresses, so Time walks once per timing class (TimingClass) and
+// answers every other member of the class from that walk's snapshots. A
+// walk is resumable: the recording publishes its growing trace, and Follow
+// walks the classes that differ from the recording configuration in the
+// dcache alone behind it, on another core, while the program still runs.
+// A Replay walks the sealed trace through a schedule of configurations, as
+// a reconfiguring run would see it.
 
 // Per-instruction trace flags.
 const (
@@ -377,7 +379,7 @@ func (t *Trace) seal() {
 	early := t.early
 	t.early, t.filed = nil, true
 	if !t.unusable {
-		seed := &classWalk{snaps: make([]Snapshot, len(t.cuts)), ok: true, done: true, claimed: true}
+		seed := &classWalk{l: latenciesOf(t.cfg), snaps: make([]Snapshot, len(t.cuts)), ok: true, done: true, claimed: true}
 		for k := range t.cuts {
 			seed.snaps[k] = t.cuts[k].rec
 		}
@@ -862,68 +864,59 @@ type timer struct {
 
 // TimingClass is the projection of a configuration onto what one trace's
 // timing walk can observe. Configurations with equal classes on a trace
-// time to identical snapshots; each part is proven so by the trace:
+// walk to identical cache events, window traps and write-buffer stalls;
+// each part is proven so by the trace:
 //
 //   - windows: a count with room for every frame the trace nests (its
 //     deepest SAVE at most W-2 deep) never overflows, and so never
 //     underflows, so all such counts are one class;
-//   - latencies: each extra charge the trace has no event for (no mul, no
-//     div, no jump, no taken CTI, no interlock, no ICC hold) is 0;
 //   - icache: when it holds the text (icacheHoldsText), only the line
 //     length, which fixes the cold misses and their penalty;
-//   - dcache: the whole configuration.
+//   - dcache: the whole configuration, up to what TimingKey normalizes.
+//
+// The IU latencies are no part of it. A store charges 3 cycles before its
+// write-buffer event (compileRun), so any store with an instruction
+// between it and the previous buffered store arrives at least mem's
+// WriteCycles (4) later and cannot stall; the shorter gaps (back-to-back stores, the spill stores of
+// a window trap, the first store after a spill) hold no latency charge. So
+// the latencies move no event, and a configuration's cycles differ from
+// its class walk's by exactly the count times the latency difference of
+// each charge (latencies.charge), which Time adds in closed form.
 type TimingClass struct {
-	l      latencies
-	ic, dc config.CacheConfig
-}
-
-// total is the recording run's profile at its last cut.
-func (t *Trace) total() (st profiler.Stats, interlocks, iccHolds uint64) {
-	if len(t.cuts) == 0 {
-		return
-	}
-	cut := &t.cuts[len(t.cuts)-1]
-	return cut.rec.Stats, cut.interlocks, cut.iccHolds
+	windows int
+	ic, dc  config.CacheConfig
 }
 
 // class returns cfg's timing class and whether its icache holds the text.
 func (t *Trace) class(cfg config.Config) (k TimingClass, holdsText bool) {
-	st, interlocks, iccHolds := t.total()
-	l := latenciesOf(cfg)
-	if t.maxDepth <= l.windows-2 {
-		l.windows = 0
+	k = TimingClass{windows: cfg.IU.RegWindows, ic: cfg.ICache, dc: cfg.TimingKey().DCache}
+	if t.maxDepth <= k.windows-2 {
+		k.windows = 0
 	}
-	if st.Mults == 0 {
-		l.mulExtra = 0
-	}
-	if st.Divs == 0 {
-		l.divExtra = 0
-	}
-	if st.Jumps == 0 {
-		l.jumpExtra = 0
-	}
-	if st.TakenBranches == 0 && st.Calls == 0 && st.Jumps == 0 {
-		l.decodeExtra = 0
-	}
-	if interlocks == 0 {
-		l.loadDelay = 0
-	}
-	if iccHolds == 0 {
-		l.iccHold = false
-	}
-	k = TimingClass{l: l, ic: cfg.ICache, dc: cfg.DCache}
 	if holdsText = t.icacheHoldsText(cfg.ICache); holdsText {
 		k.ic = config.CacheConfig{LineWords: cfg.ICache.LineWords}
 	}
 	return k, holdsText
 }
 
-// declines reports whether the trace cannot stand in for a run on cfg:
-// cfg is invalid, the trace is window-sensitive and cfg has another window
-// count, or the recorded program returned past its initial frame.
-func (t *Trace) declines(cfg config.Config) bool {
-	return cfg.Validate() != nil || t.unusable ||
-		(t.windowSensitive && cfg.IU.RegWindows != t.cfg.IU.RegWindows)
+// declines reports whether the trace cannot stand in for a run on cfg
+// (declineReason).
+func (t *Trace) declines(cfg config.Config) bool { return t.declineReason(cfg) != "" }
+
+// declineReason says why the trace cannot stand in for a run on cfg, or
+// returns "": cfg is invalid, the recording failed or its program
+// returned past its initial frame, or the trace is window-sensitive and
+// cfg has another window count.
+func (t *Trace) declineReason(cfg config.Config) string {
+	switch {
+	case cfg.Validate() != nil:
+		return "invalid configuration"
+	case t.unusable:
+		return "unusable recording"
+	case t.windowSensitive && cfg.IU.RegWindows != t.cfg.IU.RegWindows:
+		return "window-sensitive"
+	}
+	return ""
 }
 
 // Class returns cfg's timing class on this trace, or false when Time
@@ -979,7 +972,15 @@ func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, shared, ok bool) {
 	if !ok {
 		return nil, false, false
 	}
-	return slices.Clone(snaps), shared, true
+	snaps = slices.Clone(snaps)
+	if l := latenciesOf(cfg); l != w.l {
+		for i := range snaps {
+			st, cut := &snaps[i].Stats, &t.cuts[i]
+			walked := w.l.charge(st, cut)
+			st.Cycles += l.charge(st, cut) - walked
+		}
+	}
+	return snaps, shared, true
 }
 
 // classWalk is one timing class's walk of the trace: a timer and its
@@ -989,40 +990,45 @@ func (t *Trace) Time(cfg config.Config) (snaps []Snapshot, shared, ok bool) {
 type classWalk struct {
 	mu  sync.Mutex
 	cfg config.Config
+	// l holds the latencies the walk charges, which Time converts to
+	// those of each member of the class.
+	l latencies
 	// elide says the icache holds the text, so a run's later executions
 	// take its warm op list.
 	elide bool
 	tm    *timer
-	// ops holds every compiled run's op lists; start[id] is the list the
-	// next execution of run id takes, warm[id] the one after it.
-	ops         []timeOp
-	start, warm []uint32
-	seq, cut    int // next run-sequence position and cut
-	snaps       []Snapshot
-	ok, done    bool
+	opLists
+	seq, cut int // next run-sequence position and cut
+	snaps    []Snapshot
+	ok, done bool
 	// claimed is set, under Trace.mu, by the first Time of the class.
 	claimed bool
 }
 
 // newWalk starts a walk of cfg at the beginning of the trace.
 func (t *Trace) newWalk(cfg config.Config, elide bool) *classWalk {
-	w := &classWalk{cfg: cfg, elide: elide}
+	w := &classWalk{cfg: cfg, l: latenciesOf(cfg), elide: elide}
+	w.tm = t.newTimer(cfg)
+	w.done = w.tm == nil
+	return w
+}
+
+// newTimer returns the timing state of a run on cfg at its start, or nil
+// when cfg's caches cannot be built.
+func (t *Trace) newTimer(cfg config.Config) *timer {
 	ic, err := cache.New(cfg.ICache)
 	if err != nil {
-		w.done = true
-		return w
+		return nil
 	}
 	dc, err := cache.New(cfg.DCache)
 	if err != nil {
-		w.done = true
-		return w
+		return nil
 	}
-	w.tm = &timer{
+	return &timer{
 		l: latenciesOf(cfg), ic: ic, dc: dc, wb: *mem.NewWriteBuffer(mem.DefaultTiming()),
 		resid: 1,
 		ramLo: mem.RAMBase, ramHi: mem.RAMBase + t.ramBytes,
 	}
-	return w
 }
 
 // advance walks w on over the published prefix p by at most budget runs
@@ -1033,17 +1039,7 @@ func (w *classWalk) advance(t *Trace, p *published, final bool, budget int) (mor
 	if w.done {
 		return false
 	}
-	for id := len(w.start); id < len(p.runs); id++ {
-		run := &p.runs[id]
-		w.start = append(w.start, uint32(len(w.ops)))
-		w.ops = t.compileRun(w.ops, run, p.flags, w.tm.l, false)
-		if w.elide {
-			w.warm = append(w.warm, uint32(len(w.ops)))
-			w.ops = t.compileRun(w.ops, run, p.flags, w.tm.l, true)
-		} else {
-			w.warm = append(w.warm, w.start[id]) // every execution probes every fetch
-		}
-	}
+	w.compile(t, p, w.l, w.elide)
 	limit := len(p.seq)
 	if budget > 0 {
 		limit = min(limit, w.seq+budget)
@@ -1085,7 +1081,32 @@ func (w *classWalk) finish(ok bool) {
 	if !ok {
 		w.snaps = nil
 	}
-	w.tm, w.ops, w.start, w.warm = nil, nil, nil, nil
+	w.tm, w.opLists = nil, opLists{}
+}
+
+// opLists are a walk's compiled runs: ops holds every run's op lists, and
+// start[id] is the list the next execution of run id takes, warm[id] the
+// one after it.
+type opLists struct {
+	ops         []timeOp
+	start, warm []uint32
+}
+
+// compile compiles the runs of p not compiled yet with the latencies l.
+// elide says the icache holds the text, so a run's later executions take
+// its warm list, which skips the fetch probes.
+func (o *opLists) compile(t *Trace, p *published, l latencies, elide bool) {
+	for id := len(o.start); id < len(p.runs); id++ {
+		run := &p.runs[id]
+		o.start = append(o.start, uint32(len(o.ops)))
+		o.ops = t.compileRun(o.ops, run, p.flags, l, false)
+		if elide {
+			o.warm = append(o.warm, uint32(len(o.ops)))
+			o.ops = t.compileRun(o.ops, run, p.flags, l, true)
+		} else {
+			o.warm = append(o.warm, o.start[id]) // every execution probes every fetch
+		}
+	}
 }
 
 // followStep is how many runs Follow walks one class on before it turns
@@ -1159,6 +1180,104 @@ func (t *Trace) startEarly(cfgs []config.Config) []*classWalk {
 	}
 	return t.early
 }
+
+// Replay is a walk of a sealed trace whose configuration may change at any
+// cut, timing a reconfiguring run (DESIGN.md §19) as AdoptArchState makes
+// it: at a switch the caches and the write buffer come up cold, the
+// cycles continue and the switch itself costs nothing, and the resident
+// windows carry over when the window count stays and flush down to one
+// when it changes. The flush writes memory straight, without cycles or
+// cache traffic, so it moves no timing; a trace that could observe the
+// flushed words is window-sensitive and declines the other window count.
+type Replay struct {
+	t  *Trace
+	tm *timer
+	opLists
+	seq, cut int // next run-sequence position and cut
+	// charges corrects the IU latency charges timer.snapshot makes at the
+	// current latencies for the stretches before the last switch, which
+	// ran at others.
+	charges profiler.Stats
+	why     string
+}
+
+// Replay starts a replay walk of the trace on cfg, once it is sealed. It
+// returns the reason when the trace declines cfg (declineReason).
+func (t *Trace) Replay(cfg config.Config) (*Replay, string) {
+	<-t.sealed
+	if why := t.declineReason(cfg); why != "" {
+		return nil, why
+	}
+	r := &Replay{t: t, tm: t.newTimer(cfg)}
+	r.compile(t, &t.published, r.tm.l, t.icacheHoldsText(cfg.ICache))
+	return r, ""
+}
+
+// Cuts returns the number of cuts of the sealed trace: one per step of
+// the recording run (Run, RunFor).
+func (t *Trace) Cuts() int {
+	<-t.sealed
+	return len(t.cuts)
+}
+
+// Next walks on to the next cut and returns its snapshot: the profile
+// since the start of the run, each stretch charged at the latencies it
+// ran under, and the cache counters since the last switch. It returns
+// false past the last cut, or when the walk declines a window trap outside
+// RAM (Declined says so).
+func (r *Replay) Next() (Snapshot, bool) {
+	t := r.t
+	if r.why != "" || r.cut == len(t.cuts) {
+		return Snapshot{}, false
+	}
+	cut := &t.cuts[r.cut]
+	if !r.tm.walk(r.ops, r.start, r.warm, t.seq[r.seq:cut.seq], t.addrs) {
+		r.why = "window trap outside RAM"
+		return Snapshot{}, false
+	}
+	r.seq = cut.seq
+	r.cut++
+	s := r.tm.snapshot(cut)
+	s.Stats.Add(r.charges)
+	return s, true
+}
+
+// Switch reconfigures the walk to cfg at the cut Next last returned, and
+// reports whether the trace stands in for the rest of the run on cfg:
+// it does not when it declines cfg, or when a window the switch flushes
+// lies outside RAM (Declined says why).
+func (r *Replay) Switch(cfg config.Config) bool {
+	t, tm := r.t, r.tm
+	if r.why = t.declineReason(cfg); r.why != "" {
+		return false
+	}
+	l := latenciesOf(cfg)
+	if r.cut > 0 {
+		cut := &t.cuts[r.cut-1]
+		was, now := cut.rec.Stats, cut.rec.Stats
+		tm.l.charge(&was, cut)
+		l.charge(&now, cut)
+		r.charges.Add(was.Sub(now))
+	}
+	if l.windows != tm.l.windows {
+		for d := tm.depth - (tm.resid - 1); d < tm.depth; d++ {
+			if !tm.frameOK(tm.frames[d]) {
+				r.why = "window flush outside RAM"
+				return false
+			}
+		}
+		tm.resid = 1
+	}
+	cold := t.newTimer(cfg)
+	tm.l, tm.ic, tm.dc, tm.wb, tm.icHits = l, cold.ic, cold.dc, cold.wb, 0
+	r.opLists = opLists{ops: r.ops[:0], start: r.start[:0], warm: r.warm[:0]}
+	r.compile(t, &t.published, l, t.icacheHoldsText(cfg.ICache))
+	return true
+}
+
+// Declined says why the walk stopped standing in for the run, or returns
+// "" while it still does.
+func (r *Replay) Declined() string { return r.why }
 
 // walk times the runs of seq in order. start[id] is the op list the
 // next execution of run id takes; after it the run switches to warm[id].
@@ -1316,7 +1435,6 @@ func (tm *timer) restore(fp uint32) bool {
 // configuration-independent counts, the stalls that are a count times a
 // latency in closed form, and the replayed ones.
 func (tm *timer) snapshot(cut *traceCut) Snapshot {
-	l := tm.l
 	st := cut.rec.Stats
 	st.Cycles = tm.cyc
 	st.ICacheStall = tm.icStall
@@ -1325,6 +1443,16 @@ func (tm *timer) snapshot(cut *traceCut) Snapshot {
 	st.WindowTrapStall = tm.winStall
 	st.WindowOverflows = tm.overflows
 	st.WindowUnderflows = tm.underflows
+	tm.l.charge(&st, cut)
+	ics := tm.ic.Stats()
+	ics.ReadAccesses += tm.icHits
+	return Snapshot{Stats: st, ICache: ics, DCache: tm.dc.Stats()}
+}
+
+// charge sets the IU latency charges of st, the profile at cut: each is an
+// event count of the cut times one latency of l (§6). It returns their
+// sum, the cycles they add.
+func (l *latencies) charge(st *profiler.Stats, cut *traceCut) uint64 {
 	st.LoadInterlock = cut.interlocks * l.loadDelay
 	st.ICCHoldStall = 0
 	if l.iccHold {
@@ -1334,7 +1462,5 @@ func (tm *timer) snapshot(cut *traceCut) Snapshot {
 	st.DivStall = st.Divs * l.divExtra
 	st.JumpPenalty = st.Jumps * l.jumpExtra
 	st.DecodeStall = st.BranchPenalty * l.decodeExtra
-	ics := tm.ic.Stats()
-	ics.ReadAccesses += tm.icHits
-	return Snapshot{Stats: st, ICache: ics, DCache: tm.dc.Stats()}
+	return st.LoadInterlock + st.ICCHoldStall + st.MulStall + st.DivStall + st.JumpPenalty + st.DecodeStall
 }

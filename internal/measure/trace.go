@@ -98,6 +98,29 @@ func Plan(ctx context.Context, prog *asm.Program, opts platform.Options, cfgs []
 	s.plans[key] = slices.Clone(cfgs)
 }
 
+// Recording returns the recording ctx's trace scope made of prog under
+// opts, once it has finished, when it made one and it succeeded. A
+// request times further runs of the program from it, such as the phase
+// replays (platform.Trace.ReplaySchedule).
+func Recording(ctx context.Context, prog *asm.Program, opts platform.Options) (*platform.Trace, bool) {
+	s, ok := ctx.Value(traceScopeKey{}).(*traceScope)
+	if !ok || opts.TraceWriter != nil {
+		return nil, false
+	}
+	s.mu.Lock()
+	e := s.entries[traceKeyOf(prog, opts)]
+	s.mu.Unlock()
+	if e == nil {
+		return nil, false
+	}
+	select {
+	case <-e.done:
+		return e.tr, e.ok
+	default:
+		return nil, false
+	}
+}
+
 // measure answers one run from the scope. The first caller of a
 // (program, options) records it, on the planned base if there is a plan
 // and on its own configuration otherwise, and returns the recording run's
@@ -148,14 +171,18 @@ func (s *traceScope) measure(ctx context.Context, prog *asm.Program, cfg config.
 			close(e.ready)
 		}
 		e.ok = err == nil
-		close(e.done)
-		if cfg == e.base {
-			return rep, err
-		}
-		if e.ok {
+		if e.ok && !e.isBase(cfg) {
+			// Before done: the base's caller looks for it once done closes.
 			s.mu.Lock()
 			e.rep = rep
 			s.mu.Unlock()
+		}
+		close(e.done)
+		if e.isBase(cfg) {
+			if rep != nil {
+				rep = copyReport(rep, cfg)
+			}
+			return rep, err
 		}
 		return e.answer(nil, prog, cfg, opts, "") // the span keeps "record"
 	}
@@ -189,17 +216,25 @@ func (s *traceScope) measure(ctx context.Context, prog *asm.Program, cfg config.
 	} else if span != nil {
 		span.Set(obs.Int("sim_wait_ns", time.Since(t0).Nanoseconds()))
 	}
-	if cfg == e.base && e.ok {
+	if e.isBase(cfg) && e.ok {
 		s.mu.Lock()
 		rep := e.rep
 		e.rep = nil
 		s.mu.Unlock()
 		if rep != nil {
 			span.Set(obs.String("sim", cmp.Or(sim, "shared")))
-			return rep, nil
+			return copyReport(rep, cfg), nil
 		}
 	}
 	return e.answer(span, prog, cfg, opts, sim)
+}
+
+// isBase reports whether cfg runs exactly as the recording's base does:
+// configurations with equal timing keys simulate identically (Key), so the
+// recording's report answers them with cfg stamped in. Whichever of them
+// reaches the leaf first, through the cache's singleflight, gets it.
+func (e *scopedTrace) isBase(cfg config.Config) bool {
+	return cfg.TimingKey() == e.base.TimingKey()
 }
 
 // answer times cfg from the finished recording, or runs it in full when

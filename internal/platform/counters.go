@@ -27,6 +27,7 @@ var (
 	ctrTraceTimeNs   atomic.Uint64
 	ctrTraceStepped  atomic.Uint64
 	ctrTraceFollowed atomic.Uint64
+	ctrReplayTimed   atomic.Uint64
 )
 
 // TuningCounters is a point-in-time snapshot of the process-wide
@@ -51,10 +52,14 @@ type TuningCounters struct {
 	// OnlineRuns and OnlineSwitches the same for closed-loop online runs
 	// (ReplayOnline). Like every tuning counter these never feed a
 	// report — replay results come from the simulated program alone.
+	// ReplayTimed counts the replays and online runs among them that
+	// were timed from a recording (Trace.ReplaySchedule and
+	// Trace.ReplayOnline) instead of executing the program.
 	ReplayRuns     uint64 `json:"replay_runs"`
 	ReplaySwitches uint64 `json:"replay_switches"`
 	OnlineRuns     uint64 `json:"online_runs"`
 	OnlineSwitches uint64 `json:"online_switches"`
+	ReplayTimed    uint64 `json:"trace_replays"`
 	// TraceRecords counts recording runs (Record), TraceTimed the reports
 	// derived from a trace (Trace.Time) and TraceDeclined the
 	// configurations a trace declined, which then ran in full
@@ -88,6 +93,7 @@ func Counters() TuningCounters {
 		ReplaySwitches:     ctrReplaySwitches.Load(),
 		OnlineRuns:         ctrOnlineRuns.Load(),
 		OnlineSwitches:     ctrOnlineSwitches.Load(),
+		ReplayTimed:        ctrReplayTimed.Load(),
 		TraceRecords:       ctrTraceRecords.Load(),
 		TraceTimed:         ctrTraceTimed.Load(),
 		TraceDeclined:      ctrTraceDeclined.Load(),

@@ -25,6 +25,7 @@ import (
 	"liquidarch/internal/cache"
 	"liquidarch/internal/config"
 	"liquidarch/internal/cpu"
+	"liquidarch/internal/mem"
 	"liquidarch/internal/profiler"
 )
 
@@ -110,27 +111,9 @@ type nextFn func(i int, iv Interval) (config.Config, bool)
 // must be set (it defines the boundary grid — a tuning trace's replay
 // passes the length the trace was detected at).
 func ReplaySchedule(prog *asm.Program, steps []ReplayStep, opts Options) (*ReplayReport, error) {
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("platform: replay schedule is empty")
-	}
-	for i, s := range steps {
-		if s.Intervals == 0 || (s.Intervals < 0 && i != len(steps)-1) {
-			return nil, fmt.Errorf("platform: replay step %d covers %d intervals", i, s.Intervals)
-		}
-	}
-	cur := 0
-	end := steps[0].Intervals // first interval index beyond the current step; <0 = unbounded
-	next := func(i int, _ Interval) (config.Config, bool) {
-		if end >= 0 && i+1 >= end && cur+1 < len(steps) {
-			cur++
-			if steps[cur].Intervals < 0 {
-				end = -1
-			} else {
-				end += steps[cur].Intervals
-			}
-			return steps[cur].Config, true
-		}
-		return steps[cur].Config, false
+	next, err := scheduleNext(steps)
+	if err != nil {
+		return nil, err
 	}
 	rep, err := replayRun(prog, steps[0].Config, next, opts)
 	if err != nil {
@@ -141,6 +124,33 @@ func ReplaySchedule(prog *asm.Program, steps []ReplayStep, opts Options) (*Repla
 	return rep, nil
 }
 
+// scheduleNext checks a replay schedule and returns the boundary function
+// that walks it.
+func scheduleNext(steps []ReplayStep) (nextFn, error) {
+	if len(steps) == 0 {
+		return nil, fmt.Errorf("platform: replay schedule is empty")
+	}
+	for i, s := range steps {
+		if s.Intervals == 0 || (s.Intervals < 0 && i != len(steps)-1) {
+			return nil, fmt.Errorf("platform: replay step %d covers %d intervals", i, s.Intervals)
+		}
+	}
+	cur := 0
+	end := steps[0].Intervals // first interval index beyond the current step; <0 = unbounded
+	return func(i int, _ Interval) (config.Config, bool) {
+		if end >= 0 && i+1 >= end && cur+1 < len(steps) {
+			cur++
+			if steps[cur].Intervals < 0 {
+				end = -1
+			} else {
+				end += steps[cur].Intervals
+			}
+			return steps[cur].Config, true
+		}
+		return steps[cur].Config, false
+	}, nil
+}
+
 // ReplayOnline executes prog once in closed-loop mode: after each
 // completed interval, decide receives the interval (index, profile
 // delta and block-signature vector) and returns the configuration for
@@ -149,10 +159,7 @@ func ReplaySchedule(prog *asm.Program, steps []ReplayStep, opts Options) (*Repla
 // first; a decision equal to the current configuration keeps the core
 // running untouched.
 func ReplayOnline(prog *asm.Program, first config.Config, decide func(i int, iv Interval) config.Config, opts Options) (*ReplayReport, error) {
-	next := func(i int, iv Interval) (config.Config, bool) {
-		return decide(i, iv), false
-	}
-	rep, err := replayRun(prog, first, next, opts)
+	rep, err := replayRun(prog, first, onlineNext(decide), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -161,8 +168,103 @@ func ReplayOnline(prog *asm.Program, first config.Config, decide func(i int, iv 
 	return rep, nil
 }
 
-// replayRun is the reconfiguring run behind both modes: the shared
-// interval stepper, consulting next at every live boundary. Replay runs
+// onlineNext is the boundary function of an online run: it cuts a
+// segment only where decide changes the configuration.
+func onlineNext(decide func(i int, iv Interval) config.Config) nextFn {
+	return func(i int, iv Interval) (config.Config, bool) {
+		return decide(i, iv), false
+	}
+}
+
+// replaySource is what a replay steps through: a live run (liveReplay) or
+// a walk of its recording (traceReplay).
+type replaySource interface {
+	// run visits every interval that retired instructions, with more
+	// false for the final one, and reports whether the sample limit ended
+	// the run. visit may reconfigure the source before it returns.
+	run(visit func(iv Interval, more bool) error) (sampled bool, err error)
+	// reconfigure switches the run to cfg at the boundary just visited.
+	reconfigure(cfg config.Config) error
+}
+
+// replay steps src from first, consulting next at every live boundary,
+// and builds the report's segments: the one segment builder behind live
+// replays and replays timed from a trace. The caller fills in the
+// whole-run fields.
+func replay(src replaySource, first config.Config, next nextFn, opts Options) (*ReplayReport, error) {
+	rep := &ReplayReport{IntervalInstructions: opts.IntervalInstructions}
+	seg := ReplaySegment{Config: first}
+	segEmpty := true
+	closeSegment := func() {
+		if segEmpty {
+			return
+		}
+		rep.ICache.Add(seg.ICache)
+		rep.DCache.Add(seg.DCache)
+		rep.Segments = append(rep.Segments, seg)
+	}
+
+	sampled, err := src.run(func(iv Interval, more bool) error {
+		if segEmpty {
+			seg.Start = iv.Index
+			segEmpty = false
+		}
+		seg.End = iv.Index
+		seg.Instructions += iv.Instructions
+		seg.Stats.Add(iv.Stats)
+		seg.ICache.Add(iv.ICache)
+		seg.DCache.Add(iv.DCache)
+		if !more {
+			return nil
+		}
+		cfg, cut := next(iv.Index, iv)
+		switch {
+		case cfg != seg.Config:
+			closeSegment()
+			if err := src.reconfigure(cfg); err != nil {
+				return err
+			}
+			seg = ReplaySegment{Index: len(rep.Segments), Config: cfg, Switched: true}
+			segEmpty = true
+			rep.Switches++
+		case cut:
+			closeSegment()
+			seg = ReplaySegment{Index: len(rep.Segments), Config: cfg}
+			segEmpty = true
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	closeSegment()
+	rep.Sampled = sampled
+	return rep, nil
+}
+
+// liveReplay is a reconfiguring run of the program: the interval stepper
+// over a core that a switch replaces with a freshly built one on the same
+// memory.
+type liveReplay struct {
+	stepper
+	prog *asm.Program
+	m    *mem.Memory
+}
+
+func (l *liveReplay) reconfigure(cfg config.Config) error {
+	nc, err := newCore(l.prog, cfg, l.opts, l.m)
+	if err != nil {
+		return err
+	}
+	if err := nc.AdoptArchState(l.core); err != nil {
+		return fmt.Errorf("platform: %w", err)
+	}
+	foldSuperblocks(l.core, new(cpu.SuperblockStats)) // each replay core folds once
+	l.swap(nc)
+	return nil
+}
+
+// replayRun is the reconfiguring run behind both modes. Replay runs
 // build a fresh memory per call (no pooling: a mid-run reconfiguration
 // leaves the core mid-program, which a pooled engine's reset contract
 // does not cover).
@@ -180,66 +282,16 @@ func replayRun(prog *asm.Program, first config.Config, next nextFn, opts Options
 		return nil, err
 	}
 	core.Reset(prog.Entry)
-
-	rep := &ReplayReport{IntervalInstructions: opts.IntervalInstructions}
-	s := stepper{core: core, opts: opts}
-	seg := ReplaySegment{Config: first}
-	segEmpty := true
-	closeSegment := func() {
-		if segEmpty {
-			return
-		}
-		rep.ICache.Add(seg.ICache)
-		rep.DCache.Add(seg.DCache)
-		rep.Segments = append(rep.Segments, seg)
-	}
-
-	sampled, err := s.run(func(iv Interval, more bool) error {
-		if segEmpty {
-			seg.Start = iv.Index
-			segEmpty = false
-		}
-		seg.End = iv.Index
-		seg.Instructions += iv.Instructions
-		seg.Stats.Add(iv.Stats)
-		seg.ICache.Add(iv.ICache)
-		seg.DCache.Add(iv.DCache)
-		if !more {
-			return nil
-		}
-		cfg, cut := next(iv.Index, iv)
-		switch {
-		case cfg != seg.Config:
-			closeSegment()
-			nc, err := newCore(prog, cfg, opts, m)
-			if err != nil {
-				return err
-			}
-			if err := nc.AdoptArchState(s.core); err != nil {
-				return fmt.Errorf("platform: %w", err)
-			}
-			foldSuperblocks(s.core, new(cpu.SuperblockStats)) // each replay core folds once
-			s.swap(nc)
-			seg = ReplaySegment{Index: len(rep.Segments), Config: cfg, Switched: true}
-			segEmpty = true
-			rep.Switches++
-		case cut:
-			closeSegment()
-			seg = ReplaySegment{Index: len(rep.Segments), Config: cfg}
-			segEmpty = true
-		}
-		return nil
-	})
+	src := &liveReplay{stepper: stepper{core: core, opts: opts}, prog: prog, m: m}
+	rep, err := replay(src, first, next, opts)
 	if err != nil {
 		return nil, err
 	}
-	closeSegment()
-	foldSuperblocks(s.core, new(cpu.SuperblockStats))
-	rep.Intervals = s.n
-	rep.Stats = s.core.Stats()
-	rep.ExitCode = s.core.ExitCode()
-	rep.Checksum = s.core.Reg(9) // %o1
+	foldSuperblocks(src.core, new(cpu.SuperblockStats))
+	rep.Intervals = src.n
+	rep.Stats = src.core.Stats()
+	rep.ExitCode = src.core.ExitCode()
+	rep.Checksum = src.core.Reg(9) // %o1
 	rep.Console = m.Console()
-	rep.Sampled = sampled
 	return rep, nil
 }

@@ -15,10 +15,11 @@ import (
 // valid halting program (a counted loop over arithmetic, memory traffic
 // and a save/restore call chain of fuzzed depth) plus a fuzzed switch
 // schedule over a palette of valid configurations. Whatever the bytes,
-// three invariants must hold: the whole-run stats equal the
+// four invariants must hold: the whole-run stats equal the
 // concatenation of the per-segment stats, the architectural results
 // match a plain single-configuration run (the instruction stream is
-// configuration-independent), and the replay is deterministic.
+// configuration-independent), the replay is deterministic, and a replay
+// timed from a recording of the program answers byte for byte the same.
 
 // fuzzReplayProgram renders a halting program from four fuzz bytes:
 // loop trip count, arithmetic constants, and the depth of a save/
@@ -129,7 +130,7 @@ func FuzzReplayDifferential(f *testing.F) {
 		steps[len(steps)-1].Intervals = -1
 		opts := platform.Options{IntervalInstructions: 300, MaxInstructions: 2_000_000}
 
-		rep, err := platform.ReplaySchedule(prog, steps, opts)
+		rep, err := replaySchedule(t, prog, steps, opts)
 		if err != nil {
 			t.Fatalf("ReplaySchedule: %v", err)
 		}

@@ -1,6 +1,7 @@
 package platform_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -64,12 +65,80 @@ func checkSegmentSums(t *testing.T, rep *platform.ReplayReport) {
 	}
 }
 
+// recordFor records prog under opts on the base configuration, or returns
+// nil when the recording run fails.
+func recordFor(t *testing.T, prog *asm.Program, opts platform.Options) *platform.Trace {
+	t.Helper()
+	tr, _, err := platform.Record(prog, config.Default(), opts, nil)
+	if err != nil {
+		return nil
+	}
+	return tr
+}
+
+// sameReplay fails the test unless the replay timed from a trace, which
+// must not have declined, is byte-identical to the full replay.
+func sameReplay(t *testing.T, name string, full, timed *platform.ReplayReport, declined string) {
+	t.Helper()
+	if declined != "" {
+		t.Fatalf("%s: the trace declined the replay: %s", name, declined)
+	}
+	want, err := json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(timed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: replay timed from the trace differs from the full replay:\n got %s\nwant %s", name, got, want)
+	}
+}
+
+// replaySchedule runs the schedule in full and timed from a recording,
+// and fails the test unless both answer byte for byte the same. It
+// returns the full replay's outcome.
+func replaySchedule(t *testing.T, prog *asm.Program, steps []platform.ReplayStep, opts platform.Options) (*platform.ReplayReport, error) {
+	t.Helper()
+	rep, err := platform.ReplaySchedule(prog, steps, opts)
+	tr := recordFor(t, prog, opts)
+	if tr == nil {
+		if err == nil {
+			t.Errorf("the recording failed where the replay did not")
+		}
+		return rep, err
+	}
+	timed, declined, terr := tr.ReplaySchedule(steps)
+	if (err == nil) != (terr == nil) {
+		t.Fatalf("full replay error %v, timed replay error %v", err, terr)
+	}
+	if err == nil {
+		sameReplay(t, "schedule", rep, timed, declined)
+	}
+	return rep, err
+}
+
+// replayOnline is replaySchedule for an online run; decider returns a
+// fresh decision function for each of the two runs.
+func replayOnline(t *testing.T, prog *asm.Program, first config.Config, decider func() func(int, platform.Interval) config.Config, opts platform.Options) *platform.ReplayReport {
+	t.Helper()
+	rep, err := platform.ReplayOnline(prog, first, decider(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timed, declined := recordFor(t, prog, opts).ReplayOnline(first, decider())
+	sameReplay(t, "online", rep, timed, declined)
+	return rep
+}
+
 // TestReplaySameConfigEquivalence: a replay whose every step names the
 // same configuration performs no reconfiguration, so its outcome must
 // be byte-identical to a plain interval-profiled run — the anchor that
 // pins replay stepping to the production interval loop. The inputs cover
 // one segment per interval, a sample limit that ends mid-interval and a
-// runaway limit, which must fail on both paths.
+// runaway limit, which must fail on both paths. Every replay also runs
+// timed from a recording, which must answer byte for byte the same.
 func TestReplaySameConfigEquivalence(t *testing.T) {
 	prog := assembleApp(t, "arith", workload.Tiny)
 	cfg := config.Default()
@@ -101,7 +170,7 @@ func TestReplaySameConfigEquivalence(t *testing.T) {
 		{"runaway", []platform.ReplayStep{{Config: cfg, Intervals: -1}}, runaway, true},
 	} {
 		want, wantErr := platform.RunWith(prog, cfg, tc.opts)
-		rep, err := platform.ReplaySchedule(prog, tc.steps, tc.opts)
+		rep, err := replaySchedule(t, prog, tc.steps, tc.opts)
 		if tc.fails {
 			if wantErr == nil || err == nil {
 				t.Errorf("%s: plain run error %v, replay error %v; want both to fail", tc.name, wantErr, err)
@@ -131,7 +200,7 @@ func TestReplaySameConfigEquivalence(t *testing.T) {
 		}
 		checkSegmentSums(t, rep)
 	}
-	rep, err := platform.ReplaySchedule(prog, perInterval, opts)
+	rep, err := replaySchedule(t, prog, perInterval, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +237,7 @@ func TestReplayCrossConfig(t *testing.T) {
 		{Config: cfgB, Intervals: 3},
 		{Config: cfgA, Intervals: -1},
 	}
-	rep, err := platform.ReplaySchedule(prog, steps, opts)
+	rep, err := replaySchedule(t, prog, steps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +303,8 @@ func TestReplayDeterminism(t *testing.T) {
 // TestReplayOnline drives the closed-loop entry point with a scripted
 // decision function: a constant decision must match the plain run
 // exactly, and a decision that changes its mind must reconfigure at
-// precisely the boundary it decided at.
+// precisely the boundary it decided at. Both runs also run timed from a
+// recording, which must answer byte for byte the same.
 func TestReplayOnline(t *testing.T) {
 	prog := assembleApp(t, "arith", workload.Tiny)
 	cfg := config.Default()
@@ -244,11 +314,10 @@ func TestReplayOnline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	constant := func(int, platform.Interval) config.Config { return cfg }
-	rep, err := platform.ReplayOnline(prog, cfg, constant, opts)
-	if err != nil {
-		t.Fatal(err)
+	constant := func() func(int, platform.Interval) config.Config {
+		return func(int, platform.Interval) config.Config { return cfg }
 	}
+	rep := replayOnline(t, prog, cfg, constant, opts)
 	if rep.Switches != 0 || rep.Stats != plain.Stats || rep.Checksum != plain.Checksum {
 		t.Errorf("constant online run diverged from plain run")
 	}
@@ -256,20 +325,20 @@ func TestReplayOnline(t *testing.T) {
 	cfgB := config.Default()
 	cfgB.IU.RegWindows = 16
 	var decisions []int
-	flip := func(i int, iv platform.Interval) config.Config {
-		if len(iv.Signature) != platform.SignatureBuckets {
-			t.Errorf("interval %d signature has %d buckets", i, len(iv.Signature))
+	flip := func() func(int, platform.Interval) config.Config {
+		decisions = nil
+		return func(i int, iv platform.Interval) config.Config {
+			if len(iv.Signature) != platform.SignatureBuckets {
+				t.Errorf("interval %d signature has %d buckets", i, len(iv.Signature))
+			}
+			decisions = append(decisions, i)
+			if i >= 1 {
+				return cfgB
+			}
+			return cfg
 		}
-		decisions = append(decisions, i)
-		if i >= 1 {
-			return cfgB
-		}
-		return cfg
 	}
-	rep, err = platform.ReplayOnline(prog, cfg, flip, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep = replayOnline(t, prog, cfg, flip, opts)
 	if rep.Switches != 1 {
 		t.Errorf("expected exactly 1 online switch, got %d", rep.Switches)
 	}
@@ -306,5 +375,66 @@ func TestReplayValidation(t *testing.T) {
 		if _, err := platform.ReplaySchedule(prog, tc.steps, tc.opts); err == nil {
 			t.Errorf("%s: ReplaySchedule accepted invalid input", tc.name)
 		}
+	}
+}
+
+// spillReaderProgram recurses 12 deep and, after each return, adds the
+// first word of its frame's save area into %o1: a program that observes
+// whether its windows were spilled, so its trace is window-sensitive.
+const spillReaderProgram = `
+        .text
+start:  mov     12, %o0
+        clr     %g2
+        call    down
+        nop
+        clr     %o0
+        mov     %g2, %o1
+        halt
+down:   save    %sp, -96, %sp
+        mov     %i0, %l0
+        cmp     %i0, 0
+        be      out
+        nop
+        sub     %i0, 1, %o0
+        call    down
+        nop
+        ld      [%sp+0], %l1
+        add     %g2, %l1, %g2
+out:    ret
+        restore
+`
+
+// TestReplayTraceDeclines: a window-sensitive trace declines a schedule
+// that switches to another window count, and the replay then runs in
+// full, while a schedule that keeps the recording's window count is
+// timed from the trace exactly. A recording without intervals declines
+// every replay.
+func TestReplayTraceDeclines(t *testing.T) {
+	prog, err := asm.Assemble(spillReaderProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := platform.Options{IntervalInstructions: 40}
+	tr := recordFor(t, prog, opts)
+	if tr == nil || !tr.WindowSensitive() {
+		t.Fatal("a program reading its save areas did not record a window-sensitive trace")
+	}
+	base := config.Default()
+	win16 := base
+	win16.IU.RegWindows = 16
+	dline := base
+	dline.DCache.LineWords = 8
+	if _, declined, err := tr.ReplaySchedule([]platform.ReplayStep{{Config: base, Intervals: 2}, {Config: win16, Intervals: -1}}); err != nil || declined == "" {
+		t.Errorf("window-sensitive trace timed a switch to 16 windows (declined %q, err %v)", declined, err)
+	}
+	if _, declined := tr.ReplayOnline(base, func(int, platform.Interval) config.Config { return win16 }); declined == "" {
+		t.Error("window-sensitive trace timed an online switch to 16 windows")
+	}
+	steps := []platform.ReplayStep{{Config: base, Intervals: 2}, {Config: dline, Intervals: 3}, {Config: base, Intervals: -1}}
+	replaySchedule(t, prog, steps, opts)
+
+	plain := recordFor(t, prog, platform.Options{})
+	if _, declined, err := plain.ReplaySchedule(steps); err != nil || declined == "" {
+		t.Errorf("a recording without intervals timed a replay (declined %q, err %v)", declined, err)
 	}
 }

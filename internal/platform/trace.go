@@ -2,11 +2,13 @@ package platform
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
 
 	"liquidarch/internal/asm"
+	"liquidarch/internal/cache"
 	"liquidarch/internal/config"
 	"liquidarch/internal/cpu"
 )
@@ -15,7 +17,8 @@ import (
 // functional outcome of the recording run plus the cpu trace every other
 // configuration's timing is derived from (DESIGN.md §22).
 type Trace struct {
-	rec *cpu.Trace
+	rec  *cpu.Trace
+	opts Options // the recording's normalized options
 	// ref is the recording run's report; every functional field of a
 	// timed report (exit code, checksum, console, sampling, the interval
 	// partition and signatures) is copied from it.
@@ -44,7 +47,7 @@ func Record(prog *asm.Program, cfg config.Config, opts Options, started func(*Tr
 	if err != nil {
 		return nil, nil, err
 	}
-	t := &Trace{rec: e.core.StartRecording()}
+	t := &Trace{rec: e.core.StartRecording(), opts: opts}
 	if started != nil {
 		started(t)
 	}
@@ -142,4 +145,117 @@ func (t *Trace) Time(cfg config.Config) (rep *RunReport, shared, ok bool) {
 		prev = s
 	}
 	return rep, shared, true
+}
+
+// ReplaySchedule returns what ReplaySchedule of the recorded program on
+// steps, under the recording's options, returns, timed from the trace
+// without executing the program. declined, when not empty, says why the
+// trace cannot stand in for that replay, and rep and err are nil: the
+// recording has no intervals, the trace declines a configuration of the
+// schedule (cpu.Trace.Replay), or a window trap or flush lands outside
+// RAM. The caller then replays in full.
+func (t *Trace) ReplaySchedule(steps []ReplayStep) (rep *ReplayReport, declined string, err error) {
+	next, err := scheduleNext(steps)
+	if err != nil {
+		return nil, "", err
+	}
+	rep, declined = t.replay(steps[0].Config, next)
+	if rep != nil {
+		ctrReplayRuns.Add(1)
+		ctrReplaySwitches.Add(uint64(rep.Switches))
+	}
+	return rep, declined, nil
+}
+
+// ReplayOnline returns what ReplayOnline of the recorded program from
+// first, under the recording's options, returns, timed from the trace as
+// ReplaySchedule is. decide gets every interval with the recorded
+// signature and the timed profile. On a decline decide may already have
+// been called for a prefix of the run.
+func (t *Trace) ReplayOnline(first config.Config, decide func(i int, iv Interval) config.Config) (rep *ReplayReport, declined string) {
+	rep, declined = t.replay(first, onlineNext(decide))
+	if rep != nil {
+		ctrOnlineRuns.Add(1)
+		ctrOnlineSwitches.Add(uint64(rep.Switches))
+	}
+	return rep, declined
+}
+
+// replay walks the trace from first through the replay segment builder.
+func (t *Trace) replay(first config.Config, next nextFn) (*ReplayReport, string) {
+	if t.opts.IntervalInstructions == 0 {
+		return nil, "recorded without intervals"
+	}
+	r, why := t.rec.Replay(first)
+	if why != "" {
+		return nil, why
+	}
+	src := &traceReplay{t: t, r: r}
+	rep, err := replay(src, first, next, t.opts)
+	if err != nil {
+		return nil, r.Declined()
+	}
+	ref := t.ref
+	rep.Intervals = len(ref.Intervals)
+	rep.Stats = src.prev.Stats
+	rep.ExitCode = ref.ExitCode
+	rep.Checksum = ref.Checksum
+	rep.Console = ref.Console
+	ctrReplayTimed.Add(1)
+	return rep, ""
+}
+
+// errReplayDeclined stops a trace replay whose walk declined; the walk
+// keeps the reason.
+var errReplayDeclined = errors.New("platform: the trace declines the replay")
+
+// traceReplay is a replay timed from a recording: a cpu replay walk cut
+// into the recording run's intervals.
+type traceReplay struct {
+	t *Trace
+	r *cpu.Replay
+	// prev is the walk's snapshot at the last cut, its cache counters
+	// zeroed by a switch.
+	prev cpu.Snapshot
+}
+
+// run visits the recording's intervals, timed. The recording cut once per
+// interval step and kept the steps that retired instructions, and its
+// last cut ended the run, so an interval is final iff its cut is the last.
+func (w *traceReplay) run(visit func(iv Interval, more bool) error) (bool, error) {
+	ref := w.t.ref
+	cuts, n := w.t.rec.Cuts(), 0
+	for k := 0; k < cuts; k++ {
+		s, ok := w.r.Next()
+		if !ok {
+			return false, errReplayDeclined
+		}
+		prev := w.prev
+		w.prev = s
+		if s.Stats.Instructions == prev.Stats.Instructions {
+			continue
+		}
+		ri := ref.Intervals[n]
+		n++
+		iv := Interval{
+			Index:        ri.Index,
+			Instructions: ri.Instructions,
+			Stats:        s.Stats.Sub(prev.Stats),
+			ICache:       s.ICache.Sub(prev.ICache),
+			DCache:       s.DCache.Sub(prev.DCache),
+			Signature:    slices.Clone(ri.Signature),
+		}
+		if err := visit(iv, k < cuts-1); err != nil {
+			return false, err
+		}
+	}
+	return ref.Sampled, nil
+}
+
+func (w *traceReplay) reconfigure(cfg config.Config) error {
+	if !w.r.Switch(cfg) {
+		return errReplayDeclined
+	}
+	w.prev.ICache, w.prev.DCache = cache.Stats{}, cache.Stats{}
+	return nil
 }
