@@ -471,6 +471,61 @@ func BenchmarkScheduleReplay(b *testing.B) {
 	b.ReportMetric(abs(errPct), "replayerr%")
 }
 
+// BenchmarkScheduleReplayWalk prices the replays a cold phase request
+// makes: the schedule replay and the online run of mix at Tiny, both
+// timed from a recording of the program (DESIGN.md §19), which
+// BenchmarkScheduleReplay's warm session, whose shared model has no
+// recording, never does. The phase tuning that picks the schedule and
+// the recording are outside the timer; a decline fails the benchmark,
+// since it would time the full path instead.
+func BenchmarkScheduleReplayWalk(b *testing.B) {
+	popts := core.PhaseOptions{IntervalInstructions: 20_000}
+	sess := core.NewSession(core.SessionOptions{Provider: measure.NewCache(measure.Simulator{}, 256)})
+	rep, err := sess.Tune(context.Background(), core.Request{
+		App: "mix", Scale: workload.Tiny, Space: config.DcacheGeometrySpace(), Phases: &popts,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	trace, recs := rep.Phases.Trace, rep.Artifacts.PhaseRecommendations
+	steps := make([]platform.ReplayStep, len(trace.Segments))
+	for i, seg := range trace.Segments {
+		steps[i] = platform.ReplayStep{Config: recs[seg.Phase].Config, Intervals: seg.End - seg.Start + 1}
+	}
+	steps[len(steps)-1].Intervals = -1
+	cls, err := trace.NewClassifier()
+	if err != nil {
+		b.Fatal(err)
+	}
+	first := trace.Segments[0].Phase
+	cur := first
+	decide := func(_ int, iv platform.Interval) config.Config {
+		if p := cls.Classify(iv.Signature); p >= 0 {
+			cur = p
+		}
+		return recs[cur].Config
+	}
+	bench, _ := progs.ByName("mix")
+	prog, err := bench.Assemble(workload.Tiny)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, _, err := platform.Record(prog, config.Default(), platform.Options{IntervalInstructions: popts.IntervalInstructions}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, declined, err := tr.ReplaySchedule(steps); err != nil || declined != "" {
+			b.Fatalf("schedule replay declined (%q) or failed (%v)", declined, err)
+		}
+		cur = first
+		if _, declined := tr.ReplayOnline(recs[first].Config, decide); declined != "" {
+			b.Fatalf("online replay declined: %s", declined)
+		}
+	}
+}
+
 // ---- Ablation benchmarks (design choices called out in DESIGN.md) ----
 
 // BenchmarkAblationLinearLUT compares the paper's linear-LUT simplification

@@ -7,6 +7,7 @@ package config
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -241,13 +242,49 @@ func (c Config) Validate() error {
 }
 
 // String renders the configuration compactly, one subsystem per segment.
-func (c Config) String() string {
-	return fmt.Sprintf("icache=%dx%dKB/l%d/%s dcache=%dx%dKB/l%d/%s/fr=%t/fw=%t iu=[fj=%t icc=%t fd=%t ld=%d win=%d div=%s mul=%s] infer=%t",
-		c.ICache.Sets, c.ICache.SetSizeKB, c.ICache.LineWords, c.ICache.Replacement,
-		c.DCache.Sets, c.DCache.SetSizeKB, c.DCache.LineWords, c.DCache.Replacement,
-		c.DCache.FastRead, c.DCache.FastWrite,
-		c.IU.FastJump, c.IU.ICCHold, c.IU.FastDecode, c.IU.LoadDelay, c.IU.RegWindows,
-		c.IU.Divider, c.IU.Multiplier, c.Synth.InferMultDiv)
+func (c Config) String() string { return string(c.AppendString(nil)) }
+
+// AppendString appends String's rendering of c to b and returns the
+// extended buffer. It is the one formatter behind String, and it
+// allocates nothing when b has room, so a caller hashing configurations
+// (the measurement store names its entries this way) can format into a
+// stack buffer.
+func (c Config) AppendString(b []byte) []byte {
+	b = append(b, "icache="...)
+	b = c.ICache.appendGeometry(b)
+	b = append(b, " dcache="...)
+	b = c.DCache.appendGeometry(b)
+	b = append(b, "/fr="...)
+	b = strconv.AppendBool(b, c.DCache.FastRead)
+	b = append(b, "/fw="...)
+	b = strconv.AppendBool(b, c.DCache.FastWrite)
+	b = append(b, " iu=[fj="...)
+	b = strconv.AppendBool(b, c.IU.FastJump)
+	b = append(b, " icc="...)
+	b = strconv.AppendBool(b, c.IU.ICCHold)
+	b = append(b, " fd="...)
+	b = strconv.AppendBool(b, c.IU.FastDecode)
+	b = append(b, " ld="...)
+	b = strconv.AppendInt(b, int64(c.IU.LoadDelay), 10)
+	b = append(b, " win="...)
+	b = strconv.AppendInt(b, int64(c.IU.RegWindows), 10)
+	b = append(b, " div="...)
+	b = append(b, c.IU.Divider.String()...)
+	b = append(b, " mul="...)
+	b = append(b, c.IU.Multiplier.String()...)
+	b = append(b, "] infer="...)
+	return strconv.AppendBool(b, c.Synth.InferMultDiv)
+}
+
+// appendGeometry appends "<sets>x<size>KB/l<line>/<policy>".
+func (c CacheConfig) appendGeometry(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(c.Sets), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(c.SetSizeKB), 10)
+	b = append(b, "KB/l"...)
+	b = strconv.AppendInt(b, int64(c.LineWords), 10)
+	b = append(b, '/')
+	return append(b, c.Replacement.String()...)
 }
 
 // TimingKey returns a copy of the configuration with every parameter that

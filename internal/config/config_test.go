@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -196,5 +197,47 @@ func TestStringersCoverAllValues(t *testing.T) {
 	}
 	if ReplacementPolicy(9).String() == "" || MultiplierOption(9).String() == "" || DividerOption(9).String() == "" {
 		t.Error("out-of-range stringers should still return text")
+	}
+}
+
+// TestStringMatchesFormat pins String (and AppendString behind it) to
+// the fmt rendering it replaced, for the base, every single change of
+// the full space and every pair of them (so every value of every
+// parameter, in every combination of two), plus out-of-range enums. The
+// measurement store hashes this rendering into its entry names, so a
+// drift would orphan every stored entry.
+func TestStringMatchesFormat(t *testing.T) {
+	format := func(c Config) string {
+		return fmt.Sprintf("icache=%dx%dKB/l%d/%s dcache=%dx%dKB/l%d/%s/fr=%t/fw=%t iu=[fj=%t icc=%t fd=%t ld=%d win=%d div=%s mul=%s] infer=%t",
+			c.ICache.Sets, c.ICache.SetSizeKB, c.ICache.LineWords, c.ICache.Replacement,
+			c.DCache.Sets, c.DCache.SetSizeKB, c.DCache.LineWords, c.DCache.Replacement,
+			c.DCache.FastRead, c.DCache.FastWrite,
+			c.IU.FastJump, c.IU.ICCHold, c.IU.FastDecode, c.IU.LoadDelay, c.IU.RegWindows,
+			c.IU.Divider, c.IU.Multiplier, c.Synth.InferMultDiv)
+	}
+	vars := FullSpace().Vars()
+	cfgs := []Config{Default()}
+	for i, a := range vars {
+		cfgs = append(cfgs, a.Apply(Default()))
+		for _, b := range vars[i+1:] {
+			cfgs = append(cfgs, b.Apply(a.Apply(Default())))
+		}
+	}
+	odd := Default()
+	odd.ICache.Replacement, odd.IU.Divider, odd.IU.Multiplier = 7, 8, 9
+	odd.IU.LoadDelay, odd.DCache.Sets = -3, 0
+	cfgs = append(cfgs, odd)
+	for _, c := range cfgs {
+		if got, want := c.String(), format(c); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+		if got := string(c.AppendString([]byte("prefix:"))); got != "prefix:"+format(c) {
+			t.Fatalf("AppendString = %q, want the prefix kept and %q appended", got, format(c))
+		}
+	}
+	buf := make([]byte, 0, 256)
+	c := vars[len(vars)-1].Apply(Default())
+	if n := testing.AllocsPerRun(100, func() { buf = c.AppendString(buf[:0]) }); n != 0 {
+		t.Errorf("AppendString into a buffer with room allocates %v times, want 0", n)
 	}
 }

@@ -84,23 +84,24 @@ func (s *ModelStore) path(key modelKey) string {
 // modelSetJSON is the serialized model-set artifact. The key fields are
 // stored alongside the payload so a load can verify the artifact really
 // answers the requested key (a foreign or hash-colliding file reads as
-// corrupt). Models reuse Model's own JSON form; phase artifacts carry
-// the detection trace and the base run's per-phase profiles, which is
-// everything phaseReport consumes beyond the models themselves.
+// corrupt). Models reuse Model's own JSON form, decoded in the same pass
+// as the set; phase artifacts carry the detection trace and the base
+// run's per-phase profiles, which is everything phaseReport consumes
+// beyond the models themselves.
 type modelSetJSON struct {
-	Version      int               `json:"version"`
-	App          string            `json:"app,omitempty"`
-	Prog         string            `json:"prog"`
-	Space        string            `json:"space"`
-	Scale        string            `json:"scale"`
-	Sample       uint64            `json:"sample,omitempty"`
-	Interval     uint64            `json:"interval,omitempty"`
-	Threshold    float64           `json:"threshold,omitempty"`
-	BaseLUTs     int               `json:"base_luts"`
-	BaseBRAM     int               `json:"base_bram"`
-	Models       []json.RawMessage `json:"models"`
-	Trace        *phase.Trace      `json:"trace,omitempty"`
-	BaseProfiles []phase.Profile   `json:"base_profiles,omitempty"`
+	Version      int             `json:"version"`
+	App          string          `json:"app,omitempty"`
+	Prog         string          `json:"prog"`
+	Space        string          `json:"space"`
+	Scale        string          `json:"scale"`
+	Sample       uint64          `json:"sample,omitempty"`
+	Interval     uint64          `json:"interval,omitempty"`
+	Threshold    float64         `json:"threshold,omitempty"`
+	BaseLUTs     int             `json:"base_luts"`
+	BaseBRAM     int             `json:"base_bram"`
+	Models       []modelJSON     `json:"models"`
+	Trace        *phase.Trace    `json:"trace,omitempty"`
+	BaseProfiles []phase.Profile `json:"base_profiles,omitempty"`
 }
 
 // matches reports whether the artifact's stored key fields equal the
@@ -158,6 +159,12 @@ func decodeModelSet(data []byte, key modelKey) (*modelSet, error) {
 		if len(in.Trace.Representatives) != in.Trace.Phases {
 			return nil, fmt.Errorf("core: phase model artifact lacks phase representatives")
 		}
+		// The report, the replay and the online run index the per-phase
+		// recommendations by every segment's and assignment's phase, and
+		// the replay opens with the first segment.
+		if !phaseIDsValid(in.Trace) {
+			return nil, fmt.Errorf("core: phase model artifact names a phase it does not hold")
+		}
 	} else if len(in.Models) != 1 {
 		return nil, fmt.Errorf("core: plain model artifact holds %d models", len(in.Models))
 	}
@@ -166,20 +173,56 @@ func decodeModelSet(data []byte, key modelKey) (*modelSet, error) {
 		trace:        in.Trace,
 		baseProfiles: in.BaseProfiles,
 	}
-	for i, raw := range in.Models {
+	set.models = make([]*Model, len(in.Models))
+	for i := range in.Models {
 		m := &Model{}
-		if err := m.UnmarshalJSON(raw); err != nil {
+		if err := m.fromJSON(&in.Models[i]); err != nil {
 			return nil, fmt.Errorf("core: model %d of artifact: %w", i, err)
 		}
-		set.models = append(set.models, m)
+		set.models[i] = m
 	}
 	return set, nil
+}
+
+// phaseIDsValid reports whether tr has a segment, every segment spans at
+// least one interval, and every segment and assignment names one of tr's
+// phases.
+func phaseIDsValid(tr *phase.Trace) bool {
+	if len(tr.Segments) == 0 {
+		return false
+	}
+	for _, seg := range tr.Segments {
+		if seg.Phase < 0 || seg.Phase >= tr.Phases || seg.Start < 0 || seg.End < seg.Start {
+			return false
+		}
+	}
+	for _, p := range tr.Assignments {
+		if p < 0 || p >= tr.Phases {
+			return false
+		}
+	}
+	return true
 }
 
 // save spills one completed build for key. Only callers holding a
 // successfully built set may call it, so an artifact on disk always
 // describes a finished build.
 func (s *ModelStore) save(key modelKey, set *modelSet) error {
+	data, err := encodeModelSet(key, set)
+	if err != nil {
+		return err
+	}
+	if err := writeFileAtomic(s.path(key), data); err != nil {
+		return err
+	}
+	s.spills.Add(1)
+	return nil
+}
+
+// encodeModelSet is decodeModelSet's inverse. The artifact is compact
+// JSON: nothing reads it but decodeModelSet, which takes the indented
+// artifacts of earlier versions all the same.
+func encodeModelSet(key modelKey, set *modelSet) ([]byte, error) {
 	out := modelSetJSON{
 		Version:      ModelSetVersion,
 		App:          set.models[0].App,
@@ -191,36 +234,33 @@ func (s *ModelStore) save(key modelKey, set *modelSet) error {
 		Threshold:    key.threshold,
 		BaseLUTs:     set.baseRes.LUTs,
 		BaseBRAM:     set.baseRes.BRAM,
+		Models:       make([]modelJSON, len(set.models)),
 		Trace:        set.trace,
 		BaseProfiles: set.baseProfiles,
 	}
-	for _, m := range set.models {
-		raw, err := m.MarshalJSON()
-		if err != nil {
-			return fmt.Errorf("core: encoding model artifact: %w", err)
-		}
-		out.Models = append(out.Models, raw)
+	for i, m := range set.models {
+		out.Models[i] = m.toJSON()
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	data, err := json.Marshal(out)
 	if err != nil {
-		return fmt.Errorf("core: encoding model artifact: %w", err)
+		return nil, fmt.Errorf("core: encoding model artifact: %w", err)
 	}
-	if err := writeFileAtomic(s.path(key), data); err != nil {
-		return err
-	}
-	s.spills.Add(1)
-	return nil
+	return data, nil
 }
 
 // writeFileAtomic writes data to path via temp file + rename, so
 // concurrent readers (and sibling replicas) never observe a partial
-// artifact.
+// artifact or model. The file gets mode 0644, as os.WriteFile would give
+// it, rather than the temp file's private 0600.
 func writeFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("core: writing %s: %w", filepath.Base(path), err)
 	}
 	_, werr := tmp.Write(data)
+	if werr == nil {
+		werr = tmp.Chmod(0o644)
+	}
 	if cerr := tmp.Close(); werr == nil {
 		werr = cerr
 	}

@@ -40,8 +40,8 @@ type modelJSON struct {
 	Entries      []entryJSON `json:"entries"`
 }
 
-// MarshalJSON serializes the model with variables identified by name.
-func (m *Model) MarshalJSON() ([]byte, error) {
+// toJSON is the model's serialized form: variables identified by name.
+func (m *Model) toJSON() modelJSON {
 	out := modelJSON{
 		App:          m.App,
 		Scale:        m.Scale.String(),
@@ -65,25 +65,21 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 			Epsilon:  e.Epsilon,
 		})
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return out
 }
 
-// UnmarshalJSON rebuilds the model, re-binding variables by name against
-// the full paper space (restricted sub-space models load too, since their
-// variables are a subset by construction).
-func (m *Model) UnmarshalJSON(data []byte) error {
-	var in modelJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("core: parsing model: %w", err)
-	}
+// fromJSON rebuilds the model from its serialized form, re-binding
+// variables by name against the full paper space (restricted sub-space
+// models load too, since their variables are a subset by construction).
+func (m *Model) fromJSON(in *modelJSON) error {
 	scale, ok := workload.ParseScale(in.Scale)
 	if !ok {
 		return fmt.Errorf("core: unknown scale %q in model", in.Scale)
 	}
 	full := config.FullSpace()
-	var names []string
-	for _, e := range in.Entries {
-		names = append(names, e.Var)
+	names := make([]string, len(in.Entries))
+	for i, e := range in.Entries {
+		names[i] = e.Var
 	}
 	space, err := config.SpaceFromNames(names)
 	if err != nil {
@@ -119,13 +115,30 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// SaveModel writes the model to a JSON file.
+// MarshalJSON serializes the model, indented, with variables identified
+// by name.
+func (m *Model) MarshalJSON() ([]byte, error) {
+	return json.MarshalIndent(m.toJSON(), "", "  ")
+}
+
+// UnmarshalJSON rebuilds the model (see fromJSON).
+func (m *Model) UnmarshalJSON(data []byte) error {
+	var in modelJSON
+	if err := json.Unmarshal(data, &in); err != nil {
+		return fmt.Errorf("core: parsing model: %w", err)
+	}
+	return m.fromJSON(&in)
+}
+
+// SaveModel writes the model to a JSON file. The write goes through a
+// temp file and a rename, so a crash or a concurrent LoadModel sees the
+// old model or the new one, never a torn one.
 func SaveModel(m *Model, path string) error {
 	data, err := m.MarshalJSON()
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := writeFileAtomic(path, data); err != nil {
 		return fmt.Errorf("core: saving model: %w", err)
 	}
 	return nil

@@ -109,3 +109,46 @@ func TestLoadModelErrors(t *testing.T) {
 		t.Error("unknown scale should error")
 	}
 }
+
+// TestSaveModelOverwritesAtomically: SaveModel over an existing model
+// replaces it through a temp file and a rename, leaving only the model
+// file behind, and the new model round-trips.
+func TestSaveModelOverwritesAtomically(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.json")
+	if err := core.SaveModel(tinyModel(t, "arith", config.DcacheGeometrySpace()), path); err != nil {
+		t.Fatal(err)
+	}
+	m := tinyModel(t, "blastn", config.FullSpace())
+	if err := core.SaveModel(m, path); err != nil {
+		t.Fatal(err)
+	}
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0].Name() != "model.json" {
+		var got []string
+		for _, n := range names {
+			got = append(got, n.Name())
+		}
+		t.Fatalf("directory holds %v, want only model.json", got)
+	}
+	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o644 {
+		t.Errorf("model file mode %v (%v), want 0644", info.Mode().Perm(), err)
+	}
+	loaded, err := core.LoadModel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.App != "blastn" || loaded.BaseCycles != m.BaseCycles || len(loaded.Entries) != len(m.Entries) {
+		t.Fatalf("overwritten model loaded as %s (%d cycles, %d entries), want blastn (%d, %d)",
+			loaded.App, loaded.BaseCycles, len(loaded.Entries), m.BaseCycles, len(m.Entries))
+	}
+	for i := range m.Entries {
+		if a, b := m.Entries[i], loaded.Entries[i]; a.Var.Name != b.Var.Name || a.Cycles != b.Cycles || a.Rho != b.Rho {
+			t.Fatalf("entry %d differs:\n %+v\n %+v", i, a, b)
+		}
+	}
+}

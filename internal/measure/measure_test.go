@@ -1,12 +1,9 @@
 package measure
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -290,52 +287,6 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 	}
 	if rep2.Config != cfg {
 		t.Error("loaded report does not carry the request's configuration")
-	}
-}
-
-// TestStoreLoadsIndentedEntries: entries are written compact, and an
-// entry in the indented layout earlier versions wrote still loads.
-func TestStoreLoadsIndentedEntries(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	prog := testProgram(t, 0)
-	cfg := cfgWithSetKB(8)
-	opts := platform.Options{IntervalInstructions: 500}
-	store, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := NewPersistent(Simulator{}, store).Measure(context.Background(), prog, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := KeyFor(prog, cfg, opts)
-	path := store.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.ContainsRune(data, '\n') {
-		t.Errorf("entry is not compact:\n%s", data)
-	}
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, data, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := fresh.Load(key)
-	if !ok {
-		t.Fatal("indented entry did not load")
-	}
-	got.Config = rep.Config
-	if g, w := reportJSON(t, got), reportJSON(t, rep); g != w {
-		t.Errorf("indented entry loaded as\n%s\nwant\n%s", g, w)
 	}
 }
 

@@ -165,7 +165,7 @@ func TestRacingReplicasShareOneStore(t *testing.T) {
 	if n := replicas[0].store.Len(); n != len(keys) {
 		t.Fatalf("%d entries on disk for %d keys", n, len(keys))
 	}
-	for _, d := range []string{dir, replicas[0].store.versionDir()} {
+	for _, d := range []string{dir, replicas[0].store.VersionDir()} {
 		ents, err := os.ReadDir(d)
 		if err != nil {
 			t.Fatal(err)

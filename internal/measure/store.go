@@ -16,18 +16,16 @@ import (
 	"time"
 
 	"liquidarch/internal/asm"
-	"liquidarch/internal/cache"
 	"liquidarch/internal/config"
 	"liquidarch/internal/obs"
 	"liquidarch/internal/platform"
-	"liquidarch/internal/profiler"
 )
 
 // StoreVersion is the on-disk format version. It is part of every entry
 // and of the directory layout; bumping it orphans (but does not delete)
 // entries written by older code, the same stance core/persist.go takes
-// for models.
-const StoreVersion = 1
+// for models. v2 replaced v1's JSON entries with binary ones (entry.go).
+const StoreVersion = 2
 
 // manifestName is the store-version handshake file at the store root.
 // Replicas sharing one directory agree on the format through it: a
@@ -41,12 +39,14 @@ type manifest struct {
 	StoreVersion int `json:"store_version"`
 }
 
-// Store is a versioned on-disk spill of measurement reports: one JSON
-// file per key under dir/v<version>/, named by a stable content hash of
-// (program fingerprint, timing configuration, run options). Unlike the
-// in-memory Cache it survives process restarts, which is what turns a
-// ~52-measurement model build into a pure disk replay on the second run —
-// the serving analogue of core.SaveModel/LoadModel.
+// Store is a versioned on-disk spill of measurement reports: one binary
+// entry per key under dir/v<version>/, named by a stable content hash of
+// (program fingerprint, timing configuration, run options) plus
+// EntrySuffix. Unlike the in-memory Cache it survives process restarts,
+// which is what turns a ~52-measurement model build into a pure disk
+// replay on the second run — the serving analogue of
+// core.SaveModel/LoadModel. A hit costs one file read, a decode without
+// reflection, and the mtime touch below.
 //
 // A Store is safe for concurrent use within a process and for concurrent
 // sharing across processes (multi-replica deployments mounting one
@@ -55,7 +55,8 @@ type manifest struct {
 // LRU-ordered, and corrupt entries are repaired (removed) on read rather
 // than wedging any replica.
 type Store struct {
-	dir string
+	dir  string
+	vdir string // dir/v<StoreVersion>
 
 	loads      atomic.Uint64 // successful disk hits
 	saves      atomic.Uint64
@@ -84,14 +85,14 @@ type Store struct {
 // The handshake runs before the version directory is created, so
 // refusing a newer fleet's store leaves it untouched.
 func NewStore(dir string) (*Store, error) {
-	s := &Store{dir: dir}
+	s := &Store{dir: dir, vdir: filepath.Join(dir, "v"+strconv.Itoa(StoreVersion))}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("measure: opening store: %w", err)
 	}
 	if err := s.handshake(); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(s.versionDir(), 0o755); err != nil {
+	if err := os.MkdirAll(s.vdir, 0o755); err != nil {
 		return nil, fmt.Errorf("measure: opening store: %w", err)
 	}
 	return s, nil
@@ -146,40 +147,39 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) versionDir() string {
-	return filepath.Join(s.dir, fmt.Sprintf("v%d", StoreVersion))
-}
+// VersionDir returns the directory holding this format version's
+// entries, set manifests and claims.
+func (s *Store) VersionDir() string { return s.vdir }
 
 // path maps a key to its file. The hash input uses the configuration's
 // canonical String() of the timing key, so the identity survives process
 // restarts (pointer-based Key identity does not). The interval length is
 // appended only when set, so every pre-interval-profiling key keeps the
-// hash (and the on-disk entry) it had before the field existed.
+// hash it had before the field existed. The input is formatted into a
+// stack buffer: every load pays for its name, so it must not pay for fmt.
 func (s *Store) path(key Key) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "prog=%s\ncfg=%s\nram=%d\nmaxi=%d\nsample=%d\n",
-		Fingerprint(key.Prog), key.Cfg.String(), key.RAM, key.MaxI, key.Sample)
+	var buf [512]byte
+	b := append(buf[:0], "prog="...)
+	b = append(b, Fingerprint(key.Prog)...)
+	b = append(b, "\ncfg="...)
+	b = key.Cfg.AppendString(b)
+	b = append(b, "\nram="...)
+	b = strconv.AppendInt(b, int64(key.RAM), 10)
+	b = append(b, "\nmaxi="...)
+	b = strconv.AppendUint(b, key.MaxI, 10)
+	b = append(b, "\nsample="...)
+	b = strconv.AppendUint(b, key.Sample, 10)
+	b = append(b, '\n')
 	if key.Interval > 0 {
-		fmt.Fprintf(h, "interval=%d\n", key.Interval)
+		b = append(b, "interval="...)
+		b = strconv.AppendUint(b, key.Interval, 10)
+		b = append(b, '\n')
 	}
-	return filepath.Join(s.versionDir(), hex.EncodeToString(h.Sum(nil))+".json")
-}
-
-// storedReport is the serialized form of a RunReport. The configuration
-// is stored as its canonical diff-from-base strings purely for human
-// inspection; loads stamp the caller's configuration in, as the cache
-// layers do.
-type storedReport struct {
-	Version   int                 `json:"version"`
-	Config    []string            `json:"config"`
-	Stats     profiler.Stats      `json:"stats"`
-	ICache    cache.Stats         `json:"icache"`
-	DCache    cache.Stats         `json:"dcache"`
-	ExitCode  uint32              `json:"exit_code"`
-	Checksum  uint32              `json:"checksum"`
-	Console   string              `json:"console,omitempty"`
-	Sampled   bool                `json:"sampled,omitempty"`
-	Intervals []platform.Interval `json:"intervals,omitempty"`
+	sum := sha256.Sum256(b)
+	name := append(buf[:0], s.vdir...)
+	name = append(name, filepath.Separator)
+	name = hex.AppendEncode(name, sum[:])
+	return string(append(name, EntrySuffix...))
 }
 
 // Load returns the stored report for key, or ok=false when absent (or
@@ -199,8 +199,8 @@ func (s *Store) Load(key Key) (*platform.RunReport, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var in storedReport
-	if err := json.Unmarshal(data, &in); err != nil || in.Version != StoreVersion {
+	rep, err := decodeEntry(data)
+	if err != nil {
 		if os.Remove(path) == nil {
 			s.repaired.Add(1)
 		}
@@ -209,41 +209,14 @@ func (s *Store) Load(key Key) (*platform.RunReport, bool) {
 	s.loads.Add(1)
 	now := time.Now()
 	_ = os.Chtimes(path, now, now)
-	return &platform.RunReport{
-		Config:    key.Cfg,
-		Stats:     in.Stats,
-		ICache:    in.ICache,
-		DCache:    in.DCache,
-		ExitCode:  in.ExitCode,
-		Checksum:  in.Checksum,
-		Console:   in.Console,
-		Sampled:   in.Sampled,
-		Intervals: in.Intervals,
-	}, true
+	rep.Config = key.Cfg
+	return rep, true
 }
 
 // Save writes the report for key. Writes go through a temp file + rename
-// so concurrent readers never observe a partial entry. Entries are compact
-// JSON: indenting a 49-interval entry cost three times its encoding. Load
-// reads indented entries of earlier versions all the same.
+// so concurrent readers never observe a partial entry.
 func (s *Store) Save(key Key, rep *platform.RunReport) error {
-	out := storedReport{
-		Version:   StoreVersion,
-		Config:    key.Cfg.DiffBase(),
-		Stats:     rep.Stats,
-		ICache:    rep.ICache,
-		DCache:    rep.DCache,
-		ExitCode:  rep.ExitCode,
-		Checksum:  rep.Checksum,
-		Console:   rep.Console,
-		Sampled:   rep.Sampled,
-		Intervals: rep.Intervals,
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		return fmt.Errorf("measure: encoding report: %w", err)
-	}
-	if err := s.writeAtomic(s.path(key), data); err != nil {
+	if err := s.writeAtomic(s.path(key), appendEntry(make([]byte, 0, 512), rep)); err != nil {
 		return err
 	}
 	s.saves.Add(1)
@@ -257,7 +230,7 @@ func (s *Store) Save(key Key, rep *platform.RunReport) error {
 // them or none — never a split set that forces a partial rebuild.
 type setManifest struct {
 	Version int `json:"version"`
-	// Entries are the member entry file names (base names, .json
+	// Entries are the member entry file names (base names, EntrySuffix
 	// included), sorted.
 	Entries []string `json:"entries"`
 }
@@ -285,7 +258,7 @@ func (s *Store) SaveSet(id string, keys []Key) error {
 	if err != nil {
 		return fmt.Errorf("measure: encoding set manifest: %w", err)
 	}
-	return s.writeAtomic(filepath.Join(s.versionDir(), id+".set"), data)
+	return s.writeAtomic(filepath.Join(s.vdir, id+".set"), data)
 }
 
 // Measurement claim lease (cross-replica singleflight, best effort).
@@ -307,7 +280,7 @@ const claimPollInterval = 25 * time.Millisecond
 
 // claimPath returns the claim-file path guarding key's entry.
 func (s *Store) claimPath(key Key) string {
-	return strings.TrimSuffix(s.path(key), ".json") + ".claim"
+	return strings.TrimSuffix(s.path(key), EntrySuffix) + ".claim"
 }
 
 // TryClaim attempts to become the measuring replica for key. It reports
@@ -410,13 +383,13 @@ func (s *Store) WaitForEntry(ctx context.Context, key Key, ttl time.Duration) (*
 
 // Len counts the resident entries (current version only).
 func (s *Store) Len() int {
-	entries, err := os.ReadDir(s.versionDir())
+	entries, err := os.ReadDir(s.vdir)
 	if err != nil {
 		return 0
 	}
 	n := 0
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), EntrySuffix) {
 			n++
 		}
 	}
@@ -511,7 +484,7 @@ func (s *Store) GC(policy GCPolicy) GCResult {
 			}
 		}
 	}
-	dir := s.versionDir()
+	dir := s.vdir
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		return GCResult{}
@@ -573,7 +546,7 @@ func (s *Store) GC(policy GCPolicy) GCResult {
 			sets = append(sets, setFile{path: path, members: m.Entries})
 			continue
 		}
-		if !strings.HasSuffix(e.Name(), ".json") {
+		if !strings.HasSuffix(e.Name(), EntrySuffix) {
 			continue
 		}
 		entries[e.Name()] = gcEntry{path: path, size: info.Size(), mtime: info.ModTime()}
@@ -779,9 +752,9 @@ func (s *Store) Stats() StoreStats {
 
 	var ents int
 	var bytes int64
-	if entries, err := os.ReadDir(s.versionDir()); err == nil {
+	if entries, err := os.ReadDir(s.vdir); err == nil {
 		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+			if e.IsDir() || !strings.HasSuffix(e.Name(), EntrySuffix) {
 				continue
 			}
 			if info, err := e.Info(); err == nil {

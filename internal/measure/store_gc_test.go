@@ -14,6 +14,7 @@ import (
 	"liquidarch/internal/asm"
 	"liquidarch/internal/config"
 	"liquidarch/internal/platform"
+	"liquidarch/internal/profiler"
 )
 
 // saveN spills n distinct fake measurements through store and returns
@@ -112,8 +113,8 @@ func TestStoreGCRemovesStaleTmp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := filepath.Join(store.versionDir(), ".tmp-crashed")
-	fresh := filepath.Join(store.versionDir(), ".tmp-inflight")
+	stale := filepath.Join(store.VersionDir(), ".tmp-crashed")
+	fresh := filepath.Join(store.VersionDir(), ".tmp-inflight")
 	for _, p := range []string{stale, fresh} {
 		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
@@ -227,7 +228,7 @@ func TestStoreGCReclaimsQuiescentOlderVersionTrees(t *testing.T) {
 	if _, err := os.Stat(foreign); err != nil {
 		t.Error("GC removed a directory that is not a store version tree")
 	}
-	if _, err := os.Stat(store.versionDir()); err != nil {
+	if _, err := os.Stat(store.VersionDir()); err != nil {
 		t.Error("GC removed the current version tree")
 	}
 	// Without an age bound old trees are never touched.
@@ -245,31 +246,46 @@ func TestStoreGCReclaimsQuiescentOlderVersionTrees(t *testing.T) {
 
 func TestStoreReadRepairRemovesCorruptEntry(t *testing.T) {
 	t.Parallel()
-	store, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := KeyFor(testProgram(t, 0), config.Default(), platform.Options{})
-	path := store.path(key)
-	if err := os.WriteFile(path, []byte("{torn write"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := store.Load(key); ok {
-		t.Fatal("corrupt entry loaded")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("corrupt entry not repaired (removed) on read")
-	}
-	if got := store.Stats().Repaired; got != 1 {
-		t.Errorf("repaired counter = %d, want 1", got)
-	}
-	// The slot must be writable again.
-	p := NewPersistent(&fakeProvider{}, store)
-	if _, err := p.Measure(context.Background(), testProgram(t, 0), config.Default(), platform.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := store.Load(key); !ok {
-		t.Error("repaired slot did not accept a fresh spill")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(valid []byte) []byte
+	}{
+		{"torn write", func([]byte) []byte { return []byte("{torn write") }},
+		{"valid entry cut short by one byte", func(valid []byte) []byte { return valid[:len(valid)-1] }},
+	} {
+		store, err := NewStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := KeyFor(testProgram(t, 0), config.Default(), platform.Options{})
+		if err := store.Save(key, &platform.RunReport{Stats: profiler.Stats{Cycles: 1001, Instructions: 500}}); err != nil {
+			t.Fatal(err)
+		}
+		path := store.path(key)
+		valid, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, tc.corrupt(valid), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := store.Load(key); ok {
+			t.Fatalf("%s: corrupt entry loaded", tc.name)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: corrupt entry not repaired (removed) on read", tc.name)
+		}
+		if got := store.Stats().Repaired; got != 1 {
+			t.Errorf("%s: repaired counter = %d, want 1", tc.name, got)
+		}
+		// The slot must be writable again.
+		p := NewPersistent(&fakeProvider{}, store)
+		if _, err := p.Measure(context.Background(), testProgram(t, 0), config.Default(), platform.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := store.Load(key); !ok {
+			t.Errorf("%s: repaired slot did not accept a fresh spill", tc.name)
+		}
 	}
 }
 
@@ -336,7 +352,7 @@ func TestPersistentEnableGCBoundsTheStore(t *testing.T) {
 		}
 	}
 	// The last sweep ran at save 2*DefaultGCEvery; at most one un-swept
-	// save (~300 B) can sit above the bound between sweeps.
+	// save (~50 B) can sit above the bound between sweeps.
 	st := store.Stats()
 	if st.Bytes > policy.MaxBytes+1024 {
 		t.Fatalf("store at %d bytes despite periodic GC to %d", st.Bytes, policy.MaxBytes)

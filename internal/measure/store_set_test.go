@@ -9,7 +9,7 @@ import (
 
 // setManifestPath returns the manifest file SaveSet(id, ...) writes.
 func setManifestPath(store *Store, id string) string {
-	return filepath.Join(store.versionDir(), id+".set")
+	return filepath.Join(store.VersionDir(), id+".set")
 }
 
 func entrySize(t *testing.T, store *Store, key Key) int64 {
