@@ -11,10 +11,11 @@
 // through its ndjson status.
 //
 // The daemon is deployable as a long-lived, multi-replica service:
-// identical in-flight jobs coalesce onto one execution, terminal jobs
-// are retained only up to -job-retain / -job-ttl, the on-disk store is
-// garbage-collected to -store-max-bytes / -store-max-age (at startup,
-// then every 64 spills), and several replicas may share one -cache-dir
+// identical jobs share one model build and their measurements through
+// the session, terminal jobs are retained only up to -job-retain /
+// -job-ttl, the on-disk store is garbage-collected to -store-max-bytes
+// / -store-max-age (at startup, then every 64 spills), and several
+// replicas may share one -cache-dir
 // (writes are atomic, corrupt entries are read-repaired, a
 // store-version manifest keeps mixed fleets from clobbering each other,
 // and -store-lease dedupes concurrent simulations of one key across
@@ -26,7 +27,7 @@
 // See DESIGN.md §14-§15, §18.
 //
 // POST /v1/batch submits an app × space × weighting matrix as one
-// flight (one model build, N solves), and jobs carry a scheduling
+// job (one model build, N solves), and jobs carry a scheduling
 // class: interactive jobs always run before bulk sweeps, each class
 // admitted under its own queue depth (-queue / -bulk-queue). See
 // DESIGN.md §21.

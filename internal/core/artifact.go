@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"liquidarch/internal/fpga"
+	"liquidarch/internal/measure"
 	"liquidarch/internal/phase"
 )
 
@@ -212,7 +213,7 @@ func (s *ModelStore) save(key modelKey, set *modelSet) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(s.path(key), data); err != nil {
+	if err := measure.WriteFileAtomic(s.path(key), data); err != nil {
 		return err
 	}
 	s.spills.Add(1)
@@ -246,30 +247,4 @@ func encodeModelSet(key modelKey, set *modelSet) ([]byte, error) {
 		return nil, fmt.Errorf("core: encoding model artifact: %w", err)
 	}
 	return data, nil
-}
-
-// writeFileAtomic writes data to path via temp file + rename, so
-// concurrent readers (and sibling replicas) never observe a partial
-// artifact or model. The file gets mode 0644, as os.WriteFile would give
-// it, rather than the temp file's private 0600.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("core: writing %s: %w", filepath.Base(path), err)
-	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Chmod(0o644)
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: writing %s: %w", filepath.Base(path), werr)
-	}
-	return nil
 }

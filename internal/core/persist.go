@@ -7,6 +7,7 @@ import (
 
 	"liquidarch/internal/config"
 	"liquidarch/internal/fpga"
+	"liquidarch/internal/measure"
 	"liquidarch/internal/power"
 	"liquidarch/internal/workload"
 )
@@ -138,7 +139,7 @@ func SaveModel(m *Model, path string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := measure.WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("core: saving model: %w", err)
 	}
 	return nil

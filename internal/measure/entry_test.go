@@ -256,3 +256,40 @@ func TestStoreUpgradeClaimsV1Directory(t *testing.T) {
 		t.Errorf("store stats %+v, want 1 entry and nothing repaired", st)
 	}
 }
+
+// TestStoreFilesAreWorldReadable: every file the store spills — entry,
+// set manifest and store.json — is mode 0644, not the temp file's 0600,
+// so a replica running under another uid can read a shared directory.
+func TestStoreFilesAreWorldReadable(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := testProgram(t, 0)
+	key := KeyFor(prog, config.Default(), platform.Options{})
+	rep, err := platform.RunWith(prog, config.Default(), platform.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(key, rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveSet("0123abcd", []Key{key}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{
+		store.path(key),
+		filepath.Join(store.VersionDir(), "0123abcd.set"),
+		filepath.Join(dir, manifestName),
+	} {
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perm := info.Mode().Perm(); perm != 0o644 {
+			t.Errorf("%s has mode %v, want 0644", filepath.Base(path), perm)
+		}
+	}
+}

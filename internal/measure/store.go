@@ -121,16 +121,24 @@ func (s *Store) handshake() error {
 	if err != nil {
 		return fmt.Errorf("measure: writing store manifest: %w", err)
 	}
-	return s.writeAtomic(path, append(out, '\n'))
+	return WriteFileAtomic(path, append(out, '\n'))
 }
 
-// writeAtomic writes data to path via temp file + rename.
-func (s *Store) writeAtomic(path string, data []byte) error {
+// WriteFileAtomic writes data to path via a temp file and a rename, so
+// a concurrent reader (or a sibling replica) sees the old file or the
+// new one, never a torn one. Both durable tiers spill through it. The
+// file gets mode 0644, as os.WriteFile would give it, rather than the
+// temp file's private 0600: replicas running under another uid read the
+// same directory.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("measure: writing %s: %w", filepath.Base(path), err)
 	}
 	_, werr := tmp.Write(data)
+	if werr == nil {
+		werr = tmp.Chmod(0o644)
+	}
 	if cerr := tmp.Close(); werr == nil {
 		werr = cerr
 	}
@@ -216,7 +224,7 @@ func (s *Store) Load(key Key) (*platform.RunReport, bool) {
 // Save writes the report for key. Writes go through a temp file + rename
 // so concurrent readers never observe a partial entry.
 func (s *Store) Save(key Key, rep *platform.RunReport) error {
-	if err := s.writeAtomic(s.path(key), appendEntry(make([]byte, 0, 512), rep)); err != nil {
+	if err := WriteFileAtomic(s.path(key), appendEntry(make([]byte, 0, 512), rep)); err != nil {
 		return err
 	}
 	s.saves.Add(1)
@@ -258,7 +266,7 @@ func (s *Store) SaveSet(id string, keys []Key) error {
 	if err != nil {
 		return fmt.Errorf("measure: encoding set manifest: %w", err)
 	}
-	return s.writeAtomic(filepath.Join(s.vdir, id+".set"), data)
+	return WriteFileAtomic(filepath.Join(s.vdir, id+".set"), data)
 }
 
 // Measurement claim lease (cross-replica singleflight, best effort).

@@ -3,13 +3,12 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"strings"
 
 	"liquidarch/internal/core"
 )
 
 // MaxBatchItems caps one batch's expanded item count: a batch is one
-// flight executing its items sequentially, so an unbounded matrix
+// job executing its items sequentially, so an unbounded matrix
 // would hold a scheduler worker for its whole duration while looking
 // like a single queued job to admission control.
 const MaxBatchItems = 64
@@ -24,7 +23,7 @@ type Weighting struct {
 // BatchRequest is the POST /v1/batch payload: a JobRequest template
 // plus the axes of a sweep matrix. The expanded items are the cross
 // product Apps × Spaces × Weightings, each axis defaulting to the
-// template's own value, and all items run through ONE flight and one
+// template's own value, and all items run through ONE job and one
 // session batch — so a weight sweep of one application performs one
 // model build and N solves (models.builds under /v1/metrics stays at
 // 1). The template's Class schedules the whole batch; sweeps usually
@@ -79,25 +78,19 @@ func (r BatchRequest) expand() ([]JobRequest, error) {
 }
 
 // SubmitBatch enqueues a batch job (the programmatic form of
-// POST /v1/batch): every expanded item is validated up front, the whole
-// matrix becomes one flight, and identical in-flight batches coalesce
-// exactly like identical jobs do.
+// POST /v1/batch): every expanded item is validated up front, and the
+// whole matrix becomes one job.
 func (s *Server) SubmitBatch(req BatchRequest) (JobStatus, error) {
 	items, err := req.expand()
 	if err != nil {
 		return JobStatus{}, &apiError{http.StatusBadRequest, err.Error()}
 	}
 	creqs := make([]core.Request, len(items))
-	keys := make([]string, len(items))
 	for i, item := range items {
-		creq, err := resolve(item)
-		if err != nil {
+		if creqs[i], err = resolve(item); err != nil {
 			return JobStatus{}, &apiError{http.StatusBadRequest,
 				fmt.Sprintf("batch item %d: %v", i, err)}
 		}
-		creqs[i], keys[i] = creq, dedupKey(item, creq)
 	}
-	class, _ := normalizeClass(req.Class)
-	key := fmt.Sprintf("batch class=%s [%s]", class, strings.Join(keys, " | "))
-	return s.submit(req.JobRequest, key, core.Request{}, creqs)
+	return s.submit(req.JobRequest, core.Request{}, creqs)
 }

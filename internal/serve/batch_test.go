@@ -13,7 +13,7 @@ import (
 )
 
 // TestBatchOneModelBuild submits a four-weighting sweep through
-// POST /v1/batch: one flight, one model build, four solves, four
+// POST /v1/batch: one job, one model build, four solves, four
 // reports in item order.
 func TestBatchOneModelBuild(t *testing.T) {
 	t.Parallel()

@@ -52,8 +52,8 @@ func TestModelLayerSharesBuildsAcrossWeights(t *testing.T) {
 		t.Fatalf("after first job: models %+v, want 1 build / 1 miss", m1.Models)
 	}
 
-	// Same app and space, different weights: a distinct flight (no job
-	// dedup), but the same model identity.
+	// Same app and space, different weights: a distinct job, but the
+	// same model identity.
 	rw1, rw2 := 1.0, 100.0
 	second := postJob(t, ts, serve.JobRequest{
 		App: "arith", Scale: "tiny", Space: "dcache", W1: &rw1, W2: &rw2,

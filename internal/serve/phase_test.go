@@ -141,9 +141,9 @@ func TestPhaseJobStreamsMeasurementProgress(t *testing.T) {
 	checkProgress(t, statuses, config.DcacheGeometrySpace().Len()+1)
 }
 
-// TestPhaseJobDedupDistinctFromPlain: a phase job must not coalesce with
-// a plain job of the same app/scale/space, nor with a phase job of a
-// different interval.
+// TestPhaseJobDedupDistinctFromPlain: a phase job must not share a model
+// with a plain job of the same app/scale/space, nor with a phase job of
+// a different interval: the session's model key tells them apart.
 func TestPhaseJobDedupDistinctFromPlain(t *testing.T) {
 	t.Parallel()
 	_, ts := newTestServer(t)
@@ -164,6 +164,6 @@ func TestPhaseJobDedupDistinctFromPlain(t *testing.T) {
 		t.Fatal("second phase job has no result")
 	}
 	if fst.PhaseResult.Phases.IntervalInstructions == ost.PhaseResult.Phases.IntervalInstructions {
-		t.Error("distinct intervals coalesced onto one flight")
+		t.Error("distinct intervals shared one phase model")
 	}
 }

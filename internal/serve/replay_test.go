@@ -99,9 +99,9 @@ func TestReplayJobEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReplayJobDedupDistinct: a replay job answers a different question
-// than the plain phase job, so the two must not coalesce onto one
-// flight; two identical replay jobs must.
+// TestReplayJobDedupDistinct: a replay job shares the plain phase job's
+// model, but answers a different question: only the replay job's report
+// carries the replay block.
 func TestReplayJobDedupDistinct(t *testing.T) {
 	t.Parallel()
 	_, ts := newTestServer(t)
@@ -120,10 +120,10 @@ func TestReplayJobDedupDistinct(t *testing.T) {
 		t.Fatal("phase results missing")
 	}
 	if phasesSt.PhaseResult.Replay != nil {
-		t.Error("plain phase job gained a replay block — coalesced with the replay job")
+		t.Error("plain phase job gained a replay block")
 	}
 	if replaySt.PhaseResult.Replay == nil {
-		t.Error("replay job lost its replay block — coalesced with the plain job")
+		t.Error("replay job lost its replay block")
 	}
 }
 

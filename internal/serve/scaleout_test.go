@@ -1,7 +1,7 @@
 package serve_test
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,8 +21,8 @@ import (
 )
 
 // countingProvider counts the measurements that reach the real
-// simulator — the "simulations actually run" observable the dedup and
-// replica tests assert on.
+// simulator — the "simulations actually run" observable the
+// cancellation and replica tests assert on.
 type countingProvider struct {
 	inner measure.Provider
 	calls atomic.Int64
@@ -34,8 +34,8 @@ func (c *countingProvider) Measure(ctx context.Context, prog *asm.Program, cfg c
 }
 
 // gatedProvider blocks every measurement until the gate closes (or the
-// measurement's context dies), so a test can hold a flight open while it
-// submits duplicates or cancels passengers.
+// measurement's context dies), so a test can hold a job open while it
+// submits a duplicate or cancels one.
 type gatedProvider struct {
 	inner measure.Provider
 	gate  chan struct{}
@@ -99,56 +99,90 @@ func cancelJob(t *testing.T, ts *httptest.Server, id string) serve.JobStatus {
 	return st
 }
 
-// TestDedupIdenticalJobsShareOneFlight submits the same request twice
-// while the first execution is held open: the second must attach to the
-// first's flight, both must finish with identical results, and the
-// daemon must record exactly one dedup hit.
-func TestDedupIdenticalJobsShareOneFlight(t *testing.T) {
-	t.Parallel()
-	gate := make(chan struct{})
+// heldBuild starts a server with two workers over a provider that holds
+// every measurement until the returned gate closes, submits req twice,
+// and waits until both jobs run and one has joined the other's model
+// build in the session's model layer.
+func heldBuild(t *testing.T, req serve.JobRequest) (ts *httptest.Server, a, b serve.JobStatus, gate chan struct{}) {
+	t.Helper()
+	gate = make(chan struct{})
 	s := serve.New(serve.Options{
-		Workers:  1,
+		Workers:  2,
 		Provider: measure.NewCache(&gatedProvider{inner: measure.Simulator{}, gate: gate}, 256),
 	})
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
+	ts = httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
-	}()
-
-	req := serve.JobRequest{App: "arith", Scale: "tiny", Space: "dcache"}
-	a := postJob(t, ts, req)
-	b := postJob(t, ts, req)
-	if m := metricsOf(t, ts); m.Scheduler.Deduped != 1 || m.Scheduler.Flights != 1 {
-		t.Fatalf("while gated: deduped %d flights %d, want 1 and 1",
-			m.Scheduler.Deduped, m.Scheduler.Flights)
-	}
-	close(gate)
-
-	sa := waitDone(t, ts, a.ID)
-	sb := waitDone(t, ts, b.ID)
-	if sa.State != serve.StateDone || sb.State != serve.StateDone {
-		t.Fatalf("states %s/%s, errors %q/%q", sa.State, sb.State, sa.Error, sb.Error)
-	}
-	if sa.Result.Recommendation.Config != sb.Result.Recommendation.Config {
-		t.Errorf("deduped jobs disagree:\n%s\nvs\n%s",
-			sa.Result.Recommendation.Config, sb.Result.Recommendation.Config)
-	}
-	// One flight means one start instant shared by both passengers.
-	if sa.Started == nil || sb.Started == nil || !sa.Started.Equal(*sb.Started) {
-		t.Errorf("deduped jobs have different start times: %v vs %v", sa.Started, sb.Started)
-	}
-	m := metricsOf(t, ts)
-	if m.Scheduler.Deduped != 1 {
-		t.Errorf("deduped counter = %d, want 1", m.Scheduler.Deduped)
-	}
-	if m.Scheduler.Submitted != 2 {
-		t.Errorf("submitted counter = %d, want 2", m.Scheduler.Submitted)
+	})
+	a, b = postJob(t, ts, req), postJob(t, ts, req)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		m := metricsOf(t, ts)
+		if m.Models.Hits == 1 && m.Models.Misses == 1 {
+			if m.Scheduler.Flights != 2 || m.Scheduler.Deduped != 0 {
+				t.Fatalf("while held: flights %d deduped %d, want 2 and 0",
+					m.Scheduler.Flights, m.Scheduler.Deduped)
+			}
+			return ts, a, b, gate
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the second job never joined the first's build: models %+v", *m.Models)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestDedupStreamsBothClients verifies both passengers of one flight can
-// stream the shared progress to a terminal state.
+// resultBytes fetches a finished job's result field as the wire carries
+// it.
+func resultBytes(t *testing.T, ts *httptest.Server, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.Result
+}
+
+// TestLifecycleIdenticalJobsShareOneBuild: two identical jobs are two
+// executions, but the second waits on the first's model build in the
+// session's model layer instead of building its own. Both stream to
+// done with byte-identical results, from one build and with nothing
+// counted as deduplicated at the job layer.
+func TestLifecycleIdenticalJobsShareOneBuild(t *testing.T) {
+	t.Parallel()
+	ts, a, b, gate := heldBuild(t, serve.JobRequest{App: "arith", Scale: "tiny", Space: "dcache"})
+	waitA, waitB := follow(t, ts, a.ID), follow(t, ts, b.ID)
+	close(gate)
+	sa, sb := waitA(), waitB()
+	if sa.State != serve.StateDone || sb.State != serve.StateDone {
+		t.Fatalf("states %s/%s, errors %q/%q", sa.State, sb.State, sa.Error, sb.Error)
+	}
+	ra, rb := resultBytes(t, ts, a.ID), resultBytes(t, ts, b.ID)
+	if len(ra) == 0 || !bytes.Equal(ra, rb) {
+		t.Errorf("identical jobs disagree:\n%s\nvs\n%s", ra, rb)
+	}
+	m := metricsOf(t, ts)
+	if m.Models.Builds != 1 {
+		t.Errorf("models.builds = %d, want 1", m.Models.Builds)
+	}
+	if m.Scheduler.Deduped != 0 || m.Scheduler.Submitted != 2 || m.Scheduler.Flights != 0 {
+		t.Errorf("scheduler deduped %d submitted %d flights %d, want 0, 2 and 0",
+			m.Scheduler.Deduped, m.Scheduler.Submitted, m.Scheduler.Flights)
+	}
+}
+
+// TestDedupStreamsBothClients: with one worker, the second of two
+// identical jobs waits in the queue behind the first instead of sharing
+// its execution. A client streaming either job must still follow it to
+// done with a result.
 func TestDedupStreamsBothClients(t *testing.T) {
 	t.Parallel()
 	gate := make(chan struct{})
@@ -163,71 +197,48 @@ func TestDedupStreamsBothClients(t *testing.T) {
 	}()
 
 	req := serve.JobRequest{App: "arith", Scale: "tiny", Space: "dcache"}
-	a := postJob(t, ts, req)
-	b := postJob(t, ts, req)
+	a, b := postJob(t, ts, req), postJob(t, ts, req)
+	waitA, waitB := follow(t, ts, a.ID), follow(t, ts, b.ID)
 	close(gate)
-
-	for _, id := range []string{a.ID, b.ID} {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
-		if err != nil {
-			t.Fatal(err)
+	for id, st := range map[string]serve.JobStatus{a.ID: waitA(), b.ID: waitB()} {
+		if st.State != serve.StateDone || st.Result == nil {
+			t.Errorf("stream for %s ended %s (result %v, error %q)", id, st.State, st.Result != nil, st.Error)
 		}
-		var last serve.JobStatus
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<24)
-		for sc.Scan() {
-			if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
-				t.Fatalf("bad stream line for %s: %v", id, err)
-			}
-		}
-		resp.Body.Close()
-		if last.State != serve.StateDone || last.Result == nil {
-			t.Fatalf("stream for %s ended %s (result %v)", id, last.State, last.Result != nil)
-		}
+	}
+	if m := metricsOf(t, ts); m.Models.Builds != 1 || m.Scheduler.Deduped != 0 {
+		t.Errorf("models.builds %d deduped %d, want 1 and 0", m.Models.Builds, m.Scheduler.Deduped)
 	}
 }
 
-// TestDedupCancelOneOtherCompletes is the cancellation contract: one
-// passenger leaving must not take the flight down.
-func TestDedupCancelOneOtherCompletes(t *testing.T) {
+// TestLifecycleCancelOneOfTwoIdentical is the cancellation contract:
+// cancelling one of two identical jobs, while one waits on the other's
+// build, stops only that job. If the cancelled job owned the build, its
+// partial build is discarded and the other job builds the model itself.
+func TestLifecycleCancelOneOfTwoIdentical(t *testing.T) {
 	t.Parallel()
-	gate := make(chan struct{})
-	s := serve.New(serve.Options{
-		Workers:  1,
-		Provider: measure.NewCache(&gatedProvider{inner: measure.Simulator{}, gate: gate}, 256),
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ts.Close()
-		s.Close()
-	}()
-
-	req := serve.JobRequest{App: "arith", Scale: "tiny", Space: "dcache"}
-	a := postJob(t, ts, req)
-	b := postJob(t, ts, req)
-
-	st := cancelJob(t, ts, a.ID)
-	if st.State != serve.StateCancelled {
+	ts, a, b, gate := heldBuild(t, serve.JobRequest{App: "arith", Scale: "tiny", Space: "dcache"})
+	if st := cancelJob(t, ts, a.ID); st.State != serve.StateCancelled {
 		t.Fatalf("cancelled job state %s", st.State)
 	}
 	close(gate)
 	sb := waitDone(t, ts, b.ID)
 	if sb.State != serve.StateDone || sb.Result == nil {
-		t.Fatalf("surviving passenger: %s %q", sb.State, sb.Error)
+		t.Fatalf("surviving job: %s %q", sb.State, sb.Error)
 	}
-	// The cancelled job must stay cancelled even though its flight
-	// completed.
-	sa := getJob(t, ts, a.ID)
-	if sa.State == serve.StateDone {
-		t.Error("cancelled job was resurrected by the flight's completion")
+	// The cancelled job stays cancelled though its work completed.
+	if sa := getJob(t, ts, a.ID); sa.State != serve.StateCancelled {
+		t.Errorf("cancelled job ended %s", sa.State)
+	}
+	if m := metricsOf(t, ts); m.Models.Builds != 1 {
+		t.Errorf("models.builds = %d, want 1", m.Models.Builds)
 	}
 }
 
-// TestDedupCancelAllStopsExecution cancels every passenger of a held
-// flight: the execution must stop without a single simulation reaching
-// the simulator, and a fresh identical submission must start a new
-// flight rather than attach to the dying one.
-func TestDedupCancelAllStopsExecution(t *testing.T) {
+// TestLifecycleCancelAllStopsExecution cancels a held running job and
+// an identical queued one: neither may bring a single simulation to the
+// simulator, the scheduler must count no live job the moment both are
+// cancelled, and a fresh identical submission must run to done.
+func TestLifecycleCancelAllStopsExecution(t *testing.T) {
 	t.Parallel()
 	gate := make(chan struct{})
 	counting := &countingProvider{inner: measure.Simulator{}}
@@ -243,24 +254,22 @@ func TestDedupCancelAllStopsExecution(t *testing.T) {
 
 	req := serve.JobRequest{App: "arith", Scale: "tiny", Space: "dcache"}
 	a := postJob(t, ts, req)
+	waitLeftQueue(t, s, a.ID)
 	b := postJob(t, ts, req)
 	cancelJob(t, ts, a.ID)
 	cancelJob(t, ts, b.ID)
 
-	// The flight is unmapped the moment its last passenger leaves.
 	if m := metricsOf(t, ts); m.Scheduler.Flights != 0 {
 		t.Errorf("flights = %d right after cancel-all, want 0", m.Scheduler.Flights)
 	}
-
 	sa, sb := getJob(t, ts, a.ID), getJob(t, ts, b.ID)
 	if sa.State != serve.StateCancelled || sb.State != serve.StateCancelled {
 		t.Fatalf("states %s/%s, want cancelled/cancelled", sa.State, sb.State)
 	}
 	if n := counting.calls.Load(); n != 0 {
-		t.Errorf("cancelled flight still ran %d simulations", n)
+		t.Errorf("cancelled jobs still ran %d simulations", n)
 	}
 
-	// A new identical request must get a fresh, live flight.
 	close(gate)
 	c := postJob(t, ts, req)
 	if sc := waitDone(t, ts, c.ID); sc.State != serve.StateDone {
@@ -283,8 +292,8 @@ func TestRetentionDropsOldTerminalJobs(t *testing.T) {
 		s.Close()
 	}()
 
-	// Five distinct requests (different weights → different dedup keys);
-	// the shared measurement cache keeps reruns cheap.
+	// Five requests of different weights; the shared measurement cache
+	// and model layer keep reruns cheap.
 	for i := 0; i < 5; i++ {
 		w2 := float64(i + 1)
 		st := postJob(t, ts, serve.JobRequest{App: "arith", Scale: "tiny", Space: "dcache", W2: &w2})
@@ -522,7 +531,8 @@ func TestRetentionQueueContract(t *testing.T) {
 		})
 		expect(waitDone(t, ts, batch.ID), serve.StateDone)
 
-		// Two passengers of one flight, both done by one broadcast.
+		// Two identical jobs, the second queued behind the first and
+		// answered from its model and measurements.
 		p1 := postJob(t, ts, req(1, pairSample))
 		waitLeftQueue(t, s, p1.ID)
 		p2 := postJob(t, ts, req(1, pairSample))
@@ -530,9 +540,9 @@ func TestRetentionQueueContract(t *testing.T) {
 		expect(waitDone(t, ts, p1.ID), serve.StateDone)
 		expect(waitDone(t, ts, p2.ID), serve.StateDone)
 
-		// Cancels racing the final broadcast of a warm (sub-millisecond)
-		// flight, after yielding to the worker 0–4 times: either may
-		// win, the job must end once.
+		// Cancels racing the completion of a warm (sub-millisecond) job,
+		// after yielding to the worker 0–4 times: either may win, the job
+		// must end once.
 		outcomes := map[string]int{}
 		for i := 0; i < 20; i++ {
 			st, err := s.Submit(req(float64(10+i), 0))
@@ -552,7 +562,7 @@ func TestRetentionQueueContract(t *testing.T) {
 			}
 			outcomes[end.State]++
 		}
-		t.Logf("cancel/broadcast race outcomes: %v", outcomes)
+		t.Logf("cancel/completion race outcomes: %v", outcomes)
 
 		// Cancelled while running, cancelled while queued, and a
 		// queue-full rejection behind them.

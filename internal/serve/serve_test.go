@@ -309,14 +309,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestBadRequests covers the 4xx paths.
+// TestBadRequests covers the 4xx paths; none of them creates a job.
 func TestBadRequests(t *testing.T) {
 	t.Parallel()
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	for _, tc := range []serve.JobRequest{
 		{App: "nope"},
 		{App: "arith", Scale: "huge"},
 		{App: "arith", Space: "weird"},
+		{App: "mix", Phases: true, IntervalInstructions: 1},
 	} {
 		body, _ := json.Marshal(tc)
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -327,6 +328,9 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %+v: status %d, want 400", tc, resp.StatusCode)
 		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("rejected requests created %d jobs", len(jobs))
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-999")
 	if err != nil {

@@ -15,23 +15,22 @@
 // status.
 //
 // The scheduler is built for a long-lived, multi-replica deployment
-// (DESIGN.md §14): identical in-flight requests coalesce onto one
-// execution (a flight) with every attached job streaming the same
-// progress, terminal jobs are retained only up to a configured
-// count/age, and the measurement store a fleet shares over one
-// directory is swept by the measure layer's GC. Below the flights, the
-// measurement cache and the session's model layer are both bounded
-// singleflight LRUs (internal/memo): one simulation per measurement key
-// and one build per model key within a process. Across replicas
-// sharing a store nothing is coordinated unless the daemon opts into
-// the claim lease; replicas racing one key both measure it and the
-// atomic spill leaves one identical entry.
+// (DESIGN.md §14): each job is its own execution, terminal jobs are
+// retained only up to a configured count/age, and the measurement store
+// a fleet shares over one directory is swept by the measure layer's GC.
+// Two identical jobs share their expensive work below the scheduler:
+// the measurement cache and the session's model layer are both bounded
+// singleflight LRUs (internal/memo), so within a process each
+// measurement key is simulated once and each model key built once.
+// Across replicas sharing a store nothing is coordinated unless the
+// daemon opts into the claim lease; replicas racing one key both
+// measure it and the atomic spill leaves one identical entry.
 //
 // API (all JSON):
 //
 //	POST   /v1/jobs          submit a JobRequest, returns the queued JobStatus
 //	POST   /v1/batch         submit a BatchRequest (app × space × weighting
-//	                         matrix); the expanded items run as ONE flight
+//	                         matrix); the expanded items run as ONE job
 //	                         through one session batch, so a weight sweep
 //	                         performs one model build and N solves
 //	GET    /v1/jobs          list every job's JobStatus
@@ -52,7 +51,7 @@
 // default class) always run before bulk ones, and each class is
 // admitted under its own queue-depth limit. See DESIGN.md §21.
 //
-// Every flight runs under an obs.Tracer, so each job carries the full
+// Every job runs under an obs.Tracer, so each job carries the full
 // span tree of its pipeline — model source, each measurement's cache
 // outcome, solver effort — and every completed span also feeds the
 // process-wide per-stage latency histograms reported under
@@ -75,7 +74,6 @@ import (
 	"liquidarch/internal/core"
 	"liquidarch/internal/measure"
 	"liquidarch/internal/obs"
-	"liquidarch/internal/phase"
 	"liquidarch/internal/platform"
 	"liquidarch/internal/progs"
 	"liquidarch/internal/workload"
@@ -86,6 +84,13 @@ import (
 // fetch results they already streamed; a long-lived daemon must not
 // grow its table with every request it ever served.
 const DefaultRetainJobs = 1024
+
+// MinIntervalInstructions is the shortest phase-profiling interval a job
+// may ask for. Every measurement of a phase build cuts its run into
+// intervals, each with a 64-bucket signature, so a one-instruction
+// interval would cut a Small mix run into ~4.8 M of them on each of the
+// ~51 configurations a build measures.
+const MinIntervalInstructions = 1_000
 
 // Options configures a Server.
 type Options struct {
@@ -124,7 +129,7 @@ type Options struct {
 	// Store is also set, each spill records its measurement set in the
 	// store so the store's GC evicts the set cohesively.
 	ModelStore *core.ModelStore
-	// SlowJobThreshold, when positive, logs a warning for every flight
+	// SlowJobThreshold, when positive, logs a warning for every job
 	// whose wall-clock execution exceeds it, with the top stages of its
 	// trace — so a degraded deployment names the stage that degraded
 	// (cold measurement sweeps vs. a slow disk tier vs. solver blowup)
@@ -168,8 +173,8 @@ type JobRequest struct {
 	// IncludeModel embeds the full perturbation model in the result.
 	IncludeModel bool `json:"include_model,omitempty"`
 	// Class is the scheduling class: "interactive" (default) or "bulk".
-	// Interactive flights are always run before bulk ones, and each
-	// class is admitted under its own queue-depth limit.
+	// Interactive jobs are always run before bulk ones, and each class
+	// is admitted under its own queue-depth limit.
 	Class string `json:"class,omitempty"`
 
 	// Phases switches the job to phase-aware tuning: the result
@@ -178,7 +183,8 @@ type JobRequest struct {
 	// the whole-program configuration.
 	Phases bool `json:"phases,omitempty"`
 	// IntervalInstructions is the phase-profiling interval length
-	// (0 = core.DefaultIntervalInstructions); phase jobs only.
+	// (0 = core.DefaultIntervalInstructions, otherwise at least
+	// MinIntervalInstructions); phase jobs only.
 	IntervalInstructions uint64 `json:"interval_instructions,omitempty"`
 	// SwitchPenaltyCycles prices a full mid-run reconfiguration, of
 	// which each switch is charged its changed-parameter share
@@ -229,7 +235,7 @@ type JobStatus struct {
 	Result      *core.Report   `json:"result,omitempty"`
 	PhaseResult *core.Report   `json:"phase_result,omitempty"`
 	Results     []*core.Report `json:"results,omitempty"`
-	// Progress tracks the running flight's completed measurements.
+	// Progress tracks the running job's completed measurements.
 	Progress *MeasureProgress `json:"progress,omitempty"`
 	Created  time.Time        `json:"created"`
 	Started  *time.Time       `json:"started,omitempty"`
@@ -245,14 +251,22 @@ func (s *JobStatus) Terminal() bool {
 	return false
 }
 
-// job is the internal record behind a JobStatus.
+// job is the internal record behind a JobStatus, and its execution:
+// each submission runs once, on its own context, and Cancel stops only
+// that job.
 type job struct {
-	flight *flight // the execution this job rides; guarded by Server.mu
-
-	// trace is the tracer of the flight this job rode, kept past the
-	// flight itself so GET /v1/trace/{id} serves a finished job's span
-	// tree for as long as retention keeps the job. Set once at attach
-	// (under Server.mu), immutable after.
+	// req is the request the job executes, resolved once at submission.
+	req core.Request
+	// batch, when non-nil, makes this a batch job: the resolved expanded
+	// items, executed sequentially through one session TuneBatch so items
+	// differing only in weights share one model build. req is then
+	// unused.
+	batch  []core.Request
+	ctx    context.Context
+	cancel context.CancelFunc
+	// trace is the job's tracer, kept past the execution so
+	// GET /v1/trace/{id} serves a finished job's span tree for as long as
+	// retention keeps the job.
 	trace *obs.Tracer
 
 	mu      sync.Mutex
@@ -281,45 +295,6 @@ func (j *job) mutateLocked(fn func(*JobStatus)) {
 	j.updated = make(chan struct{})
 }
 
-// flight is one shared execution of identical JobRequests: the job-layer
-// singleflight, mirroring measure.Cache's measurement-layer one. The
-// first submitter creates the flight and its request is the one
-// executed; identical submissions arriving before it finishes attach to
-// it instead of queueing a second execution, and every attached job's
-// status tracks the flight. Cancelling a job only detaches it — the
-// execution itself is cancelled when its last job detaches.
-type flight struct {
-	key string
-	// req is the request the flight executes, resolved once at
-	// submission.
-	req    core.Request
-	ctx    context.Context
-	cancel context.CancelFunc
-	tracer *obs.Tracer
-	// batch, when non-nil, makes this a batch flight: the resolved
-	// expanded items, executed sequentially through one session
-	// TuneBatch so items differing only in weights share one model
-	// build. req is then unused.
-	batch []core.Request
-
-	// Guarded by Server.mu.
-	jobs      []*job // attached (not individually cancelled) jobs
-	started   bool
-	startedAt time.Time
-}
-
-// detachLocked removes j; the caller holds Server.mu. Reports whether
-// the flight is now empty (and should be cancelled by the caller).
-func (f *flight) detachLocked(j *job) bool {
-	for i, other := range f.jobs {
-		if other == j {
-			f.jobs = append(f.jobs[:i], f.jobs[i+1:]...)
-			break
-		}
-	}
-	return len(f.jobs) == 0
-}
-
 // Server is the autoarchd daemon core: scheduler, job table and HTTP
 // handlers. Construct with New, serve Handler(), Close on shutdown.
 type Server struct {
@@ -327,14 +302,14 @@ type Server struct {
 	provider measure.Provider
 	cache    *measure.Cache // non-nil when the provider stack exposes one
 	session  *core.Session  // the unified tuning pipeline every job runs through
-	stages   *obs.Stages    // per-stage latency histograms across every flight
+	stages   *obs.Stages    // per-stage latency histograms across every job
 	logf     func(format string, args ...any)
 	// encodeErrors counts the responses that could not be encoded.
 	encodeErrors atomic.Uint64
 
 	baseCtx context.Context
 	stop    context.CancelFunc
-	queue   *flightQueue
+	queue   *jobQueue
 	wg      sync.WaitGroup
 
 	mu   sync.Mutex
@@ -347,12 +322,11 @@ type Server struct {
 	stale int
 	// finished holds the terminal jobs still in the table, in Finished
 	// order: every terminal transition appends under mu (finishLocked),
-	// so retention pops its victims off the front.
+	// so retention pops its victims off the front. The other
+	// len(jobs)-len(finished) jobs are queued or running.
 	finished  []retired
-	flights   map[string]*flight
 	seq       int
 	submitted uint64
-	deduped   uint64
 	dropped   uint64
 	batches   uint64
 	closed    bool
@@ -396,9 +370,8 @@ func New(opts Options) *Server {
 		}),
 		baseCtx: ctx,
 		stop:    stop,
-		queue:   newFlightQueue(opts.QueueDepth, opts.BulkQueueDepth),
+		queue:   newJobQueue(opts.QueueDepth, opts.BulkQueueDepth),
 		jobs:    make(map[string]*job),
-		flights: make(map[string]*flight),
 	}
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
@@ -460,17 +433,17 @@ func (s *Server) Cache() *measure.Cache { return s.cache }
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		f, ok := s.queue.pop()
+		j, ok := s.queue.pop()
 		if !ok {
 			return
 		}
-		s.runFlight(f)
+		s.runJob(j)
 	}
 }
 
 // resolve validates a request and maps it onto the unified
 // core.Request — the only translation between the daemon's v1 format
-// and the library. It runs once per submission; the flight carries the
+// and the library. It runs once per submission; the job carries the
 // result.
 func resolve(req JobRequest) (core.Request, error) {
 	b, ok := progs.ByName(req.App)
@@ -501,6 +474,10 @@ func resolve(req JobRequest) (core.Request, error) {
 	}
 	if (req.Replay || req.Online) && !req.Phases {
 		return core.Request{}, fmt.Errorf("replay and online require phases")
+	}
+	if req.IntervalInstructions != 0 && req.IntervalInstructions < MinIntervalInstructions {
+		return core.Request{}, fmt.Errorf("interval_instructions %d is below the minimum %d",
+			req.IntervalInstructions, MinIntervalInstructions)
 	}
 	if _, err := normalizeClass(req.Class); err != nil {
 		return core.Request{}, err
@@ -538,156 +515,76 @@ func normalizeClass(c string) (string, error) {
 	return "", fmt.Errorf("unknown class %q", c)
 }
 
-// dedupKey canonicalizes the result-determining fields of a resolved
-// request: two requests with equal keys are guaranteed the same
-// report (the simulator and solver are deterministic), which is what
-// licenses coalescing them onto one flight. Workers is deliberately
-// excluded — it only tunes the flight's internal parallelism (the first
-// submitter's value wins); everything else participates.
-func dedupKey(req JobRequest, creq core.Request) string {
-	space := req.Space
-	if space == "" {
-		space = "full"
-	}
-	w := creq.Weights
-	key := fmt.Sprintf("app=%s scale=%s space=%s w1=%g w2=%g w3=%g sample=%d model=%t",
-		creq.App, creq.Scale, space, w.W1, w.W2, w.W3, req.SampleInstructions, req.IncludeModel)
-	if req.Phases {
-		// Phase jobs answer a different question, with their own knobs —
-		// normalized first, so a request spelling a default explicitly
-		// coalesces with one omitting it.
-		interval := req.IntervalInstructions
-		if interval == 0 {
-			interval = core.DefaultIntervalInstructions
-		}
-		penalty := req.SwitchPenaltyCycles
-		if penalty == 0 {
-			penalty = core.DefaultSwitchPenaltyCycles
-		}
-		threshold := req.PhaseThreshold
-		if threshold <= 0 {
-			threshold = phase.DefaultThreshold
-		}
-		key += fmt.Sprintf(" phases interval=%d penalty=%d threshold=%g replay=%t online=%t",
-			interval, penalty, threshold, req.Replay, req.Online)
-	}
-	if req.Class == ClassBulk {
-		// Same result either way, but a bulk and an interactive job must
-		// not share a flight: the dedup winner's class would schedule the
-		// loser's work at the wrong priority.
-		key += " class=bulk"
-	}
-	return key
-}
-
-// runFlight executes one flight and broadcasts its outcome to every job
-// still attached. Jobs that detached (individual cancellations) already
-// reached their terminal state and are not touched.
-func (s *Server) runFlight(f *flight) {
-	s.mu.Lock()
-	if len(f.jobs) == 0 {
-		// Every submitter cancelled before a worker got here; Cancel
-		// already unmapped the flight.
-		s.mu.Unlock()
-		f.cancel()
+// runJob executes one job and records its outcome. A job cancelled
+// while queued is skipped; one cancelled while running is already
+// terminal, so its outcome is dropped.
+func (s *Server) runJob(j *job) {
+	now := time.Now()
+	j.mu.Lock()
+	if j.status.Terminal() {
+		j.mu.Unlock()
 		return
 	}
-	now := time.Now()
-	f.started = true
-	f.startedAt = now
-	running := append([]*job(nil), f.jobs...)
-	s.mu.Unlock()
-	for _, j := range running {
-		j.mutate(func(st *JobStatus) {
-			if st.Terminal() {
-				// Cancelled between the passenger snapshot and this
-				// broadcast; it must not be revived into "running".
-				return
-			}
-			st.State = StateRunning
-			st.Started = &now
-		})
-	}
+	j.mutateLocked(func(st *JobStatus) {
+		st.State = StateRunning
+		st.Started = &now
+	})
+	j.mu.Unlock()
 
 	// Per-measurement progress: every completed measurement (simulated,
-	// cache-answered, or satisfied wholesale by a model-layer hit) is
-	// broadcast to every attached job's ndjson stream through the
-	// session's one observer surface.
+	// cache-answered, or satisfied wholesale by a model-layer hit) reaches
+	// the job's ndjson stream through the session's one observer surface.
 	observer := core.ObserverFunc(func(done, total int) {
-		s.mu.Lock()
-		watchers := append([]*job(nil), f.jobs...)
-		s.mu.Unlock()
-		for _, j := range watchers {
-			j.mutate(func(st *JobStatus) {
-				if st.Terminal() {
-					return
-				}
-				// Concurrent measurements broadcast concurrently; only
-				// ever move the counter forward so the stream's Done is
-				// monotonic.
-				if st.Progress == nil || done > st.Progress.Done {
-					st.Progress = &MeasureProgress{Done: done, Total: total}
-				}
-			})
-		}
+		j.mutate(func(st *JobStatus) {
+			if st.Terminal() {
+				return
+			}
+			// Concurrent measurements report concurrently; only ever
+			// move the counter forward so the stream's Done is monotonic.
+			if st.Progress == nil || done > st.Progress.Done {
+				st.Progress = &MeasureProgress{Done: done, Total: total}
+			}
+		})
 	})
 
-	ctx := obs.WithTracer(f.ctx, f.tracer)
+	ctx := obs.WithTracer(j.ctx, j.trace)
 	var report *core.Report
 	var results []*core.Report
 	var err error
-	if f.batch != nil {
-		results, err = s.tuneBatch(ctx, f.batch, observer)
+	if j.batch != nil {
+		results, err = s.tuneBatch(ctx, j.batch, observer)
 	} else {
-		req := f.req
+		req := j.req
 		req.Observer = observer
 		report, err = s.session.Tune(ctx, req)
 	}
-	f.tracer.Finish()
+	j.trace.Finish()
 	if elapsed := time.Since(now); s.opts.SlowJobThreshold > 0 && elapsed > s.opts.SlowJobThreshold {
-		s.logSlowFlight(f, elapsed)
+		s.logSlowJob(j, elapsed)
 	}
 
-	// Delete-then-broadcast under the table lock: once the flight is out
-	// of the map no new submission can attach, so f.jobs is the complete
-	// passenger list. The delete is conditional — a cancel-all may have
-	// unmapped this flight already and a fresh flight may own the key
-	// now.
 	s.mu.Lock()
-	if s.flights[f.key] == f {
-		delete(s.flights, f.key)
-	}
-	ended := time.Now()
-	for _, j := range f.jobs {
-		s.finishLocked(j, ended, func(st *JobStatus) {
-			switch {
-			case err == nil:
-				st.State = StateDone
-				switch {
-				case f.batch != nil:
-					st.Results = results
-				case f.req.Phases != nil:
-					st.PhaseResult = report
-				default:
-					st.Result = report
-				}
-			case f.ctx.Err() != nil && s.baseCtx.Err() == nil:
-				st.State = StateCancelled
-				st.Error = context.Canceled.Error()
-			default:
-				st.State = StateFailed
-				st.Error = err.Error()
-			}
-		})
-	}
+	s.finishLocked(j, time.Now(), func(st *JobStatus) {
+		switch {
+		case err != nil:
+			st.State = StateFailed
+			st.Error = err.Error()
+		case j.batch != nil:
+			st.State, st.Results = StateDone, results
+		case j.req.Phases != nil:
+			st.State, st.PhaseResult = StateDone, report
+		default:
+			st.State, st.Result = StateDone, report
+		}
+	})
 	s.mu.Unlock()
-	f.cancel()
+	j.cancel()
 }
 
 // finishLocked moves j to its terminal state — fn sets it, Finished is
 // stamped with now — and appends j to the retention queue. A job that
 // is already terminal is left as it is: a cancellation racing the
-// flight's broadcast ends the job once, whichever comes first. Every
+// job's completion ends the job once, whichever comes first. Every
 // terminal transition goes through here under s.mu, so each job enters
 // s.finished exactly once and in Finished order. Caller holds s.mu.
 func (s *Server) finishLocked(j *job, now time.Time, fn func(*JobStatus)) {
@@ -710,10 +607,10 @@ type retired struct {
 	at time.Time
 }
 
-// tuneBatch executes a batch flight's expanded items through one
-// session TuneBatch call: items differing only in weights share one
-// model build through the session's model layer, so the flight's
-// metrics show one build and N solves. Progress aggregates every item's
+// tuneBatch executes a batch job's expanded items through one session
+// TuneBatch call: items differing only in weights share one model build
+// through the session's model layer, so the job's metrics show one
+// build and N solves. Progress aggregates every item's
 // completed measurements (model-layer hits jump an item's share at
 // once); the total grows as items start, since an item's measurement
 // count is known only when it runs.
@@ -740,17 +637,17 @@ func (s *Server) tuneBatch(ctx context.Context, items []core.Request, observer c
 	return s.session.TuneBatch(ctx, creqs)
 }
 
-// logSlowFlight emits the slow-job warning: the flight's wall time and
-// the top stages of its trace by total duration, so the log line alone
-// says where the time went.
-func (s *Server) logSlowFlight(f *flight, elapsed time.Duration) {
-	req := f.req
-	if f.batch != nil {
-		req = f.batch[0]
+// logSlowJob emits the slow-job warning: the job's wall time and the
+// top stages of its trace by total duration, so the log line alone says
+// where the time went.
+func (s *Server) logSlowJob(j *job, elapsed time.Duration) {
+	req := j.req
+	if j.batch != nil {
+		req = j.batch[0]
 	}
 	line := fmt.Sprintf("slow job: app=%s phases=%t took %s (threshold %s)",
 		req.App, req.Phases != nil, elapsed.Round(time.Millisecond), s.opts.SlowJobThreshold)
-	totals := f.tracer.Snapshot().StageTotals()
+	totals := j.trace.Snapshot().StageTotals()
 	for i, t := range totals {
 		if i == 3 {
 			break
@@ -760,22 +657,18 @@ func (s *Server) logSlowFlight(f *flight, elapsed time.Duration) {
 	s.logf("%s", line)
 }
 
-// Submit enqueues a job (the programmatic form of POST /v1/jobs). An
-// identical in-flight request coalesces: the new job attaches to the
-// existing flight instead of queueing a second execution, so both
-// clients observe the same progress and receive the same result.
+// Submit enqueues a job (the programmatic form of POST /v1/jobs).
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	creq, err := resolve(req)
 	if err != nil {
 		return JobStatus{}, &apiError{http.StatusBadRequest, err.Error()}
 	}
-	return s.submit(req, dedupKey(req, creq), creq, nil)
+	return s.submit(req, creq, nil)
 }
 
-// submit creates the job record and either attaches it to the key's
-// in-flight execution or admits a new flight — executing creq, or the
-// batch items when batch is non-nil — to the priority queue.
-func (s *Server) submit(req JobRequest, key string, creq core.Request, batch []core.Request) (JobStatus, error) {
+// submit creates the job, executing creq or the batch items when batch
+// is non-nil, and admits it to the priority queue.
+func (s *Server) submit(req JobRequest, creq core.Request, batch []core.Request) (JobStatus, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -787,7 +680,13 @@ func (s *Server) submit(req JobRequest, key string, creq core.Request, batch []c
 		s.batches++
 	}
 	id := fmt.Sprintf("job-%d", s.seq)
+	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &job{
+		req: creq, batch: batch, ctx: ctx, cancel: cancel,
+		// Every job is traced: the spans feed the process-wide stage
+		// histograms either way, and the per-job cost (a few dozen spans)
+		// is noise next to a single simulated run.
+		trace: obs.NewTracer(obs.TracerOptions{Stages: s.stages}),
 		status: JobStatus{
 			ID:      id,
 			State:   StateQueued,
@@ -800,37 +699,10 @@ func (s *Server) submit(req JobRequest, key string, creq core.Request, batch []c
 	s.order = append(s.order, id)
 	s.sweepJobsLocked(time.Now())
 
-	if f, ok := s.flights[key]; ok {
-		// Dedup: ride the existing execution.
-		s.deduped++
-		j.flight = f
-		j.trace = f.tracer
-		f.jobs = append(f.jobs, j)
-		if f.started {
-			started := f.startedAt
-			j.status.State = StateRunning
-			j.status.Started = &started
-		}
-		s.mu.Unlock()
-		return j.snapshot(), nil
-	}
-
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	f := &flight{
-		key: key, req: creq, ctx: ctx, cancel: cancel, jobs: []*job{j}, batch: batch,
-		// Every flight is traced: the spans feed the process-wide stage
-		// histograms either way, and the per-flight cost (a few dozen
-		// spans per job) is noise next to a single simulated run.
-		tracer: obs.NewTracer(obs.TracerOptions{Stages: s.stages}),
-	}
-	j.flight = f
-	j.trace = f.tracer
-	s.flights[key] = f
 	// The admission happens under s.mu so it cannot race Close's
 	// queue.close(): Close flips s.closed under the same lock first.
 	class, _ := normalizeClass(req.Class)
-	if !s.queue.push(f, class) {
-		delete(s.flights, key)
+	if !s.queue.push(j, class) {
 		s.finishLocked(j, time.Now(), func(st *JobStatus) {
 			st.State = StateFailed
 			st.Error = "queue full"
@@ -843,9 +715,9 @@ func (s *Server) submit(req JobRequest, key string, creq core.Request, batch []c
 	return j.snapshot(), nil
 }
 
-// Cancel cancels a job by id. A job sharing a flight with others only
-// detaches — the execution continues for the remaining passengers, and
-// is itself cancelled when the last one leaves.
+// Cancel cancels a job by id: a queued job is skipped by its worker, a
+// running one is interrupted. A job that is already terminal is left as
+// it is.
 func (s *Server) Cancel(id string) (JobStatus, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -853,25 +725,9 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		s.mu.Unlock()
 		return JobStatus{}, &apiError{http.StatusNotFound, "no such job"}
 	}
-	var emptied *flight
-	if st := j.snapshot(); !st.Terminal() {
-		if f := j.flight; f != nil && f.detachLocked(j) {
-			emptied = f
-			// Unmap eagerly: a dying flight must not pick up fresh
-			// passengers between now and its worker observing the
-			// cancellation.
-			if s.flights[f.key] == f {
-				delete(s.flights, f.key)
-			}
-		}
-		s.finishLocked(j, time.Now(), func(st *JobStatus) { st.State = StateCancelled })
-	}
+	s.finishLocked(j, time.Now(), func(st *JobStatus) { st.State = StateCancelled })
 	s.mu.Unlock()
-	if emptied != nil {
-		// Last passenger gone: stop the execution (a queued flight is
-		// skipped by its worker, a running one is interrupted).
-		emptied.cancel()
-	}
+	j.cancel()
 	return j.snapshot(), nil
 }
 
@@ -937,14 +793,16 @@ func (s *Server) Jobs() []JobStatus {
 type SchedulerStats struct {
 	// Submitted counts every accepted POST /v1/jobs.
 	Submitted uint64 `json:"submitted"`
-	// Deduped counts submissions that attached to an existing flight
-	// instead of executing (the job-layer singleflight hits).
+	// Deduped is always 0: every job is its own execution, and identical
+	// jobs share their measurements and model build in the layers below.
+	// It stays on the wire because existing readers compute a dedup rate
+	// from it.
 	Deduped uint64 `json:"deduped"`
 	// Dropped counts terminal jobs forgotten by retention.
 	Dropped uint64 `json:"dropped"`
 	// Batches counts accepted POST /v1/batch submissions.
 	Batches uint64 `json:"batches"`
-	// Flights is the current number of distinct in-flight executions.
+	// Flights is the current number of queued plus running jobs.
 	Flights int `json:"flights"`
 	// InteractiveQueued and BulkQueued are the current per-class
 	// backlogs of the two-level priority queue; InteractiveDepth and
@@ -979,7 +837,7 @@ type Metrics struct {
 	// replay and online-adaptation counts.
 	Tuning platform.TuningCounters `json:"tuning"`
 	// Stages is the per-stage latency aggregation over every traced
-	// flight: count, total and p50/p95/p99 per pipeline stage name
+	// job: count, total and p50/p95/p99 per pipeline stage name
 	// ("tune", "model", "measure", "solve", ...).
 	Stages map[string]obs.StageStats `json:"stages,omitempty"`
 	// EncodeErrors counts the responses and stream lines the server could
@@ -1013,10 +871,9 @@ func (s *Server) MetricsSnapshot() Metrics {
 	s.mu.Lock()
 	m.Scheduler = SchedulerStats{
 		Submitted:         s.submitted,
-		Deduped:           s.deduped,
 		Dropped:           s.dropped,
 		Batches:           s.batches,
-		Flights:           len(s.flights),
+		Flights:           len(s.jobs) - len(s.finished),
 		InteractiveQueued: qi,
 		BulkQueued:        qb,
 		InteractiveDepth:  s.opts.QueueDepth,
@@ -1210,10 +1067,6 @@ func (s *Server) Trace(id string) (TraceDoc, error) {
 	if !ok {
 		return TraceDoc{}, &apiError{http.StatusNotFound, "no such job"}
 	}
-	if j.trace == nil {
-		// The job never reached a flight with a tracer (failed submission).
-		return TraceDoc{}, &apiError{http.StatusNotFound, "no trace for job"}
-	}
 	tr := j.trace.Snapshot()
 	return TraceDoc{
 		Job:      id,
@@ -1233,7 +1086,7 @@ func (s *Server) streamTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
-	if !ok || j.trace == nil {
+	if !ok {
 		s.writeErr(w, &apiError{http.StatusNotFound, "no such job"})
 		return
 	}

@@ -179,7 +179,7 @@ func TestTraceStream(t *testing.T) {
 	}
 }
 
-// TestSlowJobLog exercises the slow-flight warning: with a tiny
+// TestSlowJobLog exercises the slow-job warning: with a tiny
 // threshold every job is slow, and the log line must name the job's
 // slowest stages.
 func TestSlowJobLog(t *testing.T) {
@@ -222,7 +222,7 @@ func TestSlowJobLog(t *testing.T) {
 	}
 }
 
-// TestMetricsStages checks that traced flights feed the per-stage
+// TestMetricsStages checks that traced jobs feed the per-stage
 // latency aggregation under /v1/metrics.
 func TestMetricsStages(t *testing.T) {
 	t.Parallel()
