@@ -349,10 +349,11 @@ func BenchmarkSolverFullSpace(b *testing.B) {
 // through a session restarted per iteration so nothing hides in the
 // in-memory model layer: cold (empty measurement store — every
 // measurement simulates), warm-store (a populated store replays the ~21
-// measurements from disk, the model still rebuilds), and warm-artifact
-// (the durable model tier answers the whole model set in one read — the
-// restarted-replica fast path, required to be >= 5x the cold latency;
-// with cold builds recording once and timing the rest it measures ~8x).
+// measurements from disk in one set-record read, the model still
+// rebuilds), and warm-artifact (the durable model tier answers the whole
+// model set in one read — the restarted-replica fast path, required to
+// be >= 5x the cold latency; with set records and binary artifacts it
+// measures ~17x).
 func benchmarkSessionTune(b *testing.B, warmStore, warmArtifact bool) {
 	ctx := context.Background()
 	req := core.Request{App: "arith", Scale: workload.Tiny, Space: config.DcacheGeometrySpace()}

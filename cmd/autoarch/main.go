@@ -148,6 +148,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "autoarch: %v\n", err)
 		return 2
 	}
+	for _, w := range []struct {
+		flag string
+		v    float64
+	}{{"-w1", *w1}, {"-w2", *w2}} {
+		if err := finiteWeight(w.v); err != nil {
+			fmt.Fprintf(stderr, "autoarch: %s: %v\n", w.flag, err)
+			return 2
+		}
+	}
 	if len(weightings) > 0 && (*phases || *replay || *online || *loadModel != "" || *saveModel != "") {
 		fmt.Fprintln(stderr, "autoarch: -sweep-weights is incompatible with -phases, -replay, -online, -save-model and -load-model")
 		return 2

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -30,6 +31,9 @@ func parseWeightSweep(s string) ([]core.Weights, error) {
 		var w core.Weights
 		for i, dst := range []*float64{&w.W1, &w.W2, &w.W3}[:len(parts)] {
 			v, err := strconv.ParseFloat(strings.TrimSpace(parts[i]), 64)
+			if err == nil {
+				err = finiteWeight(v)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("bad weighting %q: %v", item, err)
 			}
@@ -38,6 +42,15 @@ func parseWeightSweep(s string) ([]core.Weights, error) {
 		out = append(out, w)
 	}
 	return out, nil
+}
+
+// finiteWeight rejects a NaN or infinite weight, which no objective can
+// use: the solver would fail on it only after the whole model build.
+func finiteWeight(v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("weight %v is not finite", v)
+	}
+	return nil
 }
 
 // runSweep executes a local weight sweep as one session batch: the

@@ -28,6 +28,15 @@ type Stats struct {
 	Fills         uint64
 }
 
+// NumCounters is the number of counters in a Stats.
+const NumCounters = 5
+
+// Counters lists the counters of s in declaration order, for the durable
+// codecs (see profiler.Stats.Counters).
+func (s *Stats) Counters() [NumCounters]*uint64 {
+	return [NumCounters]*uint64{&s.ReadAccesses, &s.ReadMisses, &s.WriteAccesses, &s.WriteMisses, &s.Fills}
+}
+
 // ReadHits returns the number of read accesses that hit.
 func (s Stats) ReadHits() uint64 { return s.ReadAccesses - s.ReadMisses }
 

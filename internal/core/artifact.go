@@ -3,13 +3,11 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 
-	"liquidarch/internal/fpga"
 	"liquidarch/internal/measure"
 	"liquidarch/internal/phase"
 )
@@ -18,11 +16,10 @@ import (
 // measurements — promoted to an addressable on-disk artifact, so a
 // restarted process or a sibling replica skips not only the simulations
 // (the measurement store's job) but the 52 store reads and the rebuild
-// itself. The format extends core.SaveModel's per-model JSON: one
-// document per model set, keyed by the same fingerprint tuple as the
-// in-memory model layer (program SHA-256, space fingerprint, scale,
-// sample, interval, threshold), with the models serialized exactly as
-// SaveModel writes them (variables by name, re-bound on load).
+// itself. One artifact per model set, keyed by the same fingerprint
+// tuple as the in-memory model layer (program SHA-256, space
+// fingerprint, scale, sample, interval, threshold), in the binary format
+// of codec.go (variables by name, re-bound on load).
 //
 // Miss semantics mirror measure.Store: a corrupt, version-mismatched or
 // key-mismatched artifact reads as a miss and is removed on sight
@@ -35,10 +32,15 @@ import (
 // delete) artifacts written by older code. v2 added the trace's
 // per-phase representative signatures (phase.Trace.Representatives),
 // which online adaptation classifies against — v1 phase artifacts lack
-// them and must re-detect, so they read as misses.
-const ModelSetVersion = 2
+// them and must re-detect, so they read as misses. v3 replaced v2's JSON
+// document with a binary one (codec.go), which a restarted replica
+// decodes without reflection.
+const ModelSetVersion = 3
 
-// ModelStore is the durable model tier: one JSON artifact per built
+// ArtifactSuffix ends the file name of every model artifact.
+const ArtifactSuffix = ".model"
+
+// ModelStore is the durable model tier: one binary artifact per built
 // model set under dir/v<version>/, named by the set's key hash. It is
 // safe for concurrent use within a process and for sharing a directory
 // across replicas.
@@ -79,38 +81,7 @@ func (k modelKey) artifactID() string {
 }
 
 func (s *ModelStore) path(key modelKey) string {
-	return filepath.Join(s.versionDir(), key.artifactID()+".json")
-}
-
-// modelSetJSON is the serialized model-set artifact. The key fields are
-// stored alongside the payload so a load can verify the artifact really
-// answers the requested key (a foreign or hash-colliding file reads as
-// corrupt). Models reuse Model's own JSON form, decoded in the same pass
-// as the set; phase artifacts carry the detection trace and the base
-// run's per-phase profiles, which is everything phaseReport consumes
-// beyond the models themselves.
-type modelSetJSON struct {
-	Version      int             `json:"version"`
-	App          string          `json:"app,omitempty"`
-	Prog         string          `json:"prog"`
-	Space        string          `json:"space"`
-	Scale        string          `json:"scale"`
-	Sample       uint64          `json:"sample,omitempty"`
-	Interval     uint64          `json:"interval,omitempty"`
-	Threshold    float64         `json:"threshold,omitempty"`
-	BaseLUTs     int             `json:"base_luts"`
-	BaseBRAM     int             `json:"base_bram"`
-	Models       []modelJSON     `json:"models"`
-	Trace        *phase.Trace    `json:"trace,omitempty"`
-	BaseProfiles []phase.Profile `json:"base_profiles,omitempty"`
-}
-
-// matches reports whether the artifact's stored key fields equal the
-// requested key's.
-func (a *modelSetJSON) matches(key modelKey) bool {
-	return a.Prog == key.prog && a.Space == key.space &&
-		a.Scale == key.scale.String() && a.Sample == key.sample &&
-		a.Interval == key.interval && a.Threshold == key.threshold
+	return filepath.Join(s.versionDir(), key.artifactID()+ArtifactSuffix)
 }
 
 // load returns the model set stored for key, or ok=false on a miss. A
@@ -134,53 +105,51 @@ func (s *ModelStore) load(key modelKey) (*modelSet, bool) {
 	return set, true
 }
 
-// decodeModelSet parses and validates one artifact against key.
+// decodeModelSet decodes and validates one artifact against key.
 func decodeModelSet(data []byte, key modelKey) (*modelSet, error) {
-	var in modelSetJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("core: parsing model artifact: %w", err)
+	if len(data) < len(artifactMagic) || string(data[:len(artifactMagic)]) != artifactMagic {
+		return nil, fmt.Errorf("core: model artifact has no %q magic", artifactMagic)
 	}
-	if in.Version != ModelSetVersion {
-		return nil, fmt.Errorf("core: model artifact is format v%d, want v%d", in.Version, ModelSetVersion)
+	c := artifactCodec{dec: true, b: data[len(artifactMagic):]}
+	version := uint64(0)
+	c.uint(&version)
+	if version != ModelSetVersion {
+		return nil, fmt.Errorf("core: model artifact is format v%d, want v%d", version, ModelSetVersion)
 	}
-	if !in.matches(key) {
+	var stored modelKey
+	set := &modelSet{}
+	c.set(&stored, set)
+	if c.err != nil {
+		return nil, c.err
+	}
+	if len(c.b) != 0 {
+		return nil, fmt.Errorf("core: model artifact has %d bytes past its end", len(c.b))
+	}
+	if stored != key {
 		return nil, fmt.Errorf("core: model artifact does not answer its key")
 	}
-	if len(in.Models) == 0 {
+	if len(set.models) == 0 {
 		return nil, fmt.Errorf("core: model artifact holds no models")
 	}
-	if in.Trace != nil {
+	if tr := set.trace; tr != nil {
 		// A phase artifact must be internally consistent: one model per
 		// phase beyond the whole-program one, one base profile per phase,
 		// one representative signature per phase (the online classifier's
 		// references).
-		if len(in.Models) != 1+in.Trace.Phases || len(in.BaseProfiles) != in.Trace.Phases {
+		if len(set.models) != 1+tr.Phases || len(set.baseProfiles) != tr.Phases {
 			return nil, fmt.Errorf("core: phase model artifact is inconsistent")
 		}
-		if len(in.Trace.Representatives) != in.Trace.Phases {
+		if len(tr.Representatives) != tr.Phases {
 			return nil, fmt.Errorf("core: phase model artifact lacks phase representatives")
 		}
 		// The report, the replay and the online run index the per-phase
 		// recommendations by every segment's and assignment's phase, and
 		// the replay opens with the first segment.
-		if !phaseIDsValid(in.Trace) {
+		if !phaseIDsValid(tr) {
 			return nil, fmt.Errorf("core: phase model artifact names a phase it does not hold")
 		}
-	} else if len(in.Models) != 1 {
-		return nil, fmt.Errorf("core: plain model artifact holds %d models", len(in.Models))
-	}
-	set := &modelSet{
-		baseRes:      fpga.Resources{LUTs: in.BaseLUTs, BRAM: in.BaseBRAM},
-		trace:        in.Trace,
-		baseProfiles: in.BaseProfiles,
-	}
-	set.models = make([]*Model, len(in.Models))
-	for i := range in.Models {
-		m := &Model{}
-		if err := m.fromJSON(&in.Models[i]); err != nil {
-			return nil, fmt.Errorf("core: model %d of artifact: %w", i, err)
-		}
-		set.models[i] = m
+	} else if len(set.models) != 1 {
+		return nil, fmt.Errorf("core: plain model artifact holds %d models", len(set.models))
 	}
 	return set, nil
 }
@@ -209,42 +178,19 @@ func phaseIDsValid(tr *phase.Trace) bool {
 // successfully built set may call it, so an artifact on disk always
 // describes a finished build.
 func (s *ModelStore) save(key modelKey, set *modelSet) error {
-	data, err := encodeModelSet(key, set)
-	if err != nil {
-		return err
-	}
-	if err := measure.WriteFileAtomic(s.path(key), data); err != nil {
+	if err := measure.WriteFileAtomic(s.path(key), encodeModelSet(key, set)); err != nil {
 		return err
 	}
 	s.spills.Add(1)
 	return nil
 }
 
-// encodeModelSet is decodeModelSet's inverse. The artifact is compact
-// JSON: nothing reads it but decodeModelSet, which takes the indented
-// artifacts of earlier versions all the same.
-func encodeModelSet(key modelKey, set *modelSet) ([]byte, error) {
-	out := modelSetJSON{
-		Version:      ModelSetVersion,
-		App:          set.models[0].App,
-		Prog:         key.prog,
-		Space:        key.space,
-		Scale:        key.scale.String(),
-		Sample:       key.sample,
-		Interval:     key.interval,
-		Threshold:    key.threshold,
-		BaseLUTs:     set.baseRes.LUTs,
-		BaseBRAM:     set.baseRes.BRAM,
-		Models:       make([]modelJSON, len(set.models)),
-		Trace:        set.trace,
-		BaseProfiles: set.baseProfiles,
-	}
-	for i, m := range set.models {
-		out.Models[i] = m.toJSON()
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding model artifact: %w", err)
-	}
-	return data, nil
+// encodeModelSet is decodeModelSet's inverse.
+func encodeModelSet(key modelKey, set *modelSet) []byte {
+	c := artifactCodec{b: make([]byte, 0, 4096)}
+	c.b = append(c.b, artifactMagic...)
+	version := uint64(ModelSetVersion)
+	c.uint(&version)
+	c.set(&key, set)
+	return c.b
 }

@@ -3,13 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"liquidarch/internal/config"
 	"liquidarch/internal/measure"
+	"liquidarch/internal/phase"
 	"liquidarch/internal/workload"
 )
 
@@ -28,7 +28,7 @@ func artifactSeeds(tb testing.TB) ([][]byte, []modelKey) {
 			tb.Fatal(err)
 		}
 	}
-	files, err := filepath.Glob(filepath.Join(ms.versionDir(), "*.json"))
+	files, err := filepath.Glob(filepath.Join(ms.versionDir(), "*"+ArtifactSuffix))
 	if err != nil || len(files) != 2 {
 		tb.Fatalf("artifacts %v (%v), want a plain and a phase one", files, err)
 	}
@@ -39,30 +39,30 @@ func artifactSeeds(tb testing.TB) ([][]byte, []modelKey) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		var in modelSetJSON
-		if err := json.Unmarshal(data, &in); err != nil {
-			tb.Fatal(err)
+		c := artifactCodec{dec: true, b: data[len(artifactMagic):]}
+		var version uint64
+		var key modelKey
+		c.uint(&version)
+		c.key(&key)
+		if c.err != nil {
+			tb.Fatal(c.err)
 		}
-		scale, _ := workload.ParseScale(in.Scale)
 		seeds = append(seeds, data)
-		keys = append(keys, modelKey{prog: in.Prog, space: in.Space, scale: scale,
-			sample: in.Sample, interval: in.Interval, threshold: in.Threshold})
+		keys = append(keys, key)
 	}
 	return seeds, keys
 }
 
 // FuzzModelArtifact: against the fixed keys of a plain and a phase
 // build, decodeModelSet either rejects arbitrary bytes or returns a set
-// that survives a save/load round trip unchanged. It never panics.
+// that survives a save/load round trip unchanged. It never panics. The
+// seeds are the two builds' artifacts, each intact and cut short by one
+// byte.
 func FuzzModelArtifact(f *testing.F) {
 	seeds, keys := artifactSeeds(f)
 	for _, s := range seeds {
 		f.Add(s)
-		var indented bytes.Buffer
-		if err := json.Indent(&indented, s, "", "  "); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(indented.Bytes())
+		f.Add(s[:len(s)-1])
 	}
 	ms, err := NewModelStore(f.TempDir())
 	if err != nil {
@@ -74,23 +74,16 @@ func FuzzModelArtifact(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			want, err := encodeModelSet(key, set)
-			if err != nil {
-				t.Fatalf("decoded set does not encode: %v", err)
-			}
+			want := encodeModelSet(key, set)
 			if err := ms.save(key, set); err != nil {
 				t.Fatal(err)
 			}
 			back, ok := ms.load(key)
 			if !ok {
-				t.Fatalf("saved artifact does not load:\n%s", want)
+				t.Fatalf("saved artifact does not load:\n%x", want)
 			}
-			got, err := encodeModelSet(key, back)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("round trip changed the set:\n%s\n%s", want, got)
+			if got := encodeModelSet(key, back); !bytes.Equal(got, want) {
+				t.Fatalf("round trip changed the set:\n%x\n%x", want, got)
 			}
 		}
 	})
@@ -113,24 +106,21 @@ func TestDecodeModelSetRejectsUnknownPhases(t *testing.T) {
 		}
 		for _, tc := range []struct {
 			name   string
-			damage func(tr map[string]any)
+			damage func(tr *phase.Trace)
 		}{
-			{"segment phase past the last", func(tr map[string]any) { firstSegment(tr)["phase"] = tr["phases"] }},
-			{"negative segment phase", func(tr map[string]any) { firstSegment(tr)["phase"] = -1 }},
-			{"segment ending before it starts", func(tr map[string]any) { firstSegment(tr)["start"], firstSegment(tr)["end"] = 5, 4 }},
-			{"assignment phase past the last", func(tr map[string]any) { tr["assignments"].([]any)[0] = tr["phases"] }},
-			{"no segments", func(tr map[string]any) { tr["segments"] = []any{} }},
+			{"segment phase past the last", func(tr *phase.Trace) { tr.Segments[0].Phase = tr.Phases }},
+			{"negative segment phase", func(tr *phase.Trace) { tr.Segments[0].Phase = -1 }},
+			{"segment ending before it starts", func(tr *phase.Trace) { tr.Segments[0].Start, tr.Segments[0].End = 5, 4 }},
+			{"assignment phase past the last", func(tr *phase.Trace) { tr.Assignments[0] = tr.Phases }},
+			{"no segments", func(tr *phase.Trace) { tr.Segments = nil }},
+			{"a representative short", func(tr *phase.Trace) { tr.Representatives = tr.Representatives[1:] }},
 		} {
-			var m map[string]any
-			if err := json.Unmarshal(data, &m); err != nil {
-				t.Fatal(err)
-			}
-			tc.damage(m["trace"].(map[string]any))
-			damaged, err := json.Marshal(m)
+			set, err := decodeModelSet(data, keys[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := decodeModelSet(damaged, keys[i]); err == nil {
+			tc.damage(set.trace)
+			if _, err := decodeModelSet(encodeModelSet(keys[i], set), keys[i]); err == nil {
 				t.Errorf("%s: damaged phase artifact decoded", tc.name)
 			}
 			checked++
@@ -139,8 +129,4 @@ func TestDecodeModelSetRejectsUnknownPhases(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no phase artifact among the seeds")
 	}
-}
-
-func firstSegment(tr map[string]any) map[string]any {
-	return tr["segments"].([]any)[0].(map[string]any)
 }

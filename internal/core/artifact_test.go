@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -22,7 +21,7 @@ import (
 // artifactFiles lists the model artifacts resident in dir's store.
 func artifactFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("v%d", core.ModelSetVersion), "*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("v%d", core.ModelSetVersion), "*"+core.ArtifactSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,64 +249,5 @@ func TestModelArtifactWritesSetManifest(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(store.VersionDir(), name)); err != nil {
 			t.Errorf("manifest names non-resident entry %s: %v", name, err)
 		}
-	}
-}
-
-// TestModelArtifactIndentedLoads: artifacts are written compact, and an
-// artifact in the indented layout earlier versions wrote (same schema,
-// same ModelSetVersion) still answers a restarted session.
-func TestModelArtifactIndentedLoads(t *testing.T) {
-	dir := t.TempDir()
-	ms, err := core.NewModelStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := &countedSimulator{}
-	cache := measure.NewCache(sim, 512)
-	req := core.Request{
-		App:    "arith",
-		Scale:  workload.Tiny,
-		Space:  config.DcacheGeometrySpace(),
-		Phases: &core.PhaseOptions{IntervalInstructions: 10_000},
-	}
-	first := core.NewSession(core.SessionOptions{Provider: cache, ModelStore: ms})
-	repA, err := first.Tune(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := artifactFiles(t, dir)
-	if len(files) != 1 {
-		t.Fatalf("artifact files: %v", files)
-	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.ContainsRune(data, '\n') {
-		t.Errorf("artifact is not compact:\n%.200s", data)
-	}
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, data, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(files[0], indented.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sims := sim.calls.Load()
-
-	second := core.NewSession(core.SessionOptions{Provider: cache, ModelStore: ms})
-	repB, err := second.Tune(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := second.ModelStats(); st.Builds != 0 || st.DiskHits != 1 {
-		t.Errorf("indented artifact stats %+v, want 0 builds / 1 disk hit", st)
-	}
-	if d := sim.calls.Load() - sims; d != 0 {
-		t.Errorf("indented artifact cost %d simulations, want 0", d)
-	}
-	if repA.Recommendation.Config != repB.Recommendation.Config ||
-		repA.Phases.PerPhaseCycles != repB.Phases.PerPhaseCycles {
-		t.Error("indented artifact answered differently")
 	}
 }

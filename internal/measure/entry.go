@@ -32,39 +32,23 @@ const EntrySuffix = ".report"
 const entryMagic = "LQMR"
 
 const (
-	statsFields = 29 // counters in a profiler.Stats
-	cacheFields = 5  // counters in a cache.Stats
+	statsFields = profiler.NumCounters
+	cacheFields = cache.NumCounters
 
 	// minIntervalBytes is the fewest bytes an encoded interval takes:
 	// one per uvarint (Index, Instructions, the 39 counters, the
 	// signature length).
 	minIntervalBytes = 2 + statsFields + 2*cacheFields + 1
+
+	// minEntryBytes is the fewest bytes an encoded entry takes: the magic,
+	// then one per uvarint (the version, the 39 counters, ExitCode,
+	// Checksum, the Console length, Sampled, the interval count).
+	minEntryBytes = len(entryMagic) + 1 + statsFields + 2*cacheFields + 5
 )
 
 // errEntry is every decoding failure: the caller read-repairs the entry
 // whatever the cause.
 var errEntry = errors.New("measure: malformed store entry")
-
-// statsCounters lists the counters of a profile, in encoding order. One
-// list serves both directions, so the encoder and the decoder cannot
-// disagree on the layout.
-func statsCounters(s *profiler.Stats) [statsFields]*uint64 {
-	return [statsFields]*uint64{
-		&s.Cycles, &s.Instructions,
-		&s.Loads, &s.Stores, &s.Branches, &s.TakenBranches, &s.AnnulledSlots,
-		&s.Calls, &s.Jumps, &s.Mults, &s.Divs, &s.Saves, &s.Restores,
-		&s.WindowOverflows, &s.WindowUnderflows,
-		&s.ICacheStall, &s.DCacheStall, &s.WriteBufStall, &s.StoreCycles,
-		&s.LoadCycles, &s.LoadInterlock, &s.ICCHoldStall, &s.BranchPenalty,
-		&s.JumpPenalty, &s.MulStall, &s.DivStall, &s.WindowTrapStall,
-		&s.DecodeStall, &s.HaltCycles,
-	}
-}
-
-// cacheCounters lists a cache's counters, in encoding order.
-func cacheCounters(s *cache.Stats) [cacheFields]*uint64 {
-	return [cacheFields]*uint64{&s.ReadAccesses, &s.ReadMisses, &s.WriteAccesses, &s.WriteMisses, &s.Fills}
-}
 
 // appendEntry appends the encoding of rep to b.
 func appendEntry(b []byte, rep *platform.RunReport) []byte {
@@ -95,11 +79,11 @@ func appendEntry(b []byte, rep *platform.RunReport) []byte {
 }
 
 func appendCounters(b []byte, s *profiler.Stats, ic, dc *cache.Stats) []byte {
-	for _, p := range statsCounters(s) {
+	for _, p := range s.Counters() {
 		b = binary.AppendUvarint(b, *p)
 	}
 	for _, c := range [2]*cache.Stats{ic, dc} {
-		for _, p := range cacheCounters(c) {
+		for _, p := range c.Counters() {
 			b = binary.AppendUvarint(b, *p)
 		}
 	}
@@ -114,6 +98,12 @@ type entryDecoder struct {
 }
 
 func (d *entryDecoder) uvarint() uint64 {
+	if len(d.b) > 0 && d.b[0] < 0x80 && !d.bad {
+		// One byte: most counters of a run are small.
+		v := uint64(d.b[0])
+		d.b = d.b[1:]
+		return v
+	}
 	if d.bad {
 		return 0
 	}
@@ -149,11 +139,11 @@ func (d *entryDecoder) count(per int) int {
 }
 
 func (d *entryDecoder) counters(s *profiler.Stats, ic, dc *cache.Stats) {
-	for _, p := range statsCounters(s) {
+	for _, p := range s.Counters() {
 		*p = d.uvarint()
 	}
 	for _, c := range [2]*cache.Stats{ic, dc} {
-		for _, p := range cacheCounters(c) {
+		for _, p := range c.Counters() {
 			*p = d.uvarint()
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"liquidarch/internal/asm"
 	"liquidarch/internal/config"
@@ -312,13 +313,24 @@ func TestStoreDistinguishesPrograms(t *testing.T) {
 
 func TestForEachRunsAllAndStopsOnError(t *testing.T) {
 	t.Parallel()
-	var ran atomic.Int64
+	var ran, running, peak atomic.Int64
 	err := ForEach(context.Background(), 100, 4, func(i int) error {
 		ran.Add(1)
+		n := running.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(100 * time.Microsecond)
+		running.Add(-1)
 		return nil
 	})
 	if err != nil || ran.Load() != 100 {
 		t.Fatalf("err=%v ran=%d", err, ran.Load())
+	}
+	if p := peak.Load(); p > 4 {
+		t.Errorf("%d tasks ran at once on 4 workers", p)
+	}
+	if err := ForEach(context.Background(), 0, 4, func(int) error { return errors.New("ran") }); err != nil {
+		t.Errorf("empty ForEach: %v", err)
 	}
 
 	ran.Store(0)

@@ -67,6 +67,9 @@ type Store struct {
 	leaseWins  atomic.Uint64 // claims acquired (this replica measures)
 	leaseWaits atomic.Uint64 // waits resolved by another replica's spill
 
+	recordLoads atomic.Uint64 // set records read (record.go)
+	recordSaves atomic.Uint64
+
 	// Cached resident-footprint walk for Stats: a metrics scrape on an
 	// idle store must not turn into a per-file stat storm on a large
 	// shared directory. The cache is busted by local activity (loads,
@@ -389,6 +392,12 @@ func (s *Store) WaitForEntry(ctx context.Context, key Key, ttl time.Duration) (*
 	}
 }
 
+// isStoreFile reports whether name is an entry or a set record: the
+// files that hold reports, and that the GC and Stats account.
+func isStoreFile(name string) bool {
+	return strings.HasSuffix(name, EntrySuffix) || strings.HasSuffix(name, RecordSuffix)
+}
+
 // Len counts the resident entries (current version only).
 func (s *Store) Len() int {
 	entries, err := os.ReadDir(s.vdir)
@@ -420,7 +429,8 @@ func (p GCPolicy) Enabled() bool { return p.MaxBytes > 0 || p.MaxAge > 0 }
 
 // GCResult summarizes one sweep.
 type GCResult struct {
-	// Removed counts the entries deleted, RemovedBytes their size.
+	// Removed counts the entries and set records deleted, RemovedBytes
+	// their size.
 	Removed      int
 	RemovedBytes int64
 	// RemovedSets counts the set manifests deleted — with their evicted
@@ -446,6 +456,10 @@ type gcEntry struct {
 // mid-sweep are skipped, and a just-rewritten entry at worst gets
 // removed once and re-measured once. Stale temp files (crashed writers)
 // older than an hour are collected too.
+//
+// A set record (record.go) is self-contained, so it pins nothing: it is
+// a unit of its own, evicted by its own mtime, and counted in Removed,
+// Entries and Bytes like an entry.
 //
 // Set cohesion: entries named by a set manifest (SaveSet) are evicted as
 // one unit whose heat is its newest member's mtime — both bounds remove
@@ -554,7 +568,7 @@ func (s *Store) GC(policy GCPolicy) GCResult {
 			sets = append(sets, setFile{path: path, members: m.Entries})
 			continue
 		}
-		if !strings.HasSuffix(e.Name(), EntrySuffix) {
+		if !isStoreFile(e.Name()) {
 			continue
 		}
 		entries[e.Name()] = gcEntry{path: path, size: info.Size(), mtime: info.ModTime()}
@@ -682,8 +696,8 @@ func (s *Store) GC(policy GCPolicy) GCResult {
 	}
 	s.gcFiles.Add(uint64(res.Removed))
 	s.gcBytes.Add(uint64(res.RemovedBytes))
-	s.noteFootprint(s.loads.Load()+s.saves.Load()+s.repaired.Load()+s.gcRuns.Load(),
-		res.Entries, res.Bytes)
+	s.noteFootprint(s.loads.Load()+s.saves.Load()+s.repaired.Load()+s.gcRuns.Load()+
+		s.recordLoads.Load()+s.recordSaves.Load(), res.Entries, res.Bytes)
 	return res
 }
 
@@ -714,8 +728,10 @@ func newestMtime(dir string) time.Time {
 // scraping /v1/metrics does not trigger a per-file stat storm on a
 // large shared directory.
 type StoreStats struct {
-	Dir            string `json:"dir"`
-	Version        int    `json:"version"`
+	Dir     string `json:"dir"`
+	Version int    `json:"version"`
+	// Entries counts the files that hold reports, per-key entries and
+	// set records, and Bytes is their size.
 	Entries        int    `json:"entries"`
 	Bytes          int64  `json:"bytes"`
 	Loads          uint64 `json:"loads"`
@@ -729,6 +745,9 @@ type StoreStats struct {
 	// spill instead of simulating.
 	LeaseWins  uint64 `json:"lease_wins,omitempty"`
 	LeaseWaits uint64 `json:"lease_waits,omitempty"`
+	// RecordLoads counts the set records read, RecordSaves those written.
+	RecordLoads uint64 `json:"record_loads,omitempty"`
+	RecordSaves uint64 `json:"record_saves,omitempty"`
 }
 
 // statsWalkInterval bounds how often Stats re-walks the directory.
@@ -747,8 +766,10 @@ func (s *Store) Stats() StoreStats {
 		GCRemovedBytes: s.gcBytes.Load(),
 		LeaseWins:      s.leaseWins.Load(),
 		LeaseWaits:     s.leaseWaits.Load(),
+		RecordLoads:    s.recordLoads.Load(),
+		RecordSaves:    s.recordSaves.Load(),
 	}
-	activity := st.Loads + st.Saves + st.Repaired + st.GCRuns
+	activity := st.Loads + st.Saves + st.Repaired + st.GCRuns + st.RecordLoads + st.RecordSaves
 	s.statsMu.Lock()
 	if !s.statsAt.IsZero() && activity == s.statsActivity &&
 		time.Since(s.statsAt) < statsWalkInterval {
@@ -762,7 +783,7 @@ func (s *Store) Stats() StoreStats {
 	var bytes int64
 	if entries, err := os.ReadDir(s.vdir); err == nil {
 		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), EntrySuffix) {
+			if e.IsDir() || !isStoreFile(e.Name()) {
 				continue
 			}
 			if info, err := e.Info(); err == nil {
@@ -840,11 +861,13 @@ func (p *Persistent) EnableLease(ttl time.Duration) *Persistent {
 	return p
 }
 
-// Measure implements Provider. Traced runs bypass the store. The
+// Measure implements Provider. Traced runs bypass the store. A planned
+// configuration (Plan) is answered from the plan's set record when the
+// store holds one (record.go), and from its own entry otherwise. The
 // enclosing measurement span (opened by the Cache above) is annotated
-// with the store outcome ("store": hit/miss) and, when the claim lease
-// is on, the lease outcome ("lease": win — this replica measured under
-// a claim; wait — another replica's spill answered).
+// with the store outcome ("store": record/hit/miss) and, when the claim
+// lease is on, the lease outcome ("lease": win — this replica measured
+// under a claim; wait — another replica's spill answered).
 func (p *Persistent) Measure(ctx context.Context, prog *asm.Program, cfg config.Config, opts platform.Options) (*platform.RunReport, error) {
 	if opts.TraceWriter != nil {
 		return p.inner.Measure(ctx, prog, cfg, opts)
@@ -854,6 +877,30 @@ func (p *Persistent) Measure(ctx context.Context, prog *asm.Program, cfg config.
 	}
 	span := obs.Current(ctx)
 	key := KeyFor(prog, cfg, opts)
+	rec, err := p.plannedRecord(ctx, prog, opts)
+	if err != nil {
+		return nil, err
+	}
+	member, planned := -1, false
+	if rec != nil {
+		member, planned = rec.index[key.Cfg]
+	}
+	if planned && rec.members != nil {
+		if rep, ok := rec.answer(p.store, member, cfg); ok {
+			span.Set(obs.String("store", "record"))
+			return rep, nil
+		}
+	}
+	rep, err := p.measureKey(ctx, span, key, prog, cfg, opts)
+	if err == nil && planned && rec.members == nil {
+		rec.pass(p.store, member, rep)
+	}
+	return rep, err
+}
+
+// measureKey answers one key from its own entry, or measures it and
+// spills the entry.
+func (p *Persistent) measureKey(ctx context.Context, span *obs.Span, key Key, prog *asm.Program, cfg config.Config, opts platform.Options) (*platform.RunReport, error) {
 	if rep, ok := p.store.Load(key); ok {
 		span.Set(obs.String("store", "hit"))
 		rep.Config = cfg

@@ -345,19 +345,32 @@ func TestPersistentEnableGCBoundsTheStore(t *testing.T) {
 	}
 	policy := GCPolicy{MaxBytes: 1500}
 	p := NewPersistent(&fakeProvider{}, store).EnableGC(policy)
-	ctx := context.Background()
-	for i := 0; i < 2*DefaultGCEvery; i++ {
-		if _, err := p.Measure(ctx, testProgram(t, i), config.Default(), platform.Options{}); err != nil {
-			t.Fatal(err)
+	// Every program is measured as a planned pair, so each writes two
+	// entries and then a set record.
+	cfgs := []config.Config{config.Default(), cfgWithSetKB(8)}
+	for i := 0; i < DefaultGCEvery; i++ {
+		prog := testProgram(t, i)
+		ctx := WithTraceScope(context.Background())
+		Plan(ctx, prog, platform.Options{}, cfgs)
+		for _, cfg := range cfgs {
+			if _, err := p.Measure(ctx, prog, cfg, platform.Options{}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// The last sweep ran at save 2*DefaultGCEvery; at most one un-swept
-	// save (~50 B) can sit above the bound between sweeps.
+	// The last sweep ran at save 2*DefaultGCEvery; at most the last
+	// program's record (~130 B) can sit above the bound between sweeps.
 	st := store.Stats()
 	if st.Bytes > policy.MaxBytes+1024 {
 		t.Fatalf("store at %d bytes despite periodic GC to %d", st.Bytes, policy.MaxBytes)
 	}
 	if st.GCRuns == 0 {
 		t.Error("no GC runs recorded")
+	}
+	if st.RecordSaves != DefaultGCEvery {
+		t.Errorf("%d set records written, want %d", st.RecordSaves, DefaultGCEvery)
+	}
+	if recs, _ := filepath.Glob(filepath.Join(store.VersionDir(), "*"+RecordSuffix)); len(recs) == 0 {
+		t.Error("no set record survived the sweeps; the test bounds entries alone")
 	}
 }

@@ -33,6 +33,7 @@ type traceScope struct {
 	mu      sync.Mutex
 	entries map[traceKey]*scopedTrace
 	plans   map[traceKey][]config.Config
+	records map[recordKey]*planRecord // the stores' set records (record.go)
 }
 
 // traceKey is what a recording is valid for: a program under one set of

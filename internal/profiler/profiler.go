@@ -48,6 +48,26 @@ type Stats struct {
 	HaltCycles      uint64
 }
 
+// NumCounters is the number of counters in a Stats.
+const NumCounters = 29
+
+// Counters lists the counters of s in declaration order. The durable
+// codecs (measurement-store entries, model artifacts) write and read a
+// profile through this one list, so a counter added to Stats must be
+// added here, and both codecs then carry it.
+func (s *Stats) Counters() [NumCounters]*uint64 {
+	return [NumCounters]*uint64{
+		&s.Cycles, &s.Instructions,
+		&s.Loads, &s.Stores, &s.Branches, &s.TakenBranches, &s.AnnulledSlots,
+		&s.Calls, &s.Jumps, &s.Mults, &s.Divs, &s.Saves, &s.Restores,
+		&s.WindowOverflows, &s.WindowUnderflows,
+		&s.ICacheStall, &s.DCacheStall, &s.WriteBufStall, &s.StoreCycles,
+		&s.LoadCycles, &s.LoadInterlock, &s.ICCHoldStall, &s.BranchPenalty,
+		&s.JumpPenalty, &s.MulStall, &s.DivStall, &s.WindowTrapStall,
+		&s.DecodeStall, &s.HaltCycles,
+	}
+}
+
 // Sub returns the profile delta s - o, field by field. With o a snapshot
 // taken earlier in the same run, the result is the profile of the
 // stretch in between — the interval-profiling primitive.

@@ -709,6 +709,7 @@ func (s *Server) submit(req JobRequest, creq core.Request, batch []core.Request)
 		})
 		s.mu.Unlock()
 		cancel()
+		j.trace.Finish() // it never runs: end its trace stream
 		return j.snapshot(), &apiError{http.StatusServiceUnavailable, "queue full"}
 	}
 	s.mu.Unlock()
@@ -725,9 +726,18 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		s.mu.Unlock()
 		return JobStatus{}, &apiError{http.StatusNotFound, "no such job"}
 	}
-	s.finishLocked(j, time.Now(), func(st *JobStatus) { st.State = StateCancelled })
+	queued := false
+	s.finishLocked(j, time.Now(), func(st *JobStatus) {
+		queued = st.State == StateQueued
+		st.State = StateCancelled
+	})
 	s.mu.Unlock()
 	j.cancel()
+	if queued {
+		// The worker skips a cancelled queued job, so nothing else would
+		// end its trace stream. A running job's worker finishes its own.
+		j.trace.Finish()
+	}
 	return j.snapshot(), nil
 }
 
@@ -1094,7 +1104,12 @@ func (s *Server) streamTrace(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
+	// Headers go out at once: a queued job may not end a span for as
+	// long as it waits.
 	flusher, _ := w.(http.Flusher)
+	if flusher != nil {
+		flusher.Flush()
+	}
 	lines := s.newLineWriter(w)
 	for {
 		select {

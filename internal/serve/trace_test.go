@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -177,6 +178,69 @@ func TestTraceStream(t *testing.T) {
 	if st := waitDone(t, ts, st.ID); st.State != serve.StateDone {
 		t.Fatalf("job state = %s, error = %s", st.State, st.Error)
 	}
+}
+
+// TestTraceStreamOfJobThatNeverRan: the trace stream of a job that
+// never runs — cancelled while queued behind a held job, or rejected as
+// queue full — answers its headers at once and then ends, instead of
+// hanging until a span that will never come.
+func TestTraceStreamOfJobThatNeverRan(t *testing.T) {
+	t.Parallel()
+	gate := make(chan struct{})
+	defer close(gate)
+	s := serve.New(serve.Options{
+		Workers:    1,
+		QueueDepth: 1,
+		Provider:   measure.NewCache(&gatedProvider{inner: measure.Simulator{}, gate: gate}, 256),
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Close()
+	}()
+	req := serve.JobRequest{App: "arith", Scale: "tiny", Space: "dcache"}
+	held := postJob(t, ts, req)
+	waitLeftQueue(t, s, held.ID)
+	queued := postJob(t, ts, req)
+	if code := postJobStatus(t, ts, req); code != http.StatusServiceUnavailable {
+		t.Fatalf("submission past the queue: status %d, want 503", code)
+	}
+	rejected := ""
+	for _, j := range s.Jobs() {
+		if j.Error == "queue full" {
+			rejected = j.ID
+		}
+	}
+	if rejected == "" {
+		t.Fatal("the rejected job is not in the job table")
+	}
+
+	client := &http.Client{Timeout: 30 * time.Second}
+	open := func(id string) *http.Response {
+		t.Helper()
+		resp, err := client.Get(ts.URL + "/v1/trace/" + id + "/stream")
+		if err != nil {
+			t.Fatalf("trace stream of %s: %v", id, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace stream of %s: status %d", id, resp.StatusCode)
+		}
+		return resp
+	}
+	drain := func(id string, resp *http.Response) {
+		t.Helper()
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatalf("trace stream of %s did not end: %v", id, err)
+		}
+	}
+	// Headers arrive while the job still waits in the queue.
+	queuedStream := open(queued.ID)
+	if st := cancelJob(t, ts, queued.ID); st.State != serve.StateCancelled {
+		t.Fatalf("queued job: %s after cancel", st.State)
+	}
+	drain(queued.ID, queuedStream)
+	drain(rejected, open(rejected))
 }
 
 // TestSlowJobLog exercises the slow-job warning: with a tiny
