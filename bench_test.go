@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -153,6 +154,25 @@ func BenchmarkSimulatorFRAG(b *testing.B)   { benchmarkSimulator(b, "frag") }
 func BenchmarkSimulatorArith(b *testing.B)  { benchmarkSimulator(b, "arith") }
 func BenchmarkSimulatorMix(b *testing.B)    { benchmarkSimulator(b, "mix") }
 
+// cfgRecorder is a provider that records the distinct timing
+// configurations measured through it, in first-request order.
+type cfgRecorder struct {
+	inner measure.Provider
+	mu    sync.Mutex
+	seen  map[config.Config]bool
+	cfgs  []config.Config
+}
+
+func (r *cfgRecorder) Measure(ctx context.Context, prog *asm.Program, cfg config.Config, opts platform.Options) (*platform.RunReport, error) {
+	r.mu.Lock()
+	if key := cfg.TimingKey(); !r.seen[key] {
+		r.seen[key] = true
+		r.cfgs = append(r.cfgs, key)
+	}
+	r.mu.Unlock()
+	return r.inner.Measure(ctx, prog, cfg, opts)
+}
+
 // BenchmarkTraceTime prices record-once, time-many (DESIGN.md §22) per
 // program: every configuration a full-space model build measures, other
 // than the base, timed from a recording on the base. A trace walks each
@@ -172,13 +192,13 @@ func BenchmarkTraceTime(b *testing.B) {
 				b.Fatal(err)
 			}
 			// The configurations are the ones a model build asks for.
-			keys := measure.NewKeyRecorder(measure.Simulator{})
-			benchTune(b, keys, core.Request{App: app, Scale: benchScale, SkipValidation: true})
-			base := config.Default()
+			rec := &cfgRecorder{inner: measure.Simulator{}, seen: map[config.Config]bool{}}
+			benchTune(b, rec, core.Request{App: app, Scale: benchScale, SkipValidation: true})
+			base := config.Default().TimingKey()
 			var cfgs []config.Config
-			for _, k := range keys.Keys() {
-				if k.Cfg != base.TimingKey() {
-					cfgs = append(cfgs, k.Cfg)
+			for _, cfg := range rec.cfgs {
+				if cfg != base {
+					cfgs = append(cfgs, cfg)
 				}
 			}
 			var record, run time.Duration
@@ -377,9 +397,8 @@ func benchmarkSessionTune(b *testing.B, warmStore, warmArtifact bool) {
 			}
 		}
 		sess := core.NewSession(core.SessionOptions{
-			Provider:     measure.NewCache(measure.NewPersistent(measure.Simulator{}, store), 256),
-			ModelStore:   ms,
-			MeasureStore: store,
+			Provider:   measure.NewCache(measure.NewPersistent(measure.Simulator{}, store), 256),
+			ModelStore: ms,
 		})
 		if _, err := sess.Tune(ctx, req); err != nil {
 			b.Fatal(err)

@@ -345,8 +345,8 @@ func (c *Config) Set(assignment string) error {
 	value = strings.TrimSpace(value)
 
 	parseInt := func() (int, error) {
-		var n int
-		if _, err := fmt.Sscanf(value, "%d", &n); err != nil {
+		n, err := strconv.Atoi(value)
+		if err != nil {
 			return 0, fmt.Errorf("config: parameter %s needs an integer, got %q", name, value)
 		}
 		return n, nil

@@ -169,6 +169,53 @@ func TestSetRejectsUnknownAndMalformed(t *testing.T) {
 	}
 }
 
+// TestSetRejectsTrailingGarbage: an integer value is the whole trimmed
+// value, not a prefix of it.
+func TestSetRejectsTrailingGarbage(t *testing.T) {
+	for _, assignment := range []string{
+		"dcachsetsz=32abc",
+		"dcachsetsz= 8 junk",
+		"dcachsets=2=3",
+		"dcachsetsz=0x10",
+	} {
+		c := Default()
+		if err := c.Set(assignment); err == nil {
+			t.Errorf("Set(%q) accepted it: dcache %+v", assignment, c.DCache)
+		}
+		if c != Default() {
+			t.Errorf("Set(%q) changed the configuration it rejected", assignment)
+		}
+	}
+}
+
+// FuzzConfigSet: an assignment either errors, or gives a configuration
+// that, when it validates, is rebuilt exactly by applying its DiffBase
+// strings through Set to the base.
+func FuzzConfigSet(f *testing.F) {
+	for _, seed := range []string{
+		"dcachsetsz=32", "dcachsetsz=32abc", "dcachsetsz= 8 junk", "dcachsets=2=3",
+		"dcachsetsz=0x10", "icache.sets=+2", "registers=16", "loaddelay=-1",
+		"multiplier=32x8", "divider=NONE", "fastread=on", "dcachreplace=lru", "infermultdiv=0",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, assignment string) {
+		c := Default()
+		if c.Set(assignment) != nil || c.Validate() != nil {
+			return
+		}
+		rebuilt := Default()
+		for _, d := range c.DiffBase() {
+			if err := rebuilt.Set(d); err != nil {
+				t.Fatalf("Set(%q) of DiffBase of %q: %v", d, assignment, err)
+			}
+		}
+		if rebuilt != c {
+			t.Fatalf("%q: rebuilt %v, want %v", assignment, rebuilt, c)
+		}
+	})
+}
+
 func TestTotalKBAndLineBytes(t *testing.T) {
 	c := CacheConfig{Sets: 2, SetSizeKB: 16, LineWords: 8}
 	if c.TotalKB() != 32 {

@@ -70,9 +70,7 @@ func (s *ModelStore) versionDir() string {
 }
 
 // artifactID is the durable identity of a model set: the hex SHA-256
-// over the modelKey's fields. It names both the artifact file and the
-// measurement store's set manifest (measure.Store.SaveSet), so the two
-// tiers cross-reference by construction.
+// over the modelKey's fields. It names the artifact file.
 func (k modelKey) artifactID() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "prog=%s\nspace=%s\nscale=%s\nsample=%d\ninterval=%d\nthreshold=%g\n",

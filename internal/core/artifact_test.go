@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -193,61 +192,5 @@ func TestModelArtifactFailedBuildNotSpilled(t *testing.T) {
 	}
 	if st := sess.ModelStats(); st.Spills != 0 {
 		t.Errorf("failed build counted %d spills", st.Spills)
-	}
-}
-
-// TestModelArtifactWritesSetManifest: spilling through a session wired
-// to a measurement store records the build's measurement set, and the
-// manifest names only resident entries.
-func TestModelArtifactWritesSetManifest(t *testing.T) {
-	modelDir, cacheDir := t.TempDir(), t.TempDir()
-	ms, err := core.NewModelStore(modelDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := measure.NewStore(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := measure.NewCache(measure.NewPersistent(&countedSimulator{}, store), 512)
-	sess := core.NewSession(core.SessionOptions{
-		Provider:     cache,
-		ModelStore:   ms,
-		MeasureStore: store,
-	})
-	if _, err := sess.Tune(context.Background(), core.Request{
-		App: "arith", Scale: workload.Tiny, Space: config.DcacheGeometrySpace(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	manifests, err := filepath.Glob(filepath.Join(store.VersionDir(), "*.set"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(manifests) != 1 {
-		t.Fatalf("set manifests: %v, want exactly one", manifests)
-	}
-	data, err := os.ReadFile(manifests[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var manifest struct {
-		Entries []string `json:"entries"`
-	}
-	if err := json.Unmarshal(data, &manifest); err != nil {
-		t.Fatalf("set manifest %s: %v", data, err)
-	}
-	if len(manifest.Entries) == 0 {
-		t.Fatalf("set manifest names no entries: %s", data)
-	}
-	// Every named member must be a resident entry: the manifest is
-	// written after the entries it names.
-	for _, name := range manifest.Entries {
-		if !strings.HasSuffix(name, measure.EntrySuffix) {
-			t.Errorf("manifest member %s is not a measurement entry", name)
-		}
-		if _, err := os.Stat(filepath.Join(store.VersionDir(), name)); err != nil {
-			t.Errorf("manifest names non-resident entry %s: %v", name, err)
-		}
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"liquidarch/internal/config"
 	"liquidarch/internal/core"
@@ -23,6 +25,28 @@ func storeFiles(t *testing.T, st *measure.Store, suffix string) []string {
 		t.Fatal(err)
 	}
 	return files
+}
+
+// tuneFresh runs req in a fresh session over a fresh stack on dir, as a
+// restarted process does, and returns the report's JSON, the number of
+// simulations and the store.
+func tuneFresh(t *testing.T, dir string, req core.Request) (rep []byte, sims int64, st *measure.Store) {
+	t.Helper()
+	st, err := measure.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := &countedSimulator{}
+	sess := core.NewSession(core.SessionOptions{
+		Provider: measure.NewCache(measure.NewPersistent(sim, st), 512)})
+	r, err := sess.Tune(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = json.Marshal(r); err != nil {
+		t.Fatal(err)
+	}
+	return rep, sim.calls.Load(), st
 }
 
 // TestStoreShapeRebuildReadsTheSetRecord: a model rebuilt in a fresh
@@ -49,26 +73,7 @@ func TestStoreShapeRebuildReadsTheSetRecord(t *testing.T) {
 			dir := t.TempDir()
 			req := core.Request{App: "arith", Scale: workload.Tiny, Space: config.FullSpace(),
 				Phases: tc.phases, SkipValidation: true}
-			// tune runs req in a fresh session over a fresh stack on dir,
-			// as a restarted process does.
-			tune := func() (rep []byte, sims int64, st *measure.Store) {
-				t.Helper()
-				st, err := measure.NewStore(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sim := &countedSimulator{}
-				sess := core.NewSession(core.SessionOptions{
-					Provider: measure.NewCache(measure.NewPersistent(sim, st), 512)})
-				r, err := sess.Tune(context.Background(), req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep, err = json.Marshal(r); err != nil {
-					t.Fatal(err)
-				}
-				return rep, sim.calls.Load(), st
-			}
+			tune := func() ([]byte, int64, *measure.Store) { return tuneFresh(t, dir, req) }
 			var cold []byte
 			check := func(step string, wantRecordLoads uint64, wantResident int) *measure.Store {
 				t.Helper()
@@ -134,5 +139,74 @@ func TestStoreShapeRebuildReadsTheSetRecord(t *testing.T) {
 			}
 			check("no entries", 1, 1)
 		})
+	}
+}
+
+// TestStoreGCKeepsTheHotRecord: a byte-bounded sweep evicts the per-key
+// entries that a store-shape rebuild no longer reads before the set
+// record that it does. A Tiny build fills the store with its entries and
+// its record, all made an hour old; a rebuild in a fresh session reads
+// the record, which makes it the hottest file; a sweep bounded to the
+// record's size then removes every entry, and the record alone answers
+// the next rebuild with no simulation and the cold build's answer. A set
+// manifest left by an older binary goes in the same sweep.
+func TestStoreGCKeepsTheHotRecord(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	req := core.Request{App: "arith", Scale: workload.Tiny, Space: config.FullSpace(), SkipValidation: true}
+	cold, sims, st := tuneFresh(t, dir, req)
+	if sims == 0 {
+		t.Fatal("the cold build made no simulation")
+	}
+	entries := storeFiles(t, st, measure.EntrySuffix)
+	recs := storeFiles(t, st, measure.RecordSuffix)
+	if len(entries) == 0 || len(recs) != 1 {
+		t.Fatalf("the cold build left %d entries and %d set records, want some and 1", len(entries), len(recs))
+	}
+	then := time.Now().Add(-time.Hour)
+	for _, f := range append(entries, recs...) {
+		if err := os.Chtimes(f, then, then); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got, sims, st := tuneFresh(t, dir, req)
+	if sims != 0 || !bytes.Equal(got, cold) || st.Stats().RecordLoads != 1 {
+		t.Fatalf("rebuild: %d simulations, %d set records read, same answer %v; want 0, 1, true",
+			sims, st.Stats().RecordLoads, bytes.Equal(got, cold))
+	}
+
+	manifest := filepath.Join(st.VersionDir(), strings.Repeat("ab", 32)+".set")
+	if err := os.WriteFile(manifest, []byte(`{"version":2,"entries":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := st.GC(measure.GCPolicy{MaxBytes: info.Size()})
+	if res.Removed != len(entries) || res.Entries != 1 {
+		t.Errorf("GC removed %d files and left %d, want the %d entries removed and the record left",
+			res.Removed, res.Entries, len(entries))
+	}
+	if _, err := os.Stat(recs[0]); err != nil {
+		t.Errorf("the hot set record was evicted: %v", err)
+	}
+	if left := storeFiles(t, st, measure.EntrySuffix); len(left) != 0 {
+		t.Errorf("%d cold entries survived the sweep", len(left))
+	}
+	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
+		t.Errorf("the sweep left the set manifest (%v)", err)
+	}
+
+	got, sims, st = tuneFresh(t, dir, req)
+	if sims != 0 {
+		t.Errorf("rebuild after the sweep: %d simulations, want 0", sims)
+	}
+	if !bytes.Equal(got, cold) {
+		t.Error("rebuild after the sweep: answer differs from the cold build's")
+	}
+	if n := st.Stats().RecordLoads; n != 1 {
+		t.Errorf("rebuild after the sweep: %d set records read, want 1", n)
 	}
 }

@@ -27,12 +27,11 @@ import (
 // A Session is safe for concurrent use; concurrent Tune calls for the
 // same (program, space, scale, interval) join one model build.
 type Session struct {
-	provider     measure.Provider
-	workers      int
-	models       *memo.Cache[modelKey, *modelSet]
-	builds       atomic.Uint64 // model builds completed (disk loads excluded)
-	store        *ModelStore
-	measureStore *measure.Store
+	provider measure.Provider
+	workers  int
+	models   *memo.Cache[modelKey, *modelSet]
+	builds   atomic.Uint64 // model builds completed (disk loads excluded)
+	store    *ModelStore
 }
 
 // SessionOptions configures a Session. The zero value is usable: the
@@ -57,11 +56,9 @@ type SessionOptions struct {
 	// rebuild. Corrupt or mismatched artifacts read as misses; failed
 	// builds are never spilled.
 	ModelStore *ModelStore
-	// MeasureStore, when set alongside ModelStore, receives a set
-	// manifest (measure.Store.SaveSet) for every spilled model set,
-	// naming the measurement entries the build consumed — the store's GC
-	// then evicts a build's entries as one cohesive unit instead of
-	// breaking warm sets one file at a time.
+	// Deprecated: ignored. A planned build's measurements are read back
+	// as one set record, which the store's GC evicts as a unit of its
+	// own, so the session no longer names them to the store.
 	MeasureStore *measure.Store
 }
 
@@ -82,11 +79,10 @@ func NewSession(opts SessionOptions) *Session {
 		capacity = DefaultModelCacheEntries
 	}
 	return &Session{
-		provider:     p,
-		workers:      opts.Workers,
-		models:       memo.New[modelKey, *modelSet](capacity),
-		store:        opts.ModelStore,
-		measureStore: opts.MeasureStore,
+		provider: p,
+		workers:  opts.Workers,
+		models:   memo.New[modelKey, *modelSet](capacity),
+		store:    opts.ModelStore,
 	}
 }
 
@@ -201,24 +197,15 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 					return ds, nil
 				}
 			}
-			bt := *tn
-			var rec *measure.KeyRecorder
-			if s.store != nil && s.measureStore != nil {
-				// Record the measurement keys the build consumes (cache
-				// hits included) so the spill can name its cohesive set.
-				// Validation runs happen outside this closure and stay out.
-				rec = measure.NewKeyRecorder(bt.provider)
-				bt.provider = rec
-			}
 			var built *modelSet
 			if phased {
-				ps, perr := bt.buildPhaseSet(mctx, b, popts)
+				ps, perr := tn.buildPhaseSet(mctx, b, popts)
 				if perr != nil {
 					return nil, perr
 				}
 				built = ps
 			} else {
-				m, merr := bt.buildModel(mctx, b)
+				m, merr := tn.buildModel(mctx, b)
 				if merr != nil {
 					return nil, merr
 				}
@@ -226,9 +213,7 @@ func (s *Session) Tune(ctx context.Context, req Request) (*Report, error) {
 			}
 			if s.store != nil {
 				// Spill best-effort: a full disk must not fail the tune.
-				if serr := s.store.save(key, built); serr == nil && rec != nil {
-					_ = s.measureStore.SaveSet(key.artifactID(), rec.Keys())
-				}
+				_ = s.store.save(key, built)
 			}
 			s.builds.Add(1)
 			return built, nil

@@ -26,7 +26,7 @@ import (
 // stamps the caller's in, as the cache layers do.
 
 // EntrySuffix ends the file name of every measurement entry. The GC,
-// Len, Stats, the claim files and the set manifests all go by it.
+// Len, Stats and the claim files all go by it.
 const EntrySuffix = ".report"
 
 const entryMagic = "LQMR"

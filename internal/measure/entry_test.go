@@ -258,7 +258,7 @@ func TestStoreUpgradeClaimsV1Directory(t *testing.T) {
 }
 
 // TestStoreFilesAreWorldReadable: every file the store spills — entry,
-// set manifest and store.json — is mode 0644, not the temp file's 0600,
+// set record and store.json — is mode 0644, not the temp file's 0600,
 // so a replica running under another uid can read a shared directory.
 func TestStoreFilesAreWorldReadable(t *testing.T) {
 	t.Parallel()
@@ -276,12 +276,13 @@ func TestStoreFilesAreWorldReadable(t *testing.T) {
 	if err := store.Save(key, rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.SaveSet("0123abcd", []Key{key}); err != nil {
+	record := filepath.Join(store.VersionDir(), "0123abcd"+RecordSuffix)
+	if err := store.saveRecord(record, []*platform.RunReport{rep}); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{
 		store.path(key),
-		filepath.Join(store.VersionDir(), "0123abcd.set"),
+		record,
 		filepath.Join(dir, manifestName),
 	} {
 		info, err := os.Stat(path)

@@ -21,11 +21,11 @@ import (
 // from a Persistent store as one file: the record of the plan. The first
 // planned Measure of the scope reads it, and every planned configuration
 // is then answered from memory, each caller decoding its own member.
-// Without a record the per-key entries
-// answer, and once every planned key has passed through the store the
-// record is written, so a store filled before records existed gains
-// them on its next rebuild. Per-key entries stay: validations, sweeps of
-// other lists and the model artifacts' set manifests name them.
+// Without a record the per-key entries answer, and once every planned
+// key has passed through the store the record is written, so a store
+// filled before records existed gains them on its next rebuild. Per-key
+// entries stay: validations and sweeps of other lists read them. The GC
+// evicts a record by its own mtime, like an entry.
 //
 //	magic "LQMS", uvarint StoreVersion, uvarint count,
 //	then per member, in plan order: uvarint length, an entry (entry.go).

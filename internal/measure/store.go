@@ -159,7 +159,7 @@ func WriteFileAtomic(path string, data []byte) error {
 func (s *Store) Dir() string { return s.dir }
 
 // VersionDir returns the directory holding this format version's
-// entries, set manifests and claims.
+// entries, set records and claims.
 func (s *Store) VersionDir() string { return s.vdir }
 
 // path maps a key to its file. The hash input uses the configuration's
@@ -232,44 +232,6 @@ func (s *Store) Save(key Key, rep *platform.RunReport) error {
 	}
 	s.saves.Add(1)
 	return nil
-}
-
-// setManifest marks a group of entries as one cohesive measurement set:
-// the ~52 single-change runs behind one model build. The GC sweep treats
-// a complete set as a single eviction unit (see GC), so a restarted
-// replica replaying a spilled model's measurements finds either all of
-// them or none — never a split set that forces a partial rebuild.
-type setManifest struct {
-	Version int `json:"version"`
-	// Entries are the member entry file names (base names, EntrySuffix
-	// included), sorted.
-	Entries []string `json:"entries"`
-}
-
-// SaveSet records that the entries for keys form one cohesive set,
-// written as <id>.set beside the entries (id must be path-safe — the
-// callers use a hex fingerprint). Saving an empty set is a no-op.
-// Best-effort like entry spills: a lost manifest only costs the set its
-// eviction cohesion, never correctness.
-func (s *Store) SaveSet(id string, keys []Key) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	seen := make(map[string]bool, len(keys))
-	names := make([]string, 0, len(keys))
-	for _, k := range keys {
-		name := filepath.Base(s.path(k))
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	data, err := json.Marshal(setManifest{Version: StoreVersion, Entries: names})
-	if err != nil {
-		return fmt.Errorf("measure: encoding set manifest: %w", err)
-	}
-	return WriteFileAtomic(filepath.Join(s.vdir, id+".set"), data)
 }
 
 // Measurement claim lease (cross-replica singleflight, best effort).
@@ -433,9 +395,6 @@ type GCResult struct {
 	// their size.
 	Removed      int
 	RemovedBytes int64
-	// RemovedSets counts the set manifests deleted — with their evicted
-	// set, or on their own when stale or corrupt.
-	RemovedSets int
 	// Entries and Bytes describe what remains.
 	Entries int
 	Bytes   int64
@@ -457,21 +416,13 @@ type gcEntry struct {
 // removed once and re-measured once. Stale temp files (crashed writers)
 // older than an hour are collected too.
 //
-// A set record (record.go) is self-contained, so it pins nothing: it is
-// a unit of its own, evicted by its own mtime, and counted in Removed,
-// Entries and Bytes like an entry.
-//
-// Set cohesion: entries named by a set manifest (SaveSet) are evicted as
-// one unit whose heat is its newest member's mtime — both bounds remove
-// whole complete cold sets before touching a warmer one, so the byte
-// sweep never shaves the oldest few entries off a set another replica is
-// about to replay (a split set silently costs a whole model rebuild, the
-// most expensive miss the store can cause). Manifests sharing a member
-// merge into one unit; entries in no manifest are single-entry units,
-// giving loose entries exactly the pre-set LRU behaviour. A manifest
-// whose members are not all resident is stale — its set is already
-// broken — and is collected like an expired claim, its survivors
-// reverting to loose; corrupt manifests are removed on sight.
+// The unit of eviction is one file. A set record (record.go) is
+// self-contained, so it pins nothing: it is evicted by its own mtime,
+// and counted in Removed, Entries and Bytes like an entry. A restart
+// that reads the record never touches the entries, so under a bound the
+// entries of a hot set go cold and are collected before their record.
+// The .set manifests older binaries wrote beside the entries are removed
+// on sight.
 func (s *Store) GC(policy GCPolicy) GCResult {
 	s.gcRuns.Add(1)
 	now := time.Now()
@@ -512,12 +463,25 @@ func (s *Store) GC(policy GCPolicy) GCResult {
 		return GCResult{}
 	}
 	var res GCResult
-	entries := make(map[string]gcEntry) // resident entries by base name
-	type setFile struct {
-		path    string
-		members []string
+	// remove deletes one file and reports whether it is off the books. A
+	// file that cannot be removed (permissions on a shared dir) stays
+	// resident and is counted as such, so the metrics don't lie.
+	remove := func(ge gcEntry) bool {
+		err := os.Remove(ge.path)
+		if err == nil {
+			res.Removed++
+			res.RemovedBytes += ge.size
+			return true
+		}
+		if os.IsNotExist(err) {
+			return true // a racing sweep got it
+		}
+		res.Entries++
+		res.Bytes += ge.size
+		return false
 	}
-	var sets []setFile
+	var live []gcEntry
+	var total int64
 	for _, e := range names {
 		if e.IsDir() {
 			continue
@@ -527,13 +491,12 @@ func (s *Store) GC(policy GCPolicy) GCResult {
 			continue // vanished under us
 		}
 		path := filepath.Join(dir, e.Name())
-		if strings.HasPrefix(e.Name(), ".tmp-") {
+		switch {
+		case strings.HasPrefix(e.Name(), ".tmp-"):
 			if now.Sub(info.ModTime()) > time.Hour {
 				_ = os.Remove(path)
 			}
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".claim") {
+		case strings.HasSuffix(e.Name(), ".claim"):
 			// Collect leftover claims of crashed replicas honouring the
 			// expiry stamped inside the file — a live claim under a long
 			// -store-lease TTL must survive the sweep. TryClaim also
@@ -551,146 +514,30 @@ func (s *Store) GC(policy GCPolicy) GCResult {
 			if now.Sub(info.ModTime()) > time.Hour {
 				_ = os.Remove(path)
 			}
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".set") {
-			data, rerr := os.ReadFile(path)
-			if rerr != nil {
-				continue // vanished under us
-			}
-			var m setManifest
-			if json.Unmarshal(data, &m) != nil || m.Version != StoreVersion || len(m.Entries) == 0 {
-				if os.Remove(path) == nil {
-					res.RemovedSets++
-				}
+		case strings.HasSuffix(e.Name(), ".set"):
+			_ = os.Remove(path) // an older binary's set manifest: nothing reads it
+
+		case isStoreFile(e.Name()):
+			ge := gcEntry{path: path, size: info.Size(), mtime: info.ModTime()}
+			if policy.MaxAge > 0 && now.Sub(ge.mtime) > policy.MaxAge {
+				remove(ge)
 				continue
 			}
-			sets = append(sets, setFile{path: path, members: m.Entries})
-			continue
+			live = append(live, ge)
+			total += ge.size
 		}
-		if !isStoreFile(e.Name()) {
-			continue
-		}
-		entries[e.Name()] = gcEntry{path: path, size: info.Size(), mtime: info.ModTime()}
-	}
-
-	// Stale manifests: a member already gone (crashed spill, racing
-	// sweep, read-repair) means the set is broken — drop the manifest,
-	// its survivors revert to loose entries.
-	intact := sets[:0]
-	for _, sf := range sets {
-		complete := true
-		for _, m := range sf.members {
-			if _, ok := entries[m]; !ok {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			if os.Remove(sf.path) == nil {
-				res.RemovedSets++
-			}
-			continue
-		}
-		intact = append(intact, sf)
-	}
-	sets = intact
-
-	// Union-find over entry names merges manifests that share a member
-	// into one eviction unit; untouched entries stay their own unit.
-	parent := make(map[string]string, len(entries))
-	for name := range entries {
-		parent[name] = name
-	}
-	var find func(string) string
-	find = func(x string) string {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, sf := range sets {
-		r := find(sf.members[0])
-		for _, m := range sf.members[1:] {
-			parent[find(m)] = r
-		}
-	}
-
-	type gcUnit struct {
-		members   []gcEntry
-		manifests []string
-		size      int64
-		heat      time.Time // newest member mtime
-	}
-	units := make(map[string]*gcUnit)
-	for name, ge := range entries {
-		r := find(name)
-		u := units[r]
-		if u == nil {
-			u = &gcUnit{}
-			units[r] = u
-		}
-		u.members = append(u.members, ge)
-		u.size += ge.size
-		if ge.mtime.After(u.heat) {
-			u.heat = ge.mtime
-		}
-	}
-	for _, sf := range sets {
-		u := units[find(sf.members[0])]
-		u.manifests = append(u.manifests, sf.path)
-	}
-
-	// stuck tracks entries we failed to remove (permissions on a shared
-	// dir): still resident, kept on the books so the metrics don't lie.
-	var stuck []gcEntry
-	removeUnit := func(u *gcUnit) (freed int64) {
-		for _, ge := range u.members {
-			rerr := os.Remove(ge.path)
-			if rerr == nil {
-				res.Removed++
-				res.RemovedBytes += ge.size
-				freed += ge.size
-			} else if os.IsNotExist(rerr) {
-				freed += ge.size // a racing sweep got it: off the books either way
-			} else {
-				stuck = append(stuck, ge)
-			}
-		}
-		for _, mp := range u.manifests {
-			if os.Remove(mp) == nil {
-				res.RemovedSets++
-			}
-		}
-		return freed
-	}
-
-	var live []*gcUnit
-	var total int64
-	for _, u := range units {
-		if policy.MaxAge > 0 && now.Sub(u.heat) > policy.MaxAge {
-			removeUnit(u)
-			continue
-		}
-		live = append(live, u)
-		total += u.size
 	}
 	if policy.MaxBytes > 0 && total > policy.MaxBytes {
-		sort.Slice(live, func(a, b int) bool { return live[a].heat.Before(live[b].heat) })
+		sort.Slice(live, func(a, b int) bool { return live[a].mtime.Before(live[b].mtime) })
 		i := 0
 		for ; i < len(live) && total > policy.MaxBytes; i++ {
-			total -= removeUnit(live[i])
+			if remove(live[i]) {
+				total -= live[i].size
+			}
 		}
 		live = live[i:]
 	}
-	for _, u := range live {
-		for _, ge := range u.members {
-			res.Entries++
-			res.Bytes += ge.size
-		}
-	}
-	for _, ge := range stuck {
+	for _, ge := range live {
 		res.Entries++
 		res.Bytes += ge.size
 	}

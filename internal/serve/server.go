@@ -125,9 +125,7 @@ type Options struct {
 	// ModelStore, when set, is the durable model tier: completed model
 	// sets spill there and model-cache misses try it before rebuilding,
 	// so a restarted (or sibling) replica serves a previously modeled
-	// application with zero simulations and zero model builds. When
-	// Store is also set, each spill records its measurement set in the
-	// store so the store's GC evicts the set cohesively.
+	// application with zero simulations and zero model builds.
 	ModelStore *core.ModelStore
 	// SlowJobThreshold, when positive, logs a warning for every job
 	// whose wall-clock execution exceeds it, with the top stages of its
@@ -366,7 +364,6 @@ func New(opts Options) *Server {
 			Provider:          provider,
 			ModelCacheEntries: opts.ModelCacheEntries,
 			ModelStore:        opts.ModelStore,
-			MeasureStore:      opts.Store,
 		}),
 		baseCtx: ctx,
 		stop:    stop,
